@@ -25,7 +25,7 @@ from .data import (
 )
 from .evaluation import METRIC_CHOICES, evaluate_run, save_report
 from .nn import TrainingError, load_checkpoint
-from .policy import DEFAULT_HIDDEN, greedy_scores
+from .policy import DEFAULT_HIDDEN, check_checkpoint, greedy_scores
 from .summarize import DEFAULT_BUDGET_FRACTION, make_summary, summary_to_json
 from .training import TrainConfig, train_run
 
@@ -60,7 +60,6 @@ def build_parser():
     tr.add_argument("--baseline-momentum", type=float, default=0.9)
     tr.add_argument("--folds", type=int, default=5)
     tr.add_argument("--no-cv", action="store_true", help="single fold trained on all videos")
-    tr.add_argument("--jobs", type=int, default=1, help="concurrent fold training jobs")
     tr.add_argument("--seed", type=int, default=0)
 
     su = sub.add_parser("summarize", help="score one feature file and pick keyshots")
@@ -79,7 +78,6 @@ def build_parser():
     ev.add_argument("--budget", type=float, default=DEFAULT_BUDGET_FRACTION)
     ev.add_argument("--max-shots", type=int, default=None)
     ev.add_argument("--penalty", type=float, default=1.0)
-    ev.add_argument("--jobs", type=int, default=1)
     ev.add_argument("--out", default=None, help="report JSON path (default: stdout)")
     return parser
 
@@ -97,8 +95,8 @@ def _check_usage(parser, args):
             parser.error("--epochs must be >= 0")
         if args.episodes < 1:
             parser.error("--episodes must be >= 1")
-        if min(args.subtask_size, args.hidden, args.jobs) < 1:
-            parser.error("--subtask-size, --hidden, --jobs must be >= 1")
+        if min(args.subtask_size, args.hidden) < 1:
+            parser.error("--subtask-size, --hidden must be >= 1")
         if args.lr <= 0:
             parser.error("--lr must be > 0")
         if not 0.0 <= args.baseline_momentum < 1.0:
@@ -108,8 +106,6 @@ def _check_usage(parser, args):
     elif args.command in ("summarize", "evaluate"):
         if not 0.0 < args.budget <= 1.0:
             parser.error("--budget must be in (0, 1]")
-        if args.command == "evaluate" and args.jobs < 1:
-            parser.error("--jobs must be >= 1")
 
 
 def cmd_gen_synthetic(args):
@@ -146,8 +142,7 @@ def cmd_train(args):
         args.out,
         folds=args.folds,
         no_cv=args.no_cv,
-        jobs=args.jobs,
-        extra_config={"dataset_path": str(args.dataset), "jobs": args.jobs},
+        extra_config={"dataset_path": str(args.dataset)},
     )
     print(out)
     return 0
@@ -155,13 +150,14 @@ def cmd_train(args):
 
 def cmd_summarize(args):
     store, meta = load_checkpoint(args.model)
+    check_checkpoint(args.model, store, meta)
     feats = read_features(args.video)
-    if feats.shape[1] != meta.get("feature_dim"):
+    if feats.shape[1] != meta["feature_dim"]:
         raise ConfigurationError(
-            f"model expects feature dim {meta.get('feature_dim')}, "
+            f"model expects feature dim {meta['feature_dim']}, "
             f"but {args.video} has dim {feats.shape[1]}"
         )
-    scores = greedy_scores(store, feats, int(meta["subtask_size"]))
+    scores = greedy_scores(store, feats, meta["subtask_size"])
     video_id = Path(args.video).stem
     summary, _ = make_summary(
         feats,
@@ -193,7 +189,6 @@ def cmd_evaluate(args):
         budget_fraction=args.budget,
         max_shots=args.max_shots,
         penalty_weight=args.penalty,
-        jobs=args.jobs,
     )
     if args.out:
         save_report(args.out, report)

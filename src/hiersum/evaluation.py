@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,7 @@ from scipy.stats import rankdata
 
 from .data import ConfigurationError, num_subtasks
 from .nn import load_checkpoint
-from .policy import greedy_scores
+from .policy import check_checkpoint, greedy_scores
 from .summarize import DEFAULT_BUDGET_FRACTION, make_summary
 
 METRIC_CHOICES = ("f", "tau", "rho", "all")
@@ -161,7 +160,6 @@ def evaluate_run(
     budget_fraction=DEFAULT_BUDGET_FRACTION,
     max_shots=None,
     penalty_weight=1.0,
-    jobs=1,
 ):
     """Evaluate every fold checkpoint of a training run on its held-out videos."""
     if metric not in METRIC_CHOICES:
@@ -177,16 +175,16 @@ def evaluate_run(
         if not ckpt_path.exists():
             raise ConfigurationError(f"missing fold checkpoint {ckpt_path}")
         store, meta = load_checkpoint(ckpt_path)
-        if meta.get("feature_dim") != dataset.manifest.feature_dim:
+        check_checkpoint(ckpt_path, store, meta)
+        if meta["feature_dim"] != dataset.manifest.feature_dim:
             raise ConfigurationError(
-                f"{ckpt_path}: model feature dim {meta.get('feature_dim')} does not match "
+                f"{ckpt_path}: model feature dim {meta['feature_dim']} does not match "
                 f"dataset feature dim {dataset.manifest.feature_dim}"
             )
-        subtask_size = int(meta["subtask_size"])
+        subtask_size = meta["subtask_size"]
         videos = [dataset.by_id(video_id) for video_id in video_ids]
-
-        def score_one(video):
-            return evaluate_video(
+        results = [
+            evaluate_video(
                 store,
                 video,
                 subtask_size,
@@ -195,12 +193,8 @@ def evaluate_run(
                 max_shots=max_shots,
                 penalty_weight=penalty_weight,
             )
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(score_one, videos))
-        else:
-            results = [score_one(video) for video in videos]
+            for video in videos
+        ]
 
         entry = {"fold": k, "num_videos": len(videos)}
         for key in ("F", "tau", "rho"):

@@ -9,7 +9,6 @@ m up to max_shots, and a penalized criterion picks m.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,16 +142,3 @@ def shot_scores(partition, frame_scores):
             f"{scores.shape[0]} frame scores for a partition of {partition.num_frames} frames"
         )
     return np.array([scores[start:end].mean() for start, end in partition.shots])
-
-
-def save_partition_cache(path, video_id, partition):
-    doc = {"video_id": video_id, "change_points": [int(p) for p in partition.change_points]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_partition_cache(path, num_frames):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return doc["video_id"], partition_from_change_points(doc["change_points"], num_frames)

@@ -1,11 +1,11 @@
 """Plain numpy neural primitives with hand-written backward passes.
 
 Everything runs in float64 on one thread. The pieces are deliberately small:
-a named parameter store, an LSTM cell with an explicit step backward, an
-affine layer, stable sigmoid / binary cross-entropy, Adam, a checkpoint
-format, and a central finite-difference gradient checker. Recurrent models
-record their forward steps on a Tape and backpropagate through the whole
-sequence with no truncation.
+a named parameter store, a whole-sequence LSTM forward and backward, an
+affine layer over row matrices, stable sigmoid / binary cross-entropy, Adam,
+a checkpoint format, and a central finite-difference gradient checker. The
+LSTM forward returns a cache of the whole sequence, and its backward
+propagates through every step with no truncation.
 """
 
 from __future__ import annotations
@@ -23,14 +23,8 @@ class TrainingError(RuntimeError):
 
 
 def sigmoid(z):
-    """Numerically stable logistic function, elementwise."""
-    z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function, elementwise; the tanh form cannot overflow."""
+    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(z, dtype=np.float64)))
 
 
 def clamp_prob(p):
@@ -101,35 +95,13 @@ class ParamStore:
                 raise TrainingError(f"parameter '{name}' is non-finite")
 
 
-class Tape:
-    """Ordered record of forward step caches, consumed exactly once in reverse."""
-
-    def __init__(self):
-        self._steps = []
-        self._consumed = False
-
-    def push(self, cache):
-        if self._consumed:
-            raise RuntimeError("cannot record on a consumed tape")
-        self._steps.append(cache)
-
-    def __len__(self):
-        return len(self._steps)
-
-    def consume_reverse(self):
-        if self._consumed:
-            raise RuntimeError("tape already consumed")
-        self._consumed = True
-        return reversed(self._steps)
-
-
 def uniform_init(rng, shape, fan_in):
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, shape)
 
 
 # ---------------------------------------------------------------------------
-# LSTM cell
+# LSTM
 #
 # Parameters under a prefix: Wx (D, 4H), Wh (H, 4H), b (4H,). Gate order along
 # the 4H axis is input, forget, output, candidate.
@@ -143,82 +115,74 @@ def init_lstm(store, prefix, input_dim, hidden, rng):
     store.add(f"{prefix}.b", b)
 
 
-def lstm_hidden_size(store, prefix):
-    return store[f"{prefix}.Wh"].shape[0]
+def lstm_forward(store, prefix, xs):
+    """Run the LSTM over a (T, D) sequence from a zero state; returns (hs, cache).
 
-
-def lstm_zero_state(store, prefix):
-    hidden = lstm_hidden_size(store, prefix)
-    return np.zeros(hidden), np.zeros(hidden)
-
-
-def lstm_step(store, prefix, x, state, tape=None):
-    """One LSTM step; returns the new (h, c) and records a cache on the tape."""
-    h_prev, c_prev = state
-    wx, wh, b = store[f"{prefix}.Wx"], store[f"{prefix}.Wh"], store[f"{prefix}.b"]
-    if x.shape[0] != wx.shape[0]:
-        raise ValueError(
-            f"lstm '{prefix}': input dim {x.shape[0]} does not match weights {wx.shape[0]}"
-        )
-    hidden = wh.shape[0]
-    z = x @ wx + h_prev @ wh + b
-    i = sigmoid(z[:hidden])
-    f = sigmoid(z[hidden : 2 * hidden])
-    o = sigmoid(z[2 * hidden : 3 * hidden])
-    g = np.tanh(z[3 * hidden :])
-    c = f * c_prev + i * g
-    h = o * np.tanh(c)
-    if tape is not None:
-        tape.push((x, h_prev, c_prev, i, f, o, g, c))
-    return h, c
-
-
-def lstm_step_backward(store, prefix, cache, dh, dc):
-    """Backward for one step; accumulates parameter grads, returns (dx, dh_prev, dc_prev)."""
-    x, h_prev, c_prev, i, f, o, g, c = cache
-    hidden = i.shape[0]
-    tanh_c = np.tanh(c)
-    do = dh * tanh_c
-    dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-    di = dc * g
-    df = dc * c_prev
-    dg = dc * i
-    dc_prev = dc * f
-    dz = np.empty(4 * hidden)
-    dz[:hidden] = di * i * (1.0 - i)
-    dz[hidden : 2 * hidden] = df * f * (1.0 - f)
-    dz[2 * hidden : 3 * hidden] = do * o * (1.0 - o)
-    dz[3 * hidden :] = dg * (1.0 - g * g)
-    store.grads[f"{prefix}.Wx"] += np.outer(x, dz)
-    store.grads[f"{prefix}.Wh"] += np.outer(h_prev, dz)
-    store.grads[f"{prefix}.b"] += dz
-    dx = store[f"{prefix}.Wx"] @ dz
-    dh_prev = store[f"{prefix}.Wh"] @ dz
-    return dx, dh_prev, dc_prev
-
-
-def lstm_backward(store, prefix, tape, dhs):
-    """Backpropagate through a recorded sequence of steps.
-
-    dhs[t] is the loss gradient on the hidden state emitted at step t; the
-    recurrent contribution is carried backward internally. Returns gradients
-    on the step inputs, newest first reversed back to input order.
+    hs is (T, H). The input projection xs @ Wx + b is one matrix product over
+    the whole sequence; only h @ Wh stays inside the recurrence.
     """
-    dxs = [None] * len(tape)
-    dh_carry = np.zeros_like(dhs[0])
-    dc_carry = np.zeros_like(dhs[0])
-    t = len(tape) - 1
-    for cache in tape.consume_reverse():
-        dx, dh_carry, dc_carry = lstm_step_backward(
-            store, prefix, cache, dhs[t] + dh_carry, dc_carry
+    wx, wh = store[f"{prefix}.Wx"], store[f"{prefix}.Wh"]
+    if xs.shape[1] != wx.shape[0]:
+        raise ValueError(
+            f"lstm '{prefix}': input dim {xs.shape[1]} does not match weights {wx.shape[0]}"
         )
-        dxs[t] = dx
-        t -= 1
-    return dxs, dh_carry, dc_carry
+    steps, hidden = xs.shape[0], wh.shape[0]
+    gates = xs @ wx + store[f"{prefix}.b"]  # pre-activations, turned into gates in place
+    hs = np.empty((steps, hidden))
+    cs = np.empty((steps, hidden))
+    h = np.zeros(hidden)
+    c = np.zeros(hidden)
+    for t in range(steps):
+        z = gates[t]
+        z += h @ wh
+        z[: 3 * hidden] = sigmoid(z[: 3 * hidden])
+        z[3 * hidden :] = np.tanh(z[3 * hidden :])
+        c = z[hidden : 2 * hidden] * c + z[:hidden] * z[3 * hidden :]
+        h = z[2 * hidden : 3 * hidden] * np.tanh(c)
+        hs[t] = h
+        cs[t] = c
+    return hs, (xs, hs, cs, gates)
+
+
+def lstm_backward(store, prefix, cache, dhs):
+    """Backpropagate through a whole sequence, with no truncation.
+
+    dhs[t] is the loss gradient on hs[t]; the recurrent gradient is carried
+    backward internally. Parameter gradients are accumulated once per
+    sequence from the stacked pre-activation gradients.
+    """
+    xs, hs, cs, gates = cache
+    wh = store[f"{prefix}.Wh"]
+    steps, hidden = hs.shape
+    gi, gf, go, gg = np.moveaxis(gates.reshape(steps, 4, hidden), 1, 0)
+    h_prev = np.vstack([np.zeros((1, hidden)), hs[:-1]])
+    c_prev = np.vstack([np.zeros((1, hidden)), cs[:-1]])
+    tanh_c = np.tanh(cs)
+    dc_dh = go * (1.0 - tanh_c * tanh_c)
+    # d(pre-activation) / dc for the i, f and g gates; the o slot is filled from dh
+    dz_dc = np.stack(
+        [gg * gi * (1.0 - gi), c_prev * gf * (1.0 - gf), np.zeros_like(go), gi * (1.0 - gg * gg)],
+        axis=1,
+    )
+    dz_dh_o = tanh_c * go * (1.0 - go)
+    dz = np.empty((steps, 4, hidden))
+    dh = np.zeros(hidden)
+    dc = np.zeros(hidden)
+    for t in range(steps - 1, -1, -1):
+        dh = dh + dhs[t]
+        dc = dc + dh * dc_dh[t]
+        dz[t] = dc * dz_dc[t]
+        dz[t, 2] = dh * dz_dh_o[t]
+        dh = wh @ dz[t].reshape(-1)
+        dc = dc * gf[t]
+    dz = dz.reshape(steps, 4 * hidden)
+    store.grads[f"{prefix}.Wx"] += xs.T @ dz
+    store.grads[f"{prefix}.Wh"] += h_prev.T @ dz
+    store.grads[f"{prefix}.b"] += dz.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
-# affine layer: W (out, in), b (out,)
+# affine layer: W (out, in), b (out,), applied to (N, in) row matrices
 
 
 def init_affine(store, prefix, out_dim, in_dim, rng):
@@ -227,13 +191,13 @@ def init_affine(store, prefix, out_dim, in_dim, rng):
 
 
 def affine(store, prefix, x):
-    return store[f"{prefix}.W"] @ x + store[f"{prefix}.b"]
+    return x @ store[f"{prefix}.W"].T + store[f"{prefix}.b"]
 
 
 def affine_backward(store, prefix, x, dout):
-    store.grads[f"{prefix}.W"] += np.outer(dout, x)
-    store.grads[f"{prefix}.b"] += dout
-    return store[f"{prefix}.W"].T @ dout
+    store.grads[f"{prefix}.W"] += dout.T @ x
+    store.grads[f"{prefix}.b"] += dout.sum(axis=0)
+    return dout @ store[f"{prefix}.W"]
 
 
 # ---------------------------------------------------------------------------
@@ -302,19 +266,24 @@ def load_checkpoint(path):
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValueError(f"{path}: invalid checkpoint header ({exc})") from exc
-        if header.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"{path}: unsupported checkpoint format {header.get('format')!r}")
+        found = header.get("format") if isinstance(header, dict) else None
+        if found != CHECKPOINT_FORMAT:
+            raise ValueError(f"{path}: unsupported checkpoint format {found!r}")
+        try:
+            meta = dict(header["meta"])
+            specs = [(str(e["name"]), tuple(int(n) for n in e["shape"])) for e in header["params"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed checkpoint header ({exc!r})") from exc
         store = ParamStore()
-        for spec_entry in header["params"]:
-            shape = tuple(spec_entry["shape"])
+        for name, shape in specs:
             count = int(np.prod(shape)) if shape else 1
             raw = fh.read(8 * count)
             if len(raw) != 8 * count:
-                raise ValueError(f"{path}: truncated payload for '{spec_entry['name']}'")
-            store.add(spec_entry["name"], np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
+                raise ValueError(f"{path}: truncated payload for '{name}'")
+            store.add(name, np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after last parameter")
-    return store, header["meta"]
+    return store, meta
 
 
 # ---------------------------------------------------------------------------

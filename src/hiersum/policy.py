@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import subtask_views
+from .data import ConfigurationError, subtask_views
 from .nn import (
     ParamStore,
-    Tape,
     affine,
     affine_backward,
     bce,
@@ -31,8 +30,7 @@ from .nn import (
     init_affine,
     init_lstm,
     lstm_backward,
-    lstm_step,
-    lstm_zero_state,
+    lstm_forward,
     sigmoid,
 )
 
@@ -48,6 +46,31 @@ def init_policy(feature_dim, hidden, rng):
     init_affine(store, "worker.mix", hidden, 2 * hidden, rng)
     init_affine(store, "worker.head", 1, hidden, rng)
     return store
+
+
+def check_checkpoint(path, store, meta):
+    """Reject a loaded checkpoint whose meta or parameters do not fit init_policy.
+
+    The meta must hold positive integers feature_dim, hidden and subtask_size,
+    and the parameters must have exactly the names and shapes init_policy
+    gives for that feature_dim and hidden.
+    """
+    for key in ("feature_dim", "hidden", "subtask_size"):
+        value = meta.get(key)
+        if not isinstance(value, int) or value < 1:
+            raise ConfigurationError(f"{path}: meta.{key} is {value!r}, not a positive integer")
+    layout = init_policy(meta["feature_dim"], meta["hidden"], np.random.default_rng(0))
+    for name in layout.names():
+        if name not in store:
+            raise ConfigurationError(f"{path}: parameter '{name}' is missing")
+        if store[name].shape != layout[name].shape:
+            raise ConfigurationError(
+                f"{path}: parameter '{name}' has shape {store[name].shape}, "
+                f"expected {layout[name].shape}"
+            )
+    extra = [name for name in store.names() if name not in layout]
+    if extra:
+        raise ConfigurationError(f"{path}: unexpected parameter '{extra[0]}'")
 
 
 def manager_param_names(store):
@@ -71,21 +94,15 @@ class ManagerForward:
     raw: np.ndarray  # (N,) sigmoid outputs before clamping
     probs: np.ndarray  # (N,) clamped subtask probabilities
     clamp_mask: np.ndarray
-    tape: Tape
+    cache: tuple  # lstm_forward cache for the backward pass
 
 
 def manager_forward(store, features, subtask_size):
     feats = np.asarray(features, dtype=np.float64)
     views = subtask_views(feats.shape[0], subtask_size)
-    tape = Tape()
-    h, c = lstm_zero_state(store, "manager.lstm")
-    subgoals = np.empty((len(views), h.shape[0]))
-    ends = {v.end - 1: v.index for v in views}
-    for t in range(feats.shape[0]):
-        h, c = lstm_step(store, "manager.lstm", feats[t], (h, c), tape)
-        if t in ends:
-            subgoals[ends[t]] = h
-    logits = np.array([affine(store, "manager.head", g)[0] for g in subgoals])
+    hs, cache = lstm_forward(store, "manager.lstm", feats)
+    subgoals = hs[[v.end - 1 for v in views]]
+    logits = affine(store, "manager.head", subgoals)[:, 0]
     raw = sigmoid(logits)
     probs, clamp_mask = clamp_prob(raw)
     return ManagerForward(
@@ -95,19 +112,17 @@ def manager_forward(store, features, subtask_size):
         raw=raw,
         probs=probs,
         clamp_mask=clamp_mask,
-        tape=tape,
+        cache=cache,
     )
 
 
 def manager_backward(store, fwd, dlogits):
     """Accumulate gradients given d(loss)/d(subtask logits)."""
     num_frames = fwd.views[-1].end
-    hidden = fwd.subgoals.shape[1]
-    dhs = np.zeros((num_frames, hidden))
-    for view, dlogit in zip(fwd.views, dlogits):
-        dg = affine_backward(store, "manager.head", fwd.subgoals[view.index], np.array([dlogit]))
-        dhs[view.end - 1] += dg
-    lstm_backward(store, "manager.lstm", fwd.tape, dhs)
+    dhs = np.zeros((num_frames, fwd.subgoals.shape[1]))
+    dsubgoals = affine_backward(store, "manager.head", fwd.subgoals, dlogits[:, None])
+    dhs[[v.end - 1 for v in fwd.views]] = dsubgoals
+    lstm_backward(store, "manager.lstm", fwd.cache, dhs)
 
 
 def manager_loss(fwd, task_labels):
@@ -137,7 +152,7 @@ class WorkerForward:
     clamp_mask: np.ndarray
     mixed: np.ndarray  # (T, H) affine mix of [subgoal ; hidden]
     concat: np.ndarray  # (T, 2H) mix-layer inputs, subgoal first
-    tape: Tape
+    cache: tuple  # lstm_forward cache for the backward pass
 
 
 def worker_forward(store, features, subgoals, subtask_size):
@@ -145,21 +160,10 @@ def worker_forward(store, features, subgoals, subtask_size):
     views = subtask_views(feats.shape[0], subtask_size)
     if len(views) != subgoals.shape[0]:
         raise ValueError(f"{subgoals.shape[0]} subgoals for {len(views)} subtasks")
-    num_frames = feats.shape[0]
-    hidden = subgoals.shape[1]
-    tape = Tape()
-    h, c = lstm_zero_state(store, "worker.lstm")
-    concat = np.empty((num_frames, 2 * hidden))
-    mixed = np.empty((num_frames, hidden))
-    logits = np.empty(num_frames)
-    for view in views:
-        for t in range(view.start, view.end):
-            h, c = lstm_step(store, "worker.lstm", feats[t], (h, c), tape)
-            concat[t, :hidden] = subgoals[view.index]
-            concat[t, hidden:] = h
-            mixed[t] = affine(store, "worker.mix", concat[t])
-            logits[t] = affine(store, "worker.head", mixed[t])[0]
-    raw = sigmoid(logits)
+    hs, cache = lstm_forward(store, "worker.lstm", feats)
+    concat = np.hstack([subgoals[np.arange(feats.shape[0]) // subtask_size], hs])
+    mixed = affine(store, "worker.mix", concat)
+    raw = sigmoid(affine(store, "worker.head", mixed)[:, 0])
     scores, clamp_mask = clamp_prob(raw)
     return WorkerForward(
         views=views,
@@ -168,35 +172,27 @@ def worker_forward(store, features, subgoals, subtask_size):
         clamp_mask=clamp_mask,
         mixed=mixed,
         concat=concat,
-        tape=tape,
+        cache=cache,
     )
 
 
 def worker_backward(store, fwd, dscores):
     """Accumulate Worker gradients given d(loss)/d(scores).
 
-    Returns the gradient on the subgoals, which callers training the Worker
-    discard: the Manager is updated only by its own loss.
+    Subgoals are constants to the Worker, so no gradient flows back to them:
+    the Manager is updated only by its own loss.
     """
-    num_frames, hidden = fwd.mixed.shape
+    hidden = fwd.mixed.shape[1]
     dlogits = dscores * fwd.clamp_mask * fwd.raw * (1.0 - fwd.raw)
-    dhs = np.zeros((num_frames, hidden))
-    dsubgoals = np.zeros((len(fwd.views), hidden))
-    for view in fwd.views:
-        for t in range(view.start, view.end):
-            dmixed = affine_backward(store, "worker.head", fwd.mixed[t], np.array([dlogits[t]]))
-            dcat = affine_backward(store, "worker.mix", fwd.concat[t], dmixed)
-            dsubgoals[view.index] += dcat[:hidden]
-            dhs[t] += dcat[hidden:]
-    lstm_backward(store, "worker.lstm", fwd.tape, dhs)
-    return dsubgoals
+    dmixed = affine_backward(store, "worker.head", fwd.mixed, dlogits[:, None])
+    dconcat = affine_backward(store, "worker.mix", fwd.concat, dmixed)
+    lstm_backward(store, "worker.lstm", fwd.cache, dconcat[:, hidden:])
 
 
 @dataclass
 class Episode:
     actions: np.ndarray  # (T,) 0/1
     selected: np.ndarray  # indices where the action is 1
-    log_prob: float
 
 
 def action_log_prob(scores, actions):
@@ -209,11 +205,7 @@ def action_log_prob(scores, actions):
 def sample_actions(scores, rng):
     """Draw one Bernoulli action per frame from the given scores."""
     actions = (rng.random(scores.shape[0]) < scores).astype(np.uint8)
-    return Episode(
-        actions=actions,
-        selected=np.flatnonzero(actions),
-        log_prob=action_log_prob(scores, actions),
-    )
+    return Episode(actions=actions, selected=np.flatnonzero(actions))
 
 
 def log_prob_score_grad(scores, actions):

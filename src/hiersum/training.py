@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -202,13 +201,12 @@ def crossval_split(video_ids, folds, seed):
     ]
 
 
-def train_run(dataset, config, out_dir, folds=5, no_cv=False, jobs=1, extra_config=None):
+def train_run(dataset, config, out_dir, folds=5, no_cv=False, extra_config=None):
     """Train one checkpoint per fold under out_dir and record the run layout.
 
     folds.json lists each fold's held-out test videos; fold k trains on all
     the others (with --no-cv there is a single fold trained and tested on
-    everything). Fold training jobs are independent, so jobs > 1 runs them
-    concurrently without changing any result.
+    everything).
     """
     config.validate()
     out = Path(out_dir)
@@ -239,8 +237,7 @@ def train_run(dataset, config, out_dir, folds=5, no_cv=False, jobs=1, extra_conf
         json.dump({"setting": setting, "folds": fold_lists}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    def run_fold(k):
-        test_ids = set(fold_lists[k])
+    for k, test_ids in enumerate(fold_lists):
         if no_cv:
             train_videos = list(dataset.videos)
         else:
@@ -252,11 +249,4 @@ def train_run(dataset, config, out_dir, folds=5, no_cv=False, jobs=1, extra_conf
             checkpoint_path=out / f"fold{k}.ckpt",
             log_path=out / f"train_fold{k}.jsonl",
         )
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(run_fold, range(len(fold_lists))))
-    else:
-        for k in range(len(fold_lists)):
-            run_fold(k)
     return out

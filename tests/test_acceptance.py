@@ -539,7 +539,6 @@ def test_criterion_9_determinism(capsys, tmp_path):
                     "--epochs", "2",
                     "--episodes", "4",
                     "--folds", "2",
-                    "--jobs", "1",
                     "--seed", "3",
                 ]
             )
@@ -551,7 +550,6 @@ def test_criterion_9_determinism(capsys, tmp_path):
                     "evaluate",
                     "--run", str(tmp_path / f"run_{tag}"),
                     "--dataset", manifest,
-                    "--jobs", "1",
                     "--out", str(tmp_path / f"report_{tag}.json"),
                 ]
             )
@@ -572,6 +570,6 @@ def test_criterion_9_determinism(capsys, tmp_path):
         capsys,
         9,
         ok,
-        "checkpoints, training logs, and reports byte-identical across reruns with --jobs 1",
+        "checkpoints, training logs, and reports byte-identical across reruns",
     )
     assert ok

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ def cli_run(cli_dataset, tmp_path_factory):
         ["train", "--dataset", "d", "--out", "x", "--lr", "0"],
         ["summarize", "--model", "m", "--video", "v", "--budget", "0"],
         ["evaluate", "--run", "r", "--dataset", "d", "--budget", "2.0"],
-        ["evaluate", "--run", "r", "--dataset", "d", "--jobs", "0"],
+        ["evaluate", "--run", "r", "--dataset", "d", "--jobs", "0"],  # no --jobs option
         ["train", "--out", "x"],  # missing required --dataset
         ["no-such-command"],
     ],
@@ -103,7 +104,6 @@ def test_train_run_outputs(cli_run):
     assert names == ["config.json", "fold0.ckpt", "folds.json", "train_fold0.jsonl"]
     echo = json.loads((cli_run / "config.json").read_text())
     assert echo["no_cv"] is True
-    assert echo["jobs"] == 1
     assert echo["dataset_path"].endswith("manifest.json")
 
 
@@ -251,3 +251,44 @@ def test_evaluate_missing_run_exit_1(cli_dataset, tmp_path, capsys):
     )
     assert code == 1
     assert "folds.json" in capsys.readouterr().err
+
+
+# --- malformed checkpoints ------------------------------------------------------------------
+
+
+def drop_subtask_size(header):
+    del header["meta"]["subtask_size"]
+    return header
+
+
+def drop_params(header):
+    del header["params"]
+    return header
+
+
+def rename_param(header):
+    header["params"][3]["name"] = "manager.head.weight"
+    return header
+
+
+def not_an_object(header):
+    return [header]
+
+
+@pytest.mark.parametrize("command", ["summarize", "evaluate"])
+@pytest.mark.parametrize("mangle", [drop_subtask_size, drop_params, rename_param, not_an_object])
+def test_malformed_checkpoint_header_exit_1(cli_run, cli_dataset, tmp_path, capsys, command, mangle):
+    run = tmp_path / "run"
+    shutil.copytree(cli_run, run)
+    ckpt = run / "fold0.ckpt"
+    header_line, _, payload = ckpt.read_bytes().partition(b"\n")
+    header = mangle(json.loads(header_line))
+    ckpt.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    if command == "summarize":
+        argv = ["summarize", "--model", str(ckpt), "--video", str(video_file(cli_dataset))]
+    else:
+        argv = ["evaluate", "--run", str(run), "--dataset", str(cli_dataset)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error:") and str(ckpt) in err

@@ -274,13 +274,6 @@ def test_evaluate_run_metric_filtering(tiny_dataset, tmp_path):
         evaluate_run(run, tiny_dataset, metric="bogus")
 
 
-def test_evaluate_run_parallel_matches_serial(tiny_dataset, tmp_path):
-    run = make_tiny_run(tiny_dataset, tmp_path / "run")
-    serial = evaluate_run(run, tiny_dataset, jobs=1)
-    parallel = evaluate_run(run, tiny_dataset, jobs=3)
-    assert serial == parallel
-
-
 def test_evaluate_run_missing_pieces(tiny_dataset, tmp_path):
     with pytest.raises(ConfigurationError, match="folds.json"):
         load_run_folds(tmp_path)

@@ -7,10 +7,8 @@ import pytest
 from hiersum.kts import (
     ShotPartition,
     kts_segment,
-    load_partition_cache,
     min_costs_per_shot_count,
     partition_from_change_points,
-    save_partition_cache,
     segment_costs,
     shot_scores,
 )
@@ -222,12 +220,3 @@ def test_shot_scores_length_check():
     part = partition_from_change_points([2], 5)
     with pytest.raises(ValueError, match="5 frames"):
         shot_scores(part, np.ones(4))
-
-
-def test_partition_cache_roundtrip(tmp_path):
-    part = partition_from_change_points([7, 13], 20)
-    path = tmp_path / "shots.json"
-    save_partition_cache(path, "vid_03", part)
-    video_id, back = load_partition_cache(path, 20)
-    assert video_id == "vid_03"
-    assert back == part

@@ -6,7 +6,6 @@ import pytest
 from hiersum.nn import (
     Adam,
     ParamStore,
-    Tape,
     TrainingError,
     affine,
     affine_backward,
@@ -18,8 +17,7 @@ from hiersum.nn import (
     init_lstm,
     load_checkpoint,
     lstm_backward,
-    lstm_step,
-    lstm_zero_state,
+    lstm_forward,
     save_checkpoint,
     sigmoid,
     uniform_init,
@@ -59,7 +57,7 @@ def test_bce_grad_closed_form_and_fd():
         assert abs(bce_grad(np.array([p]), np.array([y]))[0] - fd) < 1e-8
 
 
-# --- parameter store and tape -------------------------------------------------
+# --- parameter store -------------------------------------------------
 
 
 def test_param_store_basics():
@@ -76,17 +74,6 @@ def test_param_store_basics():
     store.params["b"][0] = np.nan
     with pytest.raises(TrainingError, match="'b'"):
         store.check_finite()
-
-
-def test_tape_consumed_once():
-    tape = Tape()
-    tape.push(1)
-    tape.push(2)
-    assert list(tape.consume_reverse()) == [2, 1]
-    with pytest.raises(RuntimeError):
-        tape.consume_reverse()
-    with pytest.raises(RuntimeError):
-        tape.push(3)
 
 
 def test_uniform_init_bounds():
@@ -112,24 +99,41 @@ def test_lstm_zero_params_zero_output():
     init_lstm(store, "m", 3, 4, substream(3, "t"))
     for name in store.names():
         store.params[name].fill(0.0)
-    h, c = lstm_step(store, "m", np.array([1.0, -2.0, 0.5]), lstm_zero_state(store, "m"))
-    assert not h.any() and not c.any()
+    hs, _ = lstm_forward(store, "m", np.array([[1.0, -2.0, 0.5], [0.3, 0.0, -1.0]]))
+    assert not hs.any()
 
 
 def test_lstm_state_matters():
     store = ParamStore()
     init_lstm(store, "m", 3, 4, substream(4, "t"))
     x = np.array([0.3, -0.2, 0.9])
-    s1 = lstm_step(store, "m", x, lstm_zero_state(store, "m"))
-    s2 = lstm_step(store, "m", x, s1)
-    assert not np.allclose(s1[0], s2[0])
+    hs, _ = lstm_forward(store, "m", np.stack([x, x]))
+    assert not np.allclose(hs[0], hs[1])
 
 
 def test_lstm_shape_error():
     store = ParamStore()
     init_lstm(store, "m", 3, 4, substream(5, "t"))
     with pytest.raises(ValueError, match="input dim"):
-        lstm_step(store, "m", np.zeros(5), lstm_zero_state(store, "m"))
+        lstm_forward(store, "m", np.zeros((2, 5)))
+
+
+def test_lstm_forward_matches_per_step_loop():
+    store = ParamStore()
+    init_lstm(store, "m", 3, 4, substream(7, "t"))
+    xs = substream(7, "d").normal(size=(9, 3)) * 3.0
+    wx, wh, b = store["m.Wx"], store["m.Wh"], store["m.b"]
+    h = np.zeros(4)
+    c = np.zeros(4)
+    expected = []
+    for x in xs:
+        z = x @ wx + h @ wh + b
+        i, f, o = (1.0 / (1.0 + np.exp(-z[k * 4 : (k + 1) * 4])) for k in range(3))
+        c = f * c + i * np.tanh(z[12:])
+        h = o * np.tanh(c)
+        expected.append(h)
+    hs, _ = lstm_forward(store, "m", xs)
+    assert np.max(np.abs(hs - np.array(expected))) < 1e-12
 
 
 def test_lstm_gradients_match_finite_differences():
@@ -140,34 +144,12 @@ def test_lstm_gradients_match_finite_differences():
     weights = rng.normal(size=(5, 4))  # random projection makes the loss scalar
 
     def loss_fn():
-        tape = Tape()
-        state = lstm_zero_state(store, "m")
-        hs = []
-        for x in xs:
-            state = lstm_step(store, "m", x, state, tape)
-            hs.append(state[0])
-        loss = sum(float(w @ h) for w, h in zip(weights, hs))
-        lstm_backward(store, "m", tape, weights)
-        return loss
+        hs, cache = lstm_forward(store, "m", xs)
+        lstm_backward(store, "m", cache, weights)
+        return float(np.sum(weights * hs))
 
     report = grad_check(loss_fn, store, step=1e-5, tolerance=1e-5)
     assert report["ok"], report
-
-
-def test_lstm_backward_returns_input_grads():
-    store = ParamStore()
-    init_lstm(store, "m", 2, 3, substream(7, "t"))
-    xs = substream(7, "d").normal(size=(4, 2))
-    tape = Tape()
-    state = lstm_zero_state(store, "m")
-    for x in xs:
-        state = lstm_step(store, "m", x, state, tape)
-    dhs = np.zeros((4, 3))
-    dhs[-1] = 1.0
-    dxs, _, _ = lstm_backward(store, "m", tape, dhs)
-    assert len(dxs) == 4
-    # the loss sits on the last step only, but gradients flow back to x_0
-    assert np.any(dxs[0] != 0.0)
 
 
 # --- affine -------------------------------------------------------------------
@@ -176,13 +158,13 @@ def test_lstm_backward_returns_input_grads():
 def test_affine_gradcheck():
     store = ParamStore()
     init_affine(store, "a", 3, 4, substream(8, "t"))
-    x = substream(8, "d").normal(size=4)
-    w = substream(8, "w").normal(size=3)
+    x = substream(8, "d").normal(size=(2, 4))
+    w = substream(8, "w").normal(size=(2, 3))
 
     def loss_fn():
         out = affine(store, "a", x)
         affine_backward(store, "a", x, w)
-        return float(w @ out)
+        return float(np.sum(w * out))
 
     report = grad_check(loss_fn, store, step=1e-5, tolerance=1e-5)
     assert report["ok"], report

@@ -297,11 +297,3 @@ def test_train_run_no_cv(tiny_dataset, tmp_path):
     assert folds_doc["folds"] == [list(tiny_dataset.video_ids)]
     assert (out / "fold0.ckpt").exists()
     assert not (out / "fold1.ckpt").exists()
-
-
-def test_train_run_parallel_jobs_bit_identical(tiny_dataset, tmp_path):
-    config = small_config(epochs=1)
-    serial = train_run(tiny_dataset, config, tmp_path / "serial", folds=2, jobs=1)
-    parallel = train_run(tiny_dataset, small_config(epochs=1), tmp_path / "par", folds=2, jobs=2)
-    for k in range(2):
-        assert (serial / f"fold{k}.ckpt").read_bytes() == (parallel / f"fold{k}.ckpt").read_bytes()
