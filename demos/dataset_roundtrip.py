@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hiersum import generate_synthetic, load_dataset, subtask_views
+from hiersum import derive_task_labels, generate_synthetic, load_dataset, subtask_views
 from hiersum.data import budget_count
 
 out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(tempfile.mkdtemp()) / "demo_data"
@@ -33,13 +33,15 @@ print(f"  per-user scores {ann.per_user_scores.shape}")
 print(f"  keyframes       {int(ann.keyframes.sum())} of {video.num_frames} "
       f"(budget_count(0.15, {video.num_frames}) = {budget_count(0.15, video.num_frames)})")
 
-# weak labels: one bit per fixed-length subtask saying "contains a keyframe"
+# weak labels: one bit per fixed-length subtask saying "contains a keyframe",
+# derived at train time from the run's subtask size
 views = subtask_views(video.num_frames, 20)
+labels = derive_task_labels(ann.keyframes, 20)
 print(f"  subtasks        {[(v.start, v.end) for v in views]}")
-print(f"  task labels     {ann.task_labels.tolist()}")
+print(f"  task labels     {labels.tolist()}")
 for v in views:
     inside = int(ann.keyframes[v.start:v.end].sum())
-    print(f"    subtask {v.index}: {inside:2d} keyframes -> label {ann.task_labels[v.index]}")
+    print(f"    subtask {v.index}: {inside:2d} keyframes -> label {labels[v.index]}")
 
 # the generator is a pure function of its seed
 again = generate_synthetic(

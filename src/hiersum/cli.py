@@ -24,6 +24,7 @@ from .data import (
     read_features,
 )
 from .evaluation import METRIC_CHOICES, evaluate_run, save_report
+from .kts import _check_memory
 from .nn import TrainingError, load_checkpoint
 from .policy import DEFAULT_HIDDEN, check_checkpoint, greedy_scores
 from .summarize import DEFAULT_BUDGET_FRACTION, make_summary, summary_to_json
@@ -152,6 +153,7 @@ def cmd_summarize(args):
     store, meta = load_checkpoint(args.model)
     check_checkpoint(args.model, store, meta)
     feats = read_features(args.video)
+    _check_memory(feats.shape[0], args.max_shots, args.video)
     if feats.shape[1] != meta["feature_dim"]:
         raise ConfigurationError(
             f"model expects feature dim {meta['feature_dim']}, "

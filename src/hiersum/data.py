@@ -6,7 +6,8 @@ then the frame count T and feature dimension D as unsigned 32-bit
 little-endian integers, then T*D IEEE-754 float32 little-endian values in
 row-major order. Annotation files store per-user importance scores (and
 optionally per-user binary summaries); keyframes and task-level labels are
-derived, never stored. All internal computation is float64.
+derived, never stored, the labels at train time from the run's subtask size.
+All internal computation is float64.
 """
 
 from __future__ import annotations
@@ -90,6 +91,12 @@ class FeatureSequence:
             raise ValidationError(
                 f"video '{self.video_id}': features contain non-finite values"
             )
+        zero_frames = np.flatnonzero(~feats.any(axis=1))
+        if zero_frames.size:
+            # cosine dissimilarity in the diversity reward is undefined for them
+            raise ValidationError(
+                f"video '{self.video_id}': frame {zero_frames[0]} has all-zero features"
+            )
         self.features = feats
 
     @property
@@ -129,19 +136,17 @@ def derive_task_labels(keyframes, subtask_size):
 
 @dataclass
 class AnnotationSet:
-    """Multi-user importance scores plus the derived weak supervision targets."""
+    """Multi-user importance scores plus the derived keyframes."""
 
     per_user_scores: np.ndarray  # (U, T) float64 in [0, 1]
     mean_scores: np.ndarray  # (T,)
     keyframes: np.ndarray  # (T,) uint8
-    task_labels: np.ndarray  # (N,) uint8, for the subtask size used at build time
     user_summaries: np.ndarray | None = None  # (U, T) uint8
 
     @classmethod
     def from_scores(
         cls,
         per_user_scores,
-        subtask_size,
         budget_fraction=DEFAULT_KEYFRAME_FRACTION,
         user_summaries=None,
         video_id="<unknown>",
@@ -170,12 +175,10 @@ class AnnotationSet:
             summaries = (summaries != 0).astype(np.uint8)
         mean_scores = scores.mean(axis=0)
         keyframes = derive_keyframes(mean_scores, budget_fraction)
-        task_labels = derive_task_labels(keyframes, subtask_size)
         return cls(
             per_user_scores=scores,
             mean_scores=mean_scores,
             keyframes=keyframes,
-            task_labels=task_labels,
             user_summaries=summaries,
         )
 
@@ -297,6 +300,11 @@ def load_manifest(path):
         VideoEntry(video_id=v["id"], features=v["features"], annotations=v["annotations"])
         for v in doc["videos"]
     ]
+    seen = set()
+    for video in videos:
+        if video.video_id in seen:
+            raise ValidationError(f"{path}: duplicate video id '{video.video_id}'")
+        seen.add(video.video_id)
     return DatasetManifest(
         name=doc["name"],
         feature_dim=int(doc["feature_dim"]),
@@ -357,7 +365,6 @@ def load_dataset(manifest_path, budget_fraction=DEFAULT_KEYFRAME_FRACTION):
         sequence = FeatureSequence(video_id=entry.video_id, features=feats)
         annotations = AnnotationSet.from_scores(
             scores,
-            subtask_size=manifest.subtask_size,
             budget_fraction=budget_fraction,
             user_summaries=summaries,
             video_id=entry.video_id,

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .data import ConfigurationError, num_subtasks
+from .kts import _check_memory
 from .nn import load_checkpoint
 from .policy import check_checkpoint, greedy_scores
 from .summarize import DEFAULT_BUDGET_FRACTION, make_summary
@@ -166,6 +167,9 @@ def evaluate_run(
         raise ValueError(f"metric must be one of {METRIC_CHOICES}, got {metric!r}")
     run_dir = Path(run_dir)
     folds, setting = load_run_folds(run_dir)
+    for video_ids in folds:
+        for video_id in video_ids:
+            _check_memory(dataset.by_id(video_id).num_frames, max_shots, f"video '{video_id}'")
     f_mode = dataset.manifest.f_aggregate
     subtask_size = None
     per_fold = []

@@ -13,6 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import ConfigurationError
+
+# KTS inputs whose matrices would need more than this are rejected up front
+_MEMORY_LIMIT = 2 * 1024**3  # bytes
+
 
 @dataclass(frozen=True)
 class ShotPartition:
@@ -57,24 +62,62 @@ def segment_costs(features):
     feats = np.asarray(features, dtype=np.float64)
     t = feats.shape[0]
     gram = feats @ feats.T
+    diag_prefix = np.concatenate(([0.0], np.cumsum(np.diag(gram))))
     # corner-padded 2-D prefix sums: block[a:b, a:b] in four lookups
     prefix = np.zeros((t + 1, t + 1))
-    prefix[1:, 1:] = np.cumsum(np.cumsum(gram, axis=0), axis=1)
-    diag_prefix = np.concatenate(([0.0], np.cumsum(np.diag(gram))))
-    costs = np.full((t + 1, t + 1), np.inf)
-    a = np.arange(t + 1)
-    for start in range(t):
-        ends = a[start + 1 :]
-        block = (
-            prefix[ends, ends]
-            - prefix[start, ends]
-            - prefix[ends, start]
-            + prefix[start, start]
+    np.cumsum(np.cumsum(gram, axis=0, out=gram), axis=1, out=prefix[1:, 1:])
+    del gram  # at most two (T+1)^2 matrices are alive at once
+    # end-major costs[b, a] starts as prefix[b, b] - prefix[a, b] - prefix[b, a] + prefix[a, a]
+    costs = np.subtract(np.diag(prefix)[:, None], prefix.T, order="C")
+    costs -= prefix
+    costs += np.diag(prefix)[None, :]
+    del prefix
+    lengths = np.lib.stride_tricks.sliding_window_view(np.arange(-t, t + 1), t + 1)[:, ::-1]
+    np.divide(costs, lengths, out=costs, where=lengths > 0)  # lengths[b, a] = b - a, a view
+    np.subtract(diag_prefix[:, None] - diag_prefix[None, :], costs, out=costs)
+    costs[lengths <= 0] = np.inf
+    return costs.T  # stored end-major, the order _kts_dp reads it in
+
+
+def _shot_cap(num_frames, max_shots):
+    """max_shots, defaulting to T // 10, clamped to [1, T]."""
+    if max_shots is None:
+        max_shots = num_frames // 10
+    return max(1, min(int(max_shots), num_frames))
+
+
+def _check_memory(num_frames, max_shots, where):
+    """Raise ConfigurationError when KTS over num_frames frames would pass _MEMORY_LIMIT.
+
+    At its peak KTS holds two (T+1)^2 float64 matrices (the Gram/prefix pair
+    in segment_costs, then the cost matrix and the DP buffer) plus the
+    (max_shots+1, T+1) best and split_at tables.
+    """
+    rows = num_frames + 1
+    need = 8 * rows * (2 * rows + 2 * (_shot_cap(num_frames, max_shots) + 1))
+    if need > _MEMORY_LIMIT:
+        raise ConfigurationError(
+            f"{where}: KTS over {num_frames} frames needs an estimated {need} bytes, "
+            f"over the {_MEMORY_LIMIT}-byte limit"
         )
-        costs[start, start + 1 :] = (
-            diag_prefix[ends] - diag_prefix[start] - block / (ends - start)
-        )
-    return costs
+
+
+def _kts_dp(costs, max_shots):
+    """best[m, e] = min cost of [0, e) in exactly m shots, split_at[m, e] its last start."""
+    t = costs.shape[0] - 1
+    best = np.full((max_shots + 1, t + 1), np.inf)
+    split_at = np.zeros((max_shots + 1, t + 1), dtype=np.int64)
+    best[1] = costs[0]
+    buffer = np.empty(max(t - 1, 0) ** 2)
+    for m in range(2, max_shots + 1):
+        # m-1 shots on [0, s) plus [s, e), over the only finite block s >= m-1, e >= m
+        n = t - m + 1
+        candidate = buffer[: n * n].reshape(n, n)
+        np.add(costs.T[m:, m - 1 : t], best[m - 1, m - 1 : t], out=candidate)
+        first = np.argmin(candidate, axis=1)  # the first minimum: the earliest split
+        split_at[m, m:] = first + (m - 1)
+        best[m, m:] = candidate[np.arange(n), first]
+    return best, split_at
 
 
 def kts_segment(features, max_shots=None, penalty_weight=1.0):
@@ -83,7 +126,8 @@ def kts_segment(features, max_shots=None, penalty_weight=1.0):
     For each shot count m up to max_shots (default T // 10, at least 1,
     clamped to T) the DP finds the minimum total within-segment cost L_m;
     the returned partition minimizes L_m + penalty_weight * m * (log(T/m) + 1),
-    with ties broken toward fewer shots.
+    with ties broken toward fewer shots. Raises ConfigurationError, before
+    allocating, when the matrices would pass _MEMORY_LIMIT.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] < 1:
@@ -91,20 +135,9 @@ def kts_segment(features, max_shots=None, penalty_weight=1.0):
     if penalty_weight < 0:
         raise ValueError(f"penalty_weight must be >= 0, got {penalty_weight}")
     t = feats.shape[0]
-    if max_shots is None:
-        max_shots = t // 10
-    max_shots = max(1, min(int(max_shots), t))
-
-    costs = segment_costs(feats)
-    # best[m][e] = min cost of splitting [0, e) into exactly m shots
-    best = np.full((max_shots + 1, t + 1), np.inf)
-    split_at = np.zeros((max_shots + 1, t + 1), dtype=np.int64)
-    best[1] = costs[0]
-    for m in range(2, max_shots + 1):
-        # candidate[s, e] = best over m-1 shots on [0, s) plus one shot [s, e)
-        candidate = best[m - 1][:, None] + costs
-        split_at[m] = np.argmin(candidate, axis=0)
-        best[m] = candidate[split_at[m], np.arange(t + 1)]
+    _check_memory(t, max_shots, "features")
+    max_shots = _shot_cap(t, max_shots)
+    best, split_at = _kts_dp(segment_costs(feats), max_shots)
 
     shot_counts = np.arange(1, max_shots + 1)
     penalty = penalty_weight * shot_counts * (np.log(t / shot_counts) + 1.0)
@@ -124,13 +157,7 @@ def min_costs_per_shot_count(features, max_shots):
     """L_m for m = 1..max_shots over the whole sequence; support for verification."""
     feats = np.asarray(features, dtype=np.float64)
     t = feats.shape[0]
-    max_shots = max(1, min(int(max_shots), t))
-    costs = segment_costs(feats)
-    best = np.full((max_shots + 1, t + 1), np.inf)
-    best[1] = costs[0]
-    for m in range(2, max_shots + 1):
-        candidate = best[m - 1][:, None] + costs
-        best[m] = np.min(candidate, axis=0)
+    best, _ = _kts_dp(segment_costs(feats), _shot_cap(t, max_shots))
     return best[1:, t]
 
 

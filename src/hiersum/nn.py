@@ -276,6 +276,8 @@ def load_checkpoint(path):
             raise ValueError(f"{path}: malformed checkpoint header ({exc!r})") from exc
         store = ParamStore()
         for name, shape in specs:
+            if any(n < 0 for n in shape):
+                raise ValueError(f"{path}: parameter '{name}' has negative shape {list(shape)}")
             count = int(np.prod(shape)) if shape else 1
             raw = fh.read(8 * count)
             if len(raw) != 8 * count:

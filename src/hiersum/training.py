@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ConfigurationError
+from .data import ConfigurationError, derive_task_labels
 from .nn import Adam, save_checkpoint
 from .policy import (
     DEFAULT_HIDDEN,
@@ -86,7 +86,8 @@ def train_manager_epoch(store, optimizer, videos, subtask_size):
     losses = []
     for video in videos:
         fwd = manager_forward(store, video.features.features, subtask_size)
-        losses.append(manager_loss_backward(store, fwd, video.annotations.task_labels))
+        labels = derive_task_labels(video.annotations.keyframes, subtask_size)
+        losses.append(manager_loss_backward(store, fwd, labels))
         optimizer.step(names)
     return float(np.mean(losses))
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hiersum.cli import main
+from hiersum.data import write_features
 from hiersum.nn import load_checkpoint
 from hiersum.training import TrainConfig, new_policy
 
@@ -135,6 +136,33 @@ def test_train_missing_dataset_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def zero_frame(data):
+    path = video_file(data / "manifest.json", 1)
+    with open(path, "r+b") as fh:
+        fh.seek(12 + 4 * 5 * 7)  # header, then frame 7 of a 5-dim video
+        fh.write(bytes(4 * 5))
+    return ["video 'video001'", "frame 7"]
+
+
+def duplicate_id(data):
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["videos"][2]["id"] = manifest["videos"][0]["id"]
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    return ["duplicate video id 'video000'", str(data / "manifest.json")]
+
+
+@pytest.mark.parametrize("mangle", [zero_frame, duplicate_id])
+def test_train_rejects_dataset_at_load_exit_1(cli_dataset, tmp_path, capsys, mangle):
+    data = tmp_path / "data"
+    shutil.copytree(cli_dataset.parent, data)
+    named = mangle(data)
+    argv = ["train", "--dataset", str(data / "manifest.json"), "--out", str(tmp_path / "r")]
+    assert main(argv + ["--subtask-size", "10", "--epochs", "1", "--folds", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert all(part in err for part in named), err
+
+
 # --- summarize ----------------------------------------------------------------------------
 
 
@@ -206,6 +234,31 @@ def test_summarize_feature_dim_mismatch_exit_1(cli_run, tmp_path, capsys):
     assert "feature dim" in err and "error:" in err
 
 
+def test_summarize_too_long_for_kts_memory_exit_1(cli_run, tmp_path, capsys):
+    long_video = tmp_path / "long.vsf"
+    write_features(long_video, np.ones((20000, 5)))
+    code = main(["summarize", "--model", str(cli_run / "fold0.ckpt"), "--video", str(long_video)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert str(long_video) in err and "20000 frames" in err and "bytes" in err
+
+
+def test_evaluate_too_long_for_kts_memory_exit_1(tmp_path, capsys):
+    assert main(
+        ["gen-synthetic", "--out", str(tmp_path / "data"), "--videos", "1", "--frames", "20000"]
+    ) == 0
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "folds.json").write_text(json.dumps({"folds": [["video000"]]}))
+    manifest = tmp_path / "data" / "manifest.json"
+    code = main(["evaluate", "--run", str(run), "--dataset", str(manifest)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "video 'video000'" in err and "20000 frames" in err
+
+
 # --- evaluate -----------------------------------------------------------------------------
 
 
@@ -275,8 +328,15 @@ def not_an_object(header):
     return [header]
 
 
+def negative_shape(header):
+    header["params"][0]["shape"][0] *= -1
+    return header
+
+
 @pytest.mark.parametrize("command", ["summarize", "evaluate"])
-@pytest.mark.parametrize("mangle", [drop_subtask_size, drop_params, rename_param, not_an_object])
+@pytest.mark.parametrize(
+    "mangle", [drop_subtask_size, drop_params, rename_param, not_an_object, negative_shape]
+)
 def test_malformed_checkpoint_header_exit_1(cli_run, cli_dataset, tmp_path, capsys, command, mangle):
     run = tmp_path / "run"
     shutil.copytree(cli_run, run)

@@ -177,13 +177,13 @@ def test_annotation_roundtrip(tmp_path):
 
 def test_annotation_set_validation():
     with pytest.raises(ValidationError, match="\\[0, 1\\]"):
-        AnnotationSet.from_scores([[0.2, 1.4]], 2)
+        AnnotationSet.from_scores([[0.2, 1.4]])
     with pytest.raises(ValidationError, match="shape"):
-        AnnotationSet.from_scores([[0.2, 0.4]], 2, user_summaries=[[1, 0, 1]])
-    ann = AnnotationSet.from_scores([[0.1, 0.9], [0.3, 0.7]], 1)
+        AnnotationSet.from_scores([[0.2, 0.4]], user_summaries=[[1, 0, 1]])
+    ann = AnnotationSet.from_scores([[0.1, 0.9], [0.3, 0.7]])
     assert np.allclose(ann.mean_scores, [0.2, 0.8])
     assert ann.keyframes.tolist() == [0, 1]
-    assert ann.task_labels.tolist() == [0, 1]
+    assert derive_task_labels(ann.keyframes, 1).tolist() == [0, 1]
 
 
 def test_feature_sequence_validation():

@@ -225,7 +225,6 @@ def test_video_truth_masks_fallback():
         per_user_scores=np.array([[0.5, 0.5, 0.5]]),
         mean_scores=np.array([0.5, 0.5, 0.5]),
         keyframes=np.array([1, 0, 0], dtype=np.uint8),
-        task_labels=np.array([1], dtype=np.uint8),
         user_summaries=None,
     )
     video = types.SimpleNamespace(annotations=ann)

@@ -1,9 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hiersum.data import ConfigurationError
 from hiersum.kts import (
     ShotPartition,
     kts_segment,
@@ -144,6 +146,50 @@ def test_chosen_partition_optimal_under_penalty():
         assert total == brute[expected_m - 1]
 
 
+def full_matrix_kts(costs, max_shots, penalty_weight):
+    """Reference DP over the whole (T+1)^2 candidate matrix for every shot count.
+
+    Returns (L_m for m = 1..max_shots, change points of the chosen partition).
+    """
+    t = costs.shape[0] - 1
+    best = np.full((max_shots + 1, t + 1), np.inf)
+    split_at = np.zeros((max_shots + 1, t + 1), dtype=np.int64)
+    best[1] = costs[0]
+    for m in range(2, max_shots + 1):
+        candidate = best[m - 1][:, None] + costs
+        split_at[m] = np.argmin(candidate, axis=0)
+        best[m] = candidate[split_at[m], np.arange(t + 1)]
+    counts = np.arange(1, max_shots + 1)
+    penalty = penalty_weight * counts * (np.log(t / counts) + 1.0)
+    chosen = int(counts[np.argmin(best[1:, t] + penalty)])
+    boundaries = []
+    end = t
+    for m in range(chosen, 1, -1):
+        end = int(split_at[m][end])
+        boundaries.append(end)
+    return best[1:, t], tuple(reversed(boundaries))
+
+
+def test_dp_matches_full_matrix_reference_at_real_sizes():
+    rng = substream(40, "kts")
+    cases = []
+    for t in (20, 57, 128, 200, 300):
+        cases.append(rng.normal(size=(t, 8)))
+        # block-constant features: many partitions tie at zero cost
+        blocks = rng.normal(size=(t // 15 + 1, 4))
+        cases.append(np.repeat(blocks, 15, axis=0)[:t])
+    for feats in cases:
+        t = len(feats)
+        costs = segment_costs(feats)
+        for max_shots in sorted({t // 10, min(30, t)}):
+            want_costs, _ = full_matrix_kts(costs, max_shots, 0.0)
+            assert np.array_equal(min_costs_per_shot_count(feats, max_shots), want_costs)
+            for weight in (0.0, 1.0, 5.0):
+                _, want_points = full_matrix_kts(costs, max_shots, weight)
+                part = kts_segment(feats, max_shots=max_shots, penalty_weight=weight)
+                assert part.change_points == want_points, (t, max_shots, weight)
+
+
 def test_two_block_sequence_boundary_exact():
     block_a = np.tile(np.array([5.0, 0.0, 0.0]), (10, 1))
     block_b = np.tile(np.array([0.0, 5.0, 0.0]), (10, 1))
@@ -196,6 +242,18 @@ def test_kts_input_validation():
         kts_segment(np.zeros((0, 3)))
     with pytest.raises(ValueError, match="penalty_weight"):
         kts_segment(np.ones((4, 2)), penalty_weight=-1.0)
+
+
+def test_kts_memory_bound_raises_before_allocating():
+    feats = np.ones((20000, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError, match=r"20000 frames .* bytes, over the \d+-byte"):
+            kts_segment(feats)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # one (T+1)^2 matrix alone would be 3.2 GB
 
 
 # --- shot scores and cache -------------------------------------------------------

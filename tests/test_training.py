@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hiersum.data import ConfigurationError
+from hiersum.data import ConfigurationError, derive_task_labels, generate_synthetic, load_dataset
 from hiersum.nn import Adam, load_checkpoint
 from hiersum.policy import (
     manager_forward,
@@ -198,7 +198,7 @@ def test_zero_store_manager_loss_is_log_two(tiny_dataset):
     store = zero_store(6, 8)
     video = tiny_dataset.videos[0]
     fwd = manager_forward(store, video.features.features, 10)
-    loss = manager_loss(fwd, video.annotations.task_labels)
+    loss = manager_loss(fwd, derive_task_labels(video.annotations.keyframes, 10))
     assert abs(loss - math.log(2.0)) < 1e-15
 
 
@@ -288,6 +288,22 @@ def test_train_run_layout(tiny_dataset, tmp_path):
     assert echo["feature_dim"] == 6
     assert echo["folds"] == 3 and echo["no_cv"] is False
     assert echo["epochs"] == 1 and echo["seed"] == 7
+
+
+def test_manager_labels_follow_run_subtask_size_not_manifest(tmp_path):
+    # 200 frames make 10 windows at both sizes, so misaligned labels would still fit
+    outputs = []
+    for manifest_size in (20, 21):
+        manifest = generate_synthetic(
+            tmp_path / f"data{manifest_size}", seed=3, videos=4, frames=200, dims=4,
+            subtask_size=manifest_size,
+        )
+        config = small_config(epochs=1, episodes=2, subtask_size=21, hidden=4)
+        out = train_run(load_dataset(manifest), config, tmp_path / f"run{manifest_size}", folds=2)
+        kept = [p for p in sorted(out.iterdir()) if p.suffix in (".ckpt", ".jsonl")]
+        outputs.append({p.name: p.read_bytes() for p in kept})
+    assert len(outputs[0]) == 4
+    assert outputs[0] == outputs[1]
 
 
 def test_train_run_no_cv(tiny_dataset, tmp_path):
