@@ -152,11 +152,12 @@ def checkpoint_meta(feature_dim, config):
     return meta
 
 
-def train(videos, feature_dim, config, checkpoint_path=None, log_path=None):
+def train(videos, feature_dim, config, checkpoint_path=None, log_path=None, fold=None):
     """Alternate Manager and Worker epochs; returns (store, history).
 
     History holds one log entry per phase per round; the same entries go to
-    log_path as JSON lines when given.
+    log_path as JSON lines when given, and to the log at INFO level, prefixed
+    with the fold number when given.
     """
     config.validate()
     if not videos:
@@ -169,9 +170,9 @@ def train(videos, feature_dim, config, checkpoint_path=None, log_path=None):
     try:
         for epoch in range(config.epochs):
             loss = train_manager_epoch(store, optimizer, videos, config.subtask_size)
-            _emit(history, log_fh, {"epoch": epoch, "phase": "manager", "L_m": loss})
+            _emit(history, log_fh, fold, {"epoch": epoch, "phase": "manager", "L_m": loss})
             stats = train_worker_epoch(store, optimizer, videos, config, baselines, epoch)
-            _emit(history, log_fh, {"epoch": epoch, "phase": "worker", **stats})
+            _emit(history, log_fh, fold, {"epoch": epoch, "phase": "worker", **stats})
     finally:
         if log_fh:
             log_fh.close()
@@ -181,8 +182,16 @@ def train(videos, feature_dim, config, checkpoint_path=None, log_path=None):
     return store, history
 
 
-def _emit(history, log_fh, entry):
+def _emit(history, log_fh, fold, entry):
     history.append(entry)
+    values = [f"{key}={entry[key]:.6g}" for key in sorted(entry) if key not in ("epoch", "phase")]
+    log.info(
+        "%sepoch %d %s: %s",
+        "" if fold is None else f"fold {fold} ",
+        entry["epoch"],
+        entry["phase"],
+        ", ".join(values),
+    )
     if log_fh:
         log_fh.write(json.dumps(entry, sort_keys=True))
         log_fh.write("\n")
@@ -249,5 +258,6 @@ def train_run(dataset, config, out_dir, folds=5, no_cv=False, extra_config=None)
             config,
             checkpoint_path=out / f"fold{k}.ckpt",
             log_path=out / f"train_fold{k}.jsonl",
+            fold=k,
         )
     return out

@@ -1,5 +1,9 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,6 +130,37 @@ def test_train_zero_epochs_equals_fresh_init(cli_dataset, tmp_path):
     init = new_policy(5, TrainConfig(hidden=6, subtask_size=10, seed=5))
     assert all(np.array_equal(store[n], init[n]) for n in store.names())
     assert meta["epochs"] == 0
+
+
+@pytest.mark.parametrize("level", [None, "INFO"])
+def test_hiersum_log_env_sets_stderr_progress(cli_dataset, tmp_path, level):
+    env = {k: v for k, v in os.environ.items() if k != "HIERSUM_LOG"}
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    if level:
+        env["HIERSUM_LOG"] = level
+    argv = [
+        "train",
+        "--dataset", str(cli_dataset),
+        "--out", str(tmp_path / "run"),
+        "--subtask-size", "10",
+        "--hidden", "6",
+        "--epochs", "1",
+        "--episodes", "2",
+        "--no-cv",
+        "--seed", "5",
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-m", "hiersum.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    if level is None:
+        assert lines == []  # WARNING by default
+    else:
+        assert len(lines) == 2
+        assert lines[0].startswith("INFO:hiersum.training:fold 0 epoch 0 manager: L_m=")
+        assert lines[1].startswith("INFO:hiersum.training:fold 0 epoch 0 worker: R_d=")
 
 
 def test_train_missing_dataset_exit_1(tmp_path, capsys):
@@ -304,6 +339,38 @@ def test_evaluate_missing_run_exit_1(cli_dataset, tmp_path, capsys):
     )
     assert code == 1
     assert "folds.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ({"folds": [["ghost"]]}, "'ghost'"),
+        ({"setting": "canonical"}, "'folds'"),
+        ({"folds": "video000"}, "'folds'"),
+        ({"folds": [[0]]}, "'folds'"),
+        ({"folds": []}, "'folds'"),
+        ({"folds": [["video000"], ["video001", "video000"]]}, "'video000'"),
+        ('{"folds": [', "not valid JSON"),
+    ],
+    ids=[
+        "unknown_id",
+        "missing_folds",
+        "folds_not_a_list",
+        "id_not_a_string",
+        "no_folds",
+        "id_held_out_twice",
+        "not_json",
+    ],
+)
+def test_evaluate_bad_folds_json_exit_1(cli_run, cli_dataset, tmp_path, capsys, doc, named):
+    run = tmp_path / "run"
+    shutil.copytree(cli_run, run)
+    (run / "folds.json").write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    code = main(["evaluate", "--run", str(run), "--dataset", str(cli_dataset)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "folds.json" in err and named in err
 
 
 # --- malformed checkpoints ------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import types
 
@@ -7,6 +8,7 @@ import pytest
 
 from hiersum.data import AnnotationSet, ConfigurationError, generate_synthetic, load_dataset
 from hiersum.evaluation import (
+    _TAU_BLOCK_ROWS,
     evaluate_run,
     evaluate_video,
     f_score,
@@ -153,6 +155,21 @@ def test_kendall_tau_matches_loop_oracle():
         assert kendall_tau(p, q) == loop_kendall_tau(list(p), list(q))
 
 
+@pytest.mark.parametrize(
+    "n", [_TAU_BLOCK_ROWS, _TAU_BLOCK_ROWS + 1, _TAU_BLOCK_ROWS + 2, 2 * _TAU_BLOCK_ROWS + 1]
+)
+def test_kendall_tau_matches_loop_oracle_across_row_blocks(n):
+    rng = substream(85, "tau", n)
+    for ties in (False, True):
+        if ties:
+            p = rng.integers(0, 5, size=n).astype(np.float64)
+            q = rng.integers(0, 5, size=n).astype(np.float64)
+        else:
+            p = rng.random(n)
+            q = rng.random(n)
+        assert kendall_tau(p, q) == loop_kendall_tau(list(p), list(q))
+
+
 def test_kendall_tau_constant_warns():
     with pytest.warns(UserWarning, match="constant"):
         assert kendall_tau(np.ones(5), np.arange(5.0)) == 0.0
@@ -291,6 +308,38 @@ def test_evaluate_run_feature_dim_mismatch(tiny_dataset, tmp_path):
     )
     with pytest.raises(ConfigurationError, match="feature dim"):
         evaluate_run(run, other)
+
+
+def test_info_log_has_one_line_per_phase_and_fold(tiny_dataset, tmp_path, caplog):
+    quiet = make_tiny_run(tiny_dataset, tmp_path / "quiet")
+    quiet_report = evaluate_run(quiet, tiny_dataset)
+    # the default WARNING level lets no progress line through
+    assert [r for r in caplog.records if r.levelno == logging.INFO] == []
+
+    caplog.set_level(logging.INFO, logger="hiersum")
+    loud = make_tiny_run(tiny_dataset, tmp_path / "loud")
+    loud_report = evaluate_run(loud, tiny_dataset)
+    assert loud_report == quiet_report
+    for path in sorted(quiet.iterdir()):
+        assert (loud / path.name).read_bytes() == path.read_bytes(), path.name
+
+    want = []
+    for k in range(2):
+        for line in (quiet / f"train_fold{k}.jsonl").read_text().splitlines():
+            entry = json.loads(line)
+            if entry["phase"] == "manager":
+                values = f"L_m={entry['L_m']:.6g}"
+            else:
+                values = ", ".join(
+                    f"{key}={entry[key]:.6g}" for key in ("R_d", "R_rep", "R_sub", "reward")
+                )
+            want.append(f"fold {k} epoch {entry['epoch']} {entry['phase']}: {values}")
+    for entry in quiet_report["per_fold"]:
+        want.append(
+            f"fold {entry['fold']}: {entry['num_videos']} videos, F={entry['F']:.4f}, "
+            f"tau={entry['tau']:.4f}, rho={entry['rho']:.4f}"
+        )
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.INFO] == want
 
 
 def test_save_report(tmp_path):

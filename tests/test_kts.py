@@ -7,7 +7,9 @@ import pytest
 
 from hiersum.data import ConfigurationError
 from hiersum.kts import (
+    _DP_BLOCK_ROWS,
     ShotPartition,
+    _kts_dp,
     kts_segment,
     min_costs_per_shot_count,
     partition_from_change_points,
@@ -188,6 +190,39 @@ def test_dp_matches_full_matrix_reference_at_real_sizes():
                 _, want_points = full_matrix_kts(costs, max_shots, weight)
                 part = kts_segment(feats, max_shots=max_shots, penalty_weight=weight)
                 assert part.change_points == want_points, (t, max_shots, weight)
+
+
+@pytest.mark.parametrize(
+    "t", [_DP_BLOCK_ROWS - 1, _DP_BLOCK_ROWS, _DP_BLOCK_ROWS + 1, 2 * _DP_BLOCK_ROWS + 1]
+)
+def test_blocked_dp_matches_full_matrix_reference_at_block_edges(t):
+    rng = substream(41, "kts", t)
+    cases = [rng.normal(size=(t, 8))]
+    # block-constant features tie many splits at zero cost, on both sides of block edges
+    for run in (10, _DP_BLOCK_ROWS // 2 + 3):
+        cases.append(np.repeat(rng.normal(size=(t // run + 1, 4)), run, axis=0)[:t])
+    for feats in cases:
+        costs = segment_costs(feats)
+        # max_shots = t: the last layers are narrower than one block
+        for max_shots in (t // 10, t):
+            want_costs, _ = full_matrix_kts(costs, max_shots, 0.0)
+            assert np.array_equal(min_costs_per_shot_count(feats, max_shots), want_costs)
+            for weight in (0.0, 1.0):
+                _, want_points = full_matrix_kts(costs, max_shots, weight)
+                part = kts_segment(feats, max_shots=max_shots, penalty_weight=weight)
+                assert part.change_points == want_points, (t, max_shots, weight)
+
+
+def test_kts_dp_scratch_below_one_cost_matrix():
+    t = 1000
+    costs = segment_costs(substream(42, "kts").normal(size=(t, 8)))
+    tracemalloc.start()
+    try:
+        _kts_dp(costs, t // 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (t + 1) ** 2
 
 
 def test_two_block_sequence_boundary_exact():
