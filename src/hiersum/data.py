@@ -213,6 +213,8 @@ def read_features(path):
         magic, t, d = _FEATURE_HEADER.unpack(header)
         if magic != FEATURE_MAGIC:
             raise ValidationError(f"{path}: bad magic {magic!r}, expected {FEATURE_MAGIC!r}")
+        if t < 1 or d < 1:
+            raise ValidationError(f"{path}: empty {t}x{d} feature matrix")
         payload = fh.read()
     expected = 4 * t * d
     if len(payload) != expected:
@@ -231,19 +233,30 @@ def write_annotations(path, per_user_scores, user_summaries=None):
         fh.write("\n")
 
 
-def read_annotations(path):
-    path = Path(path)
+def _read_json_object(path, what):
+    """Parse a JSON file that must hold an object; anything else is a ValidationError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid annotation JSON ({exc})") from exc
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValidationError(f"{path}: invalid {what} JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: {what} JSON is not an object")
+    return doc
+
+
+def read_annotations(path):
+    path = Path(path)
+    doc = _read_json_object(path, "annotation")
     if "per_user_scores" not in doc:
         raise ValidationError(f"{path}: missing 'per_user_scores'")
-    scores = np.asarray(doc["per_user_scores"], dtype=np.float64)
-    summaries = None
-    if doc.get("user_summaries") is not None:
-        summaries = np.asarray(doc["user_summaries"])
+    try:
+        scores = np.asarray(doc["per_user_scores"], dtype=np.float64)
+        summaries = None
+        if doc.get("user_summaries") is not None:
+            summaries = np.asarray(doc["user_summaries"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: annotations are not numeric arrays ({exc})") from None
     return scores, summaries
 
 
@@ -285,17 +298,22 @@ def save_manifest(path, manifest):
 
 def load_manifest(path):
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid manifest JSON ({exc})") from exc
+    doc = _read_json_object(path, "manifest")
     for key in ("name", "feature_dim", "subtask_size", "videos"):
         if key not in doc:
             raise ValidationError(f"{path}: manifest missing '{key}'")
+    for key in ("feature_dim", "subtask_size"):
+        if type(doc[key]) is not int or doc[key] < 1:
+            raise ValidationError(f"{path}: '{key}' must be a positive integer")
     f_aggregate = doc.get("f_aggregate", "mean")
     if f_aggregate not in ("max", "mean"):
         raise ValidationError(f"{path}: f_aggregate must be 'max' or 'mean'")
+    if not isinstance(doc["videos"], list):
+        raise ValidationError(f"{path}: 'videos' must be a list")
+    keys = ("id", "features", "annotations")
+    for i, v in enumerate(doc["videos"]):
+        if not (isinstance(v, dict) and all(isinstance(v.get(k), str) for k in keys)):
+            raise ValidationError(f"{path}: video entry {i} needs string fields {keys}")
     videos = [
         VideoEntry(video_id=v["id"], features=v["features"], annotations=v["annotations"])
         for v in doc["videos"]
@@ -307,8 +325,8 @@ def load_manifest(path):
         seen.add(video.video_id)
     return DatasetManifest(
         name=doc["name"],
-        feature_dim=int(doc["feature_dim"]),
-        subtask_size=int(doc["subtask_size"]),
+        feature_dim=doc["feature_dim"],
+        subtask_size=doc["subtask_size"],
         videos=videos,
         f_aggregate=f_aggregate,
         root=path.parent,

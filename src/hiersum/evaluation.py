@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import time
 import warnings
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from scipy.stats import rankdata
 from .data import ConfigurationError, num_subtasks
 from .kts import _check_memory
 from .nn import load_checkpoint
-from .policy import check_checkpoint, greedy_scores
+from .policy import check_checkpoint, greedy_scores_batch
 from .summarize import DEFAULT_BUDGET_FRACTION, make_summary
 
 log = logging.getLogger("hiersum.evaluation")
@@ -128,19 +129,16 @@ def video_f_for_mask(video, frame_mask, mode):
 
 
 def evaluate_video(
-    store,
     video,
-    subtask_size,
+    scores,
     f_mode,
     budget_fraction=DEFAULT_BUDGET_FRACTION,
     max_shots=None,
     penalty_weight=1.0,
 ):
-    """Score one video with a trained model and return its F / tau / rho."""
-    feats = video.features.features
-    scores = greedy_scores(store, feats, subtask_size)
+    """Summarize one video from its model scores and return its F / tau / rho."""
     summary, _ = make_summary(
-        feats,
+        video.features.features,
         scores,
         budget_fraction=budget_fraction,
         max_shots=max_shots,
@@ -161,7 +159,7 @@ def load_run_folds(run_dir):
     with open(folds_path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigurationError(f"{folds_path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict) or "folds" not in doc:
         raise ConfigurationError(f"{folds_path}: missing field 'folds'")
@@ -176,7 +174,9 @@ def load_run_folds(run_dir):
             f"{folds_path}: field 'folds' must be a non-empty list of lists of video ids"
         )
     seen = set()
-    for ids in folds:
+    for k, ids in enumerate(folds):
+        if not ids:
+            raise ConfigurationError(f"{folds_path}: fold {k} holds out no videos")
         for video_id in ids:
             if video_id in seen:
                 raise ConfigurationError(f"{folds_path}: video '{video_id}' is held out twice")
@@ -192,7 +192,11 @@ def evaluate_run(
     max_shots=None,
     penalty_weight=1.0,
 ):
-    """Evaluate every fold checkpoint of a training run on its held-out videos."""
+    """Evaluate every fold checkpoint of a training run on its held-out videos.
+
+    Each fold's videos are scored together (policy.greedy_scores_batch);
+    segmentation, the knapsack and F / tau / rho then run per video.
+    """
     if metric not in METRIC_CHOICES:
         raise ValueError(f"metric must be one of {METRIC_CHOICES}, got {metric!r}")
     run_dir = Path(run_dir)
@@ -211,6 +215,7 @@ def evaluate_run(
     per_fold = []
     fold_means = {"F": [], "tau": [], "rho": []}
     for k, video_ids in enumerate(folds):
+        start = time.perf_counter()
         ckpt_path = run_dir / f"fold{k}.ckpt"
         if not ckpt_path.exists():
             raise ConfigurationError(f"missing fold checkpoint {ckpt_path}")
@@ -223,31 +228,32 @@ def evaluate_run(
             )
         subtask_size = meta["subtask_size"]
         videos = [dataset.by_id(video_id) for video_id in video_ids]
+        scores = greedy_scores_batch(store, [v.features.features for v in videos], subtask_size)
         results = [
             evaluate_video(
-                store,
                 video,
-                subtask_size,
+                video_scores,
                 f_mode,
                 budget_fraction=budget_fraction,
                 max_shots=max_shots,
                 penalty_weight=penalty_weight,
             )
-            for video in videos
+            for video, video_scores in zip(videos, scores)
         ]
 
         entry = {"fold": k, "num_videos": len(videos)}
         for key in ("F", "tau", "rho"):
             if _metric_wanted(metric, key):
-                mean = float(np.mean([r[key] for r in results])) if results else 0.0
+                mean = float(np.mean([r[key] for r in results]))
                 entry[key] = mean
                 fold_means[key].append(mean)
         per_fold.append(entry)
         log.info(
-            "fold %d: %d videos%s",
+            "fold %d: %d videos%s (%.3f s)",
             k,
             len(videos),
             "".join(f", {key}={entry[key]:.4f}" for key in ("F", "tau", "rho") if key in entry),
+            time.perf_counter() - start,
         )
 
     report = {

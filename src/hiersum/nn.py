@@ -6,6 +6,11 @@ affine layer over row matrices, stable sigmoid / binary cross-entropy, Adam,
 a checkpoint format, and a central finite-difference gradient checker. The
 LSTM forward returns a cache of the whole sequence, and its backward
 propagates through every step with no truncation.
+
+The one LSTM recurrence, lstm_forward_batch, steps a batch of B sequences
+together, with one (B, H) @ (H, 4H) product per step; `evaluate` uses it to
+score a fold's videos at once, and lstm_forward (training, `summarize`) is
+its batch of one. Its zero-padded gates take T_max * B * 4H * 8 bytes.
 """
 
 from __future__ import annotations
@@ -118,30 +123,58 @@ def init_lstm(store, prefix, input_dim, hidden, rng):
 def lstm_forward(store, prefix, xs):
     """Run the LSTM over a (T, D) sequence from a zero state; returns (hs, cache).
 
-    hs is (T, H). The input projection xs @ Wx + b is one matrix product over
-    the whole sequence; only h @ Wh stays inside the recurrence.
+    hs is (T, H). This is lstm_forward_batch on a batch of one: the input
+    projection xs @ Wx + b is one matrix product over the whole sequence, and
+    only h @ Wh stays inside the recurrence.
+    """
+    hs, cs, gates = lstm_forward_batch(store, prefix, [xs])
+    hs, cs, gates = hs[:, 0], cs[:, 0], gates[:, 0]
+    return hs, (xs, hs, cs, gates)
+
+
+def lstm_forward_batch(store, prefix, seqs):
+    """Run the LSTM over B sequences of any lengths at once, each from a zero state.
+
+    Returns (hs, cs, gates), shaped (T_max, B, H), (T_max, B, H) and
+    (T_max, B, 4H), where T_max is the longest length; gates holds the gate
+    activations. Column v is sequence v up to its own length; the rows after
+    it run on from a zero input and must be ignored. Each sequence's input
+    projection xs @ Wx + b is one matrix product written into the zero-padded
+    gates, so the inputs themselves are never padded or copied; each step
+    then does one (B, H) @ (H, 4H) product. The gates take T_max * B * 4H * 8
+    bytes, so callers bound B.
     """
     wx, wh = store[f"{prefix}.Wx"], store[f"{prefix}.Wh"]
-    if xs.shape[1] != wx.shape[0]:
-        raise ValueError(
-            f"lstm '{prefix}': input dim {xs.shape[1]} does not match weights {wx.shape[0]}"
-        )
-    steps, hidden = xs.shape[0], wh.shape[0]
-    gates = xs @ wx + store[f"{prefix}.b"]  # pre-activations, turned into gates in place
-    hs = np.empty((steps, hidden))
-    cs = np.empty((steps, hidden))
-    h = np.zeros(hidden)
-    c = np.zeros(hidden)
+    for xs in seqs:
+        if xs.shape[1] != wx.shape[0]:
+            raise ValueError(
+                f"lstm '{prefix}': input dim {xs.shape[1]} does not match weights {wx.shape[0]}"
+            )
+    steps, hidden = max(xs.shape[0] for xs in seqs), wh.shape[0]
+    gates = np.zeros((steps, len(seqs), 4 * hidden))  # pre-activations, turned into gates in place
+    for v, xs in enumerate(seqs):
+        gates[: xs.shape[0], v] = xs @ wx + store[f"{prefix}.b"]
+    # sigmoid(z) = 0.5 * (1 + tanh(z / 2)): halving the i/f/o pre-activations and
+    # their Wh columns up front is exact, so each step takes one tanh over all 4H
+    gates[:, :, : 3 * hidden] *= 0.5
+    wh = wh.copy()
+    wh[:, : 3 * hidden] *= 0.5
+    hs = np.empty((steps, len(seqs), hidden))
+    cs = np.empty((steps, len(seqs), hidden))
+    h = np.zeros((len(seqs), hidden))
+    c = np.zeros((len(seqs), hidden))
     for t in range(steps):
         z = gates[t]
         z += h @ wh
-        z[: 3 * hidden] = sigmoid(z[: 3 * hidden])
-        z[3 * hidden :] = np.tanh(z[3 * hidden :])
-        c = z[hidden : 2 * hidden] * c + z[:hidden] * z[3 * hidden :]
-        h = z[2 * hidden : 3 * hidden] * np.tanh(c)
+        np.tanh(z, out=z)
+        ifo = z[:, : 3 * hidden]
+        ifo += 1.0
+        ifo *= 0.5
+        c = z[:, hidden : 2 * hidden] * c + z[:, :hidden] * z[:, 3 * hidden :]
+        h = z[:, 2 * hidden : 3 * hidden] * np.tanh(c)
         hs[t] = h
         cs[t] = c
-    return hs, (xs, hs, cs, gates)
+    return hs, cs, gates
 
 
 def lstm_backward(store, prefix, cache, dhs):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -157,7 +158,8 @@ def train(videos, feature_dim, config, checkpoint_path=None, log_path=None, fold
 
     History holds one log entry per phase per round; the same entries go to
     log_path as JSON lines when given, and to the log at INFO level, prefixed
-    with the fold number when given.
+    with the fold number when given and followed by the phase's wall-clock
+    seconds, which stay out of the history and log_path.
     """
     config.validate()
     if not videos:
@@ -169,10 +171,14 @@ def train(videos, feature_dim, config, checkpoint_path=None, log_path=None, fold
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
     try:
         for epoch in range(config.epochs):
+            start = time.perf_counter()
             loss = train_manager_epoch(store, optimizer, videos, config.subtask_size)
-            _emit(history, log_fh, fold, {"epoch": epoch, "phase": "manager", "L_m": loss})
+            entry = {"epoch": epoch, "phase": "manager", "L_m": loss}
+            _emit(history, log_fh, fold, entry, time.perf_counter() - start)
+            start = time.perf_counter()
             stats = train_worker_epoch(store, optimizer, videos, config, baselines, epoch)
-            _emit(history, log_fh, fold, {"epoch": epoch, "phase": "worker", **stats})
+            entry = {"epoch": epoch, "phase": "worker", **stats}
+            _emit(history, log_fh, fold, entry, time.perf_counter() - start)
     finally:
         if log_fh:
             log_fh.close()
@@ -182,15 +188,16 @@ def train(videos, feature_dim, config, checkpoint_path=None, log_path=None, fold
     return store, history
 
 
-def _emit(history, log_fh, fold, entry):
+def _emit(history, log_fh, fold, entry, seconds):
     history.append(entry)
     values = [f"{key}={entry[key]:.6g}" for key in sorted(entry) if key not in ("epoch", "phase")]
     log.info(
-        "%sepoch %d %s: %s",
+        "%sepoch %d %s: %s (%.3f s)",
         "" if fold is None else f"fold {fold} ",
         entry["epoch"],
         entry["phase"],
         ", ".join(values),
+        seconds,
     )
     if log_fh:
         log_fh.write(json.dumps(entry, sort_keys=True))

@@ -186,7 +186,23 @@ def duplicate_id(data):
     return ["duplicate video id 'video000'", str(data / "manifest.json")]
 
 
-@pytest.mark.parametrize("mangle", [zero_frame, duplicate_id])
+def entry_without_id(data):
+    manifest = json.loads((data / "manifest.json").read_text())
+    del manifest["videos"][1]["id"]
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    return ["video entry 1", str(data / "manifest.json")]
+
+
+def annotations_not_utf8(data):
+    manifest = json.loads((data / "manifest.json").read_text())
+    path = data / manifest["videos"][2]["annotations"]
+    path.write_bytes(path.read_bytes().replace(b"[", b"\xff", 1))
+    return ["invalid annotation JSON", str(path)]
+
+
+@pytest.mark.parametrize(
+    "mangle", [zero_frame, duplicate_id, entry_without_id, annotations_not_utf8]
+)
 def test_train_rejects_dataset_at_load_exit_1(cli_dataset, tmp_path, capsys, mangle):
     data = tmp_path / "data"
     shutil.copytree(cli_dataset.parent, data)
@@ -351,6 +367,7 @@ def test_evaluate_missing_run_exit_1(cli_dataset, tmp_path, capsys):
         ({"folds": []}, "'folds'"),
         ({"folds": [["video000"], ["video001", "video000"]]}, "'video000'"),
         ('{"folds": [', "not valid JSON"),
+        ({"folds": [[], ["video001", "video003"]]}, "fold 0"),
     ],
     ids=[
         "unknown_id",
@@ -360,6 +377,7 @@ def test_evaluate_missing_run_exit_1(cli_dataset, tmp_path, capsys):
         "no_folds",
         "id_held_out_twice",
         "not_json",
+        "empty_fold",
     ],
 )
 def test_evaluate_bad_folds_json_exit_1(cli_run, cli_dataset, tmp_path, capsys, doc, named):

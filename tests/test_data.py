@@ -157,6 +157,11 @@ def test_feature_file_errors(tmp_path):
     truncated.write_bytes(truncated.read_bytes()[:-4])
     with pytest.raises(ValidationError, match="payload"):
         read_features(truncated)
+    for shape in ((0, 3), (3, 0)):
+        empty = tmp_path / "empty.vsf"
+        write_features(empty, np.zeros(shape))
+        with pytest.raises(ValidationError, match=f"{empty}: empty"):
+            read_features(empty)
 
 
 # --- annotations and manifest -----------------------------------------------

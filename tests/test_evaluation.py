@@ -1,12 +1,24 @@
 import json
 import logging
 import math
+import re
 import types
 
 import numpy as np
 import pytest
 
-from hiersum.data import AnnotationSet, ConfigurationError, generate_synthetic, load_dataset
+from hiersum.data import (
+    AnnotationSet,
+    ConfigurationError,
+    DatasetManifest,
+    VideoEntry,
+    generate_synthetic,
+    load_dataset,
+    save_manifest,
+    write_annotations,
+    write_features,
+)
+from hiersum.nn import load_checkpoint
 from hiersum.evaluation import (
     _TAU_BLOCK_ROWS,
     evaluate_run,
@@ -19,6 +31,7 @@ from hiersum.evaluation import (
     spearman_rho,
     video_truth_masks,
 )
+from hiersum.policy import greedy_scores
 from hiersum.seeding import substream
 from hiersum.training import TrainConfig, new_policy, train_run
 
@@ -253,7 +266,8 @@ def test_video_truth_masks_fallback():
 def test_evaluate_video_fields(tiny_dataset):
     store = new_policy(6, TrainConfig(hidden=6, seed=3))
     video = tiny_dataset.videos[0]
-    result = evaluate_video(store, video, 10, "max", budget_fraction=0.3)
+    scores = greedy_scores(store, video.features.features, 10)
+    result = evaluate_video(video, scores, "max", budget_fraction=0.3)
     assert result["video_id"] == video.video_id
     assert 0.0 <= result["F"] <= 1.0
     assert -1.0 <= result["tau"] <= 1.0
@@ -278,6 +292,37 @@ def test_evaluate_run_report(tiny_dataset, tmp_path):
     assert report["mean_F"] == np.mean([e["F"] for e in report["per_fold"]])
     assert report["mean_tau"] == np.mean([e["tau"] for e in report["per_fold"]])
     assert report["mean_rho"] == np.mean([e["rho"] for e in report["per_fold"]])
+
+
+@pytest.mark.filterwarnings("ignore:empty summary mask")  # no shot of a short video fits
+def test_evaluate_run_fold_of_mixed_lengths_matches_per_video_scoring(tmp_path):
+    # each fold scores its videos in one batched recurrence; the report must
+    # equal scoring and evaluating every video on its own
+    rng = substream(12, "mixed")
+    lengths = [10, 19, 45, 20, 21, 130, 57, 12]
+    entries = []
+    for i, frames in enumerate(lengths):
+        write_features(tmp_path / f"v{i}.vsf", rng.normal(size=(frames, 6)))
+        write_annotations(tmp_path / f"v{i}.json", rng.uniform(size=(2, frames)))
+        entries.append(VideoEntry(f"v{i}", f"v{i}.vsf", f"v{i}.json"))
+    save_manifest(tmp_path / "manifest.json", DatasetManifest("mixed", 6, 10, entries))
+    dataset = load_dataset(tmp_path / "manifest.json")
+    run = make_tiny_run(dataset, tmp_path / "run")
+    report = evaluate_run(run, dataset, budget_fraction=0.3)
+    with open(run / "folds.json", encoding="utf-8") as fh:
+        folds = json.load(fh)["folds"]
+    for k, video_ids in enumerate(folds):
+        store, _ = load_checkpoint(run / f"fold{k}.ckpt")
+        results = []
+        for video_id in video_ids:
+            video = dataset.by_id(video_id)
+            scores = greedy_scores(store, video.features.features, 10)
+            assert scores.shape == (video.num_frames,)
+            results.append(evaluate_video(video, scores, "mean", budget_fraction=0.3))
+        entry = report["per_fold"][k]
+        assert entry["num_videos"] == len(video_ids)
+        for key in ("F", "tau", "rho"):
+            assert abs(entry[key] - np.mean([r[key] for r in results])) <= 1e-12
 
 
 def test_evaluate_run_metric_filtering(tiny_dataset, tmp_path):
@@ -339,7 +384,10 @@ def test_info_log_has_one_line_per_phase_and_fold(tiny_dataset, tmp_path, caplog
             f"fold {entry['fold']}: {entry['num_videos']} videos, F={entry['F']:.4f}, "
             f"tau={entry['tau']:.4f}, rho={entry['rho']:.4f}"
         )
-    assert [r.getMessage() for r in caplog.records if r.levelno == logging.INFO] == want
+    # each line ends with the phase's or the fold's wall-clock seconds
+    got = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert all(re.search(r" \(\d+\.\d{3} s\)$", line) for line in got), got
+    assert [re.sub(r" \(\d+\.\d{3} s\)$", "", line) for line in got] == want
 
 
 def test_save_report(tmp_path):

@@ -18,6 +18,7 @@ from hiersum.nn import (
     load_checkpoint,
     lstm_backward,
     lstm_forward,
+    lstm_forward_batch,
     save_checkpoint,
     sigmoid,
     uniform_init,
@@ -134,6 +135,23 @@ def test_lstm_forward_matches_per_step_loop():
         expected.append(h)
     hs, _ = lstm_forward(store, "m", xs)
     assert np.max(np.abs(hs - np.array(expected))) < 1e-12
+
+
+def test_lstm_forward_batch_columns_match_single_sequences():
+    store = ParamStore()
+    init_lstm(store, "m", 3, 4, substream(9, "t"))
+    rng = substream(9, "d")
+    seqs = [rng.normal(size=(t, 3)) * 3.0 for t in (5, 1, 12, 7)]
+    hs, cs, gates = lstm_forward_batch(store, "m", seqs)
+    assert hs.shape == cs.shape == (12, 4, 4) and gates.shape == (12, 4, 16)
+    for v, xs in enumerate(seqs):
+        one_hs, (_, _, one_cs, one_gates) = lstm_forward(store, "m", xs)
+        steps = xs.shape[0]
+        assert np.max(np.abs(hs[:steps, v] - one_hs)) < 1e-12
+        assert np.max(np.abs(cs[:steps, v] - one_cs)) < 1e-12
+        assert np.max(np.abs(gates[:steps, v] - one_gates)) < 1e-12
+    with pytest.raises(ValueError, match="input dim"):
+        lstm_forward_batch(store, "m", [seqs[0], np.zeros((2, 5))])
 
 
 def test_lstm_gradients_match_finite_differences():

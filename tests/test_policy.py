@@ -1,14 +1,17 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hiersum.data import subtask_views
 from hiersum.nn import grad_check
+from hiersum import policy
 from hiersum.policy import (
     action_log_prob,
     greedy_scores,
+    greedy_scores_batch,
     init_policy,
     log_prob_score_grad,
     manager_forward,
@@ -103,6 +106,45 @@ def test_worker_subgoal_count_checked():
     feats = substream(54, "x").normal(size=(10, 3))
     with pytest.raises(ValueError, match="3 subgoals for 2 subtasks"):
         worker_forward(store, feats, np.zeros((3, 4)), 5)
+
+
+# --- batched scoring -------------------------------------------------------------------
+
+BATCH_LENGTHS = [1, 19, 20, 21, 57, 400]  # around subtask edges of 7 and 20, and much longer
+
+
+@pytest.mark.parametrize("score_batch", [2, 16])
+@pytest.mark.parametrize("subtask_size", [7, 20])
+@pytest.mark.parametrize("dim", [16, 64])
+def test_batched_scores_match_single_video_scores(monkeypatch, dim, subtask_size, score_batch):
+    # the six videos take three recurrences of two, or one of six
+    monkeypatch.setattr(policy, "SCORE_BATCH", score_batch)
+    store = init_policy(dim, 8, substream(66, "init", dim))
+    rng = substream(66, "x", dim)
+    videos = [rng.normal(size=(t, dim)) for t in BATCH_LENGTHS]
+    batched = greedy_scores_batch(store, videos, subtask_size)
+    assert [s.shape for s in batched] == [(t,) for t in BATCH_LENGTHS]
+    for feats, scores in zip(videos, batched):
+        single = greedy_scores(store, feats, subtask_size)
+        assert np.max(np.abs(scores - single)) <= 1e-12
+
+
+def test_batched_scoring_holds_no_copy_of_the_features(monkeypatch):
+    # the fold is one batch, and with H=16 its padded gates take 64 floats per
+    # frame slot against 256 for the features, so a padded or concatenated
+    # copy of the batch's features would push the peak over its feature bytes
+    store = init_policy(256, 16, substream(67, "init"))
+    rng = substream(67, "x")
+    videos = [rng.normal(size=(t, 256)) for t in range(100, 200, 10)]
+    monkeypatch.setattr(policy, "SCORE_BATCH", len(videos))
+    feature_bytes = sum(v.nbytes for v in videos)
+    tracemalloc.start()
+    try:
+        greedy_scores_batch(store, videos, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < feature_bytes, (peak, feature_bytes)
 
 
 # --- forward replay oracles -------------------------------------------------------
