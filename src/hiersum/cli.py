@@ -24,7 +24,7 @@ from .data import (
     read_features,
 )
 from .evaluation import METRIC_CHOICES, evaluate_run, save_report
-from .kts import _check_memory
+from .kts import check_memory
 from .nn import TrainingError, load_checkpoint
 from .policy import DEFAULT_HIDDEN, check_checkpoint, greedy_scores
 from .summarize import DEFAULT_BUDGET_FRACTION, make_summary, summary_to_json
@@ -151,14 +151,9 @@ def cmd_train(args):
 
 def cmd_summarize(args):
     store, meta = load_checkpoint(args.model)
-    check_checkpoint(args.model, store, meta)
     feats = read_features(args.video)
-    _check_memory(feats.shape[0], args.max_shots, args.video)
-    if feats.shape[1] != meta["feature_dim"]:
-        raise ConfigurationError(
-            f"model expects feature dim {meta['feature_dim']}, "
-            f"but {args.video} has dim {feats.shape[1]}"
-        )
+    check_checkpoint(args.model, store, meta, feats.shape[1], args.video)
+    check_memory(feats.shape[0], args.max_shots, args.video)
     scores = greedy_scores(store, feats, meta["subtask_size"])
     video_id = Path(args.video).stem
     summary, _ = make_summary(

@@ -147,7 +147,6 @@ class AnnotationSet:
     def from_scores(
         cls,
         per_user_scores,
-        budget_fraction=DEFAULT_KEYFRAME_FRACTION,
         user_summaries=None,
         video_id="<unknown>",
     ):
@@ -174,7 +173,7 @@ class AnnotationSet:
                 )
             summaries = (summaries != 0).astype(np.uint8)
         mean_scores = scores.mean(axis=0)
-        keyframes = derive_keyframes(mean_scores, budget_fraction)
+        keyframes = derive_keyframes(mean_scores, DEFAULT_KEYFRAME_FRACTION)
         return cls(
             per_user_scores=scores,
             mean_scores=mean_scores,
@@ -363,7 +362,7 @@ class Dataset:
         raise KeyError(f"no video '{video_id}' in dataset '{self.manifest.name}'")
 
 
-def load_dataset(manifest_path, budget_fraction=DEFAULT_KEYFRAME_FRACTION):
+def load_dataset(manifest_path):
     """Load and validate every video referenced by a manifest."""
     manifest = load_manifest(manifest_path)
     videos = []
@@ -383,7 +382,6 @@ def load_dataset(manifest_path, budget_fraction=DEFAULT_KEYFRAME_FRACTION):
         sequence = FeatureSequence(video_id=entry.video_id, features=feats)
         annotations = AnnotationSet.from_scores(
             scores,
-            budget_fraction=budget_fraction,
             user_summaries=summaries,
             video_id=entry.video_id,
         )

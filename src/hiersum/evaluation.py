@@ -20,14 +20,16 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .data import ConfigurationError, num_subtasks
-from .kts import _check_memory
+from .kts import check_memory
 from .nn import load_checkpoint
 from .policy import check_checkpoint, greedy_scores_batch
 from .summarize import DEFAULT_BUDGET_FRACTION, make_summary
 
 log = logging.getLogger("hiersum.evaluation")
 
-METRIC_CHOICES = ("f", "tau", "rho", "all")
+# the report keys each `evaluate --metric` choice computes, and no others
+METRIC_KEYS = {"f": ("F",), "tau": ("tau",), "rho": ("rho",), "all": ("F", "tau", "rho")}
+METRIC_CHOICES = tuple(METRIC_KEYS)
 # frames per row block of kendall_tau's pair counts: O(64 n) scratch, 0.7 MB at
 # n=400, and faster there than blocks of 32, 128 or 256
 _TAU_BLOCK_ROWS = 64
@@ -131,25 +133,32 @@ def video_f_for_mask(video, frame_mask, mode):
 def evaluate_video(
     video,
     scores,
+    keys,
     f_mode,
     budget_fraction=DEFAULT_BUDGET_FRACTION,
     max_shots=None,
     penalty_weight=1.0,
 ):
-    """Summarize one video from its model scores and return its F / tau / rho."""
-    summary, _ = make_summary(
-        video.features.features,
-        scores,
-        budget_fraction=budget_fraction,
-        max_shots=max_shots,
-        penalty_weight=penalty_weight,
-    )
-    return {
-        "video_id": video.video_id,
-        "F": video_f_for_mask(video, summary.frame_mask, f_mode),
-        "tau": kendall_tau(scores, video.annotations.mean_scores),
-        "rho": spearman_rho(scores, video.annotations.mean_scores),
-    }
+    """Return the metrics named in keys ("F", "tau", "rho") of one video's model scores.
+
+    Only "F" segments the video and runs the knapsack; tau and rho compare
+    the scores with the mean human scores directly.
+    """
+    result = {"video_id": video.video_id}
+    if "F" in keys:
+        summary, _ = make_summary(
+            video.features.features,
+            scores,
+            budget_fraction=budget_fraction,
+            max_shots=max_shots,
+            penalty_weight=penalty_weight,
+        )
+        result["F"] = video_f_for_mask(video, summary.frame_mask, f_mode)
+    if "tau" in keys:
+        result["tau"] = kendall_tau(scores, video.annotations.mean_scores)
+    if "rho" in keys:
+        result["rho"] = spearman_rho(scores, video.annotations.mean_scores)
+    return result
 
 
 def load_run_folds(run_dir):
@@ -195,10 +204,14 @@ def evaluate_run(
     """Evaluate every fold checkpoint of a training run on its held-out videos.
 
     Each fold's videos are scored together (policy.greedy_scores_batch);
-    segmentation, the knapsack and F / tau / rho then run per video.
+    the metrics METRIC_KEYS[metric] names then run per video, and only those
+    (evaluate_video). Every held-out video is checked before the first fold:
+    against kts.check_memory when F is wanted, and for the 2 frames tau and
+    rho need when either is wanted.
     """
-    if metric not in METRIC_CHOICES:
+    if metric not in METRIC_KEYS:
         raise ValueError(f"metric must be one of {METRIC_CHOICES}, got {metric!r}")
+    keys = METRIC_KEYS[metric]
     run_dir = Path(run_dir)
     folds, setting = load_run_folds(run_dir)
     known = set(dataset.video_ids)
@@ -209,23 +222,24 @@ def evaluate_run(
                     f"{run_dir / 'folds.json'}: video '{video_id}' is not in "
                     f"dataset '{dataset.manifest.name}'"
                 )
-            _check_memory(dataset.by_id(video_id).num_frames, max_shots, f"video '{video_id}'")
+            num_frames = dataset.by_id(video_id).num_frames
+            if "F" in keys:
+                check_memory(num_frames, max_shots, f"video '{video_id}'")
+            if num_frames < 2 and ("tau" in keys or "rho" in keys):
+                raise ConfigurationError(
+                    f"video '{video_id}' has {num_frames} frame, but tau and rho need at least 2"
+                )
     f_mode = dataset.manifest.f_aggregate
+    source = f"dataset '{dataset.manifest.name}'"
     subtask_size = None
     per_fold = []
-    fold_means = {"F": [], "tau": [], "rho": []}
     for k, video_ids in enumerate(folds):
         start = time.perf_counter()
         ckpt_path = run_dir / f"fold{k}.ckpt"
         if not ckpt_path.exists():
             raise ConfigurationError(f"missing fold checkpoint {ckpt_path}")
         store, meta = load_checkpoint(ckpt_path)
-        check_checkpoint(ckpt_path, store, meta)
-        if meta["feature_dim"] != dataset.manifest.feature_dim:
-            raise ConfigurationError(
-                f"{ckpt_path}: model feature dim {meta['feature_dim']} does not match "
-                f"dataset feature dim {dataset.manifest.feature_dim}"
-            )
+        check_checkpoint(ckpt_path, store, meta, dataset.manifest.feature_dim, source)
         subtask_size = meta["subtask_size"]
         videos = [dataset.by_id(video_id) for video_id in video_ids]
         scores = greedy_scores_batch(store, [v.features.features for v in videos], subtask_size)
@@ -233,6 +247,7 @@ def evaluate_run(
             evaluate_video(
                 video,
                 video_scores,
+                keys,
                 f_mode,
                 budget_fraction=budget_fraction,
                 max_shots=max_shots,
@@ -242,17 +257,14 @@ def evaluate_run(
         ]
 
         entry = {"fold": k, "num_videos": len(videos)}
-        for key in ("F", "tau", "rho"):
-            if _metric_wanted(metric, key):
-                mean = float(np.mean([r[key] for r in results]))
-                entry[key] = mean
-                fold_means[key].append(mean)
+        for key in keys:
+            entry[key] = float(np.mean([r[key] for r in results]))
         per_fold.append(entry)
         log.info(
             "fold %d: %d videos%s (%.3f s)",
             k,
             len(videos),
-            "".join(f", {key}={entry[key]:.4f}" for key in ("F", "tau", "rho") if key in entry),
+            "".join(f", {key}={entry[key]:.4f}" for key in keys),
             time.perf_counter() - start,
         )
 
@@ -264,17 +276,9 @@ def evaluate_run(
             np.mean([num_subtasks(v.num_frames, subtask_size) for v in dataset.videos])
         ),
     }
-    if _metric_wanted(metric, "F"):
-        report["mean_F"] = float(np.mean(fold_means["F"]))
-    if _metric_wanted(metric, "tau"):
-        report["mean_tau"] = float(np.mean(fold_means["tau"]))
-    if _metric_wanted(metric, "rho"):
-        report["mean_rho"] = float(np.mean(fold_means["rho"]))
+    for key in keys:
+        report[f"mean_{key}"] = float(np.mean([entry[key] for entry in per_fold]))
     return report
-
-
-def _metric_wanted(metric, key):
-    return metric == "all" or metric == {"F": "f", "tau": "tau", "rho": "rho"}[key]
 
 
 def save_report(path, report):

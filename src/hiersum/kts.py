@@ -89,8 +89,11 @@ def _shot_cap(num_frames, max_shots):
     return max(1, min(int(max_shots), num_frames))
 
 
-def _check_memory(num_frames, max_shots, where):
-    """Raise ConfigurationError when KTS over num_frames frames would pass _MEMORY_LIMIT.
+def check_memory(num_frames, max_shots, where):
+    """Raise ConfigurationError naming `where` if KTS on num_frames would pass _MEMORY_LIMIT.
+
+    Commands call it once up front, naming their file or video; kts_segment
+    calls it again as the library's own guard.
 
     At its peak KTS holds two (T+1)^2 float64 matrices, both inside
     segment_costs (the Gram/prefix pair, then the prefix and the cost
@@ -138,7 +141,7 @@ def kts_segment(features, max_shots=None, penalty_weight=1.0):
     clamped to T) the DP finds the minimum total within-segment cost L_m;
     the returned partition minimizes L_m + penalty_weight * m * (log(T/m) + 1),
     with ties broken toward fewer shots. Raises ConfigurationError, before
-    allocating, when the matrices would pass _MEMORY_LIMIT.
+    allocating, when the matrices would pass _MEMORY_LIMIT (check_memory).
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] < 1:
@@ -146,7 +149,7 @@ def kts_segment(features, max_shots=None, penalty_weight=1.0):
     if penalty_weight < 0:
         raise ValueError(f"penalty_weight must be >= 0, got {penalty_weight}")
     t = feats.shape[0]
-    _check_memory(t, max_shots, "features")
+    check_memory(t, max_shots, "features")
     max_shots = _shot_cap(t, max_shots)
     best, split_at = _kts_dp(segment_costs(feats), max_shots)
 

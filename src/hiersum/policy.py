@@ -61,12 +61,13 @@ def init_policy(feature_dim, hidden, rng):
     return store
 
 
-def check_checkpoint(path, store, meta):
-    """Reject a loaded checkpoint whose meta or parameters do not fit init_policy.
+def check_checkpoint(path, store, meta, feature_dim, source):
+    """Reject a loaded checkpoint that does not fit init_policy or the features to score.
 
     The meta must hold positive integers feature_dim, hidden and subtask_size,
     and the parameters must have exactly the names and shapes init_policy
-    gives for that feature_dim and hidden.
+    gives for that feature_dim and hidden. The meta's feature_dim must equal
+    feature_dim, the width of source (the features file or the dataset).
     """
     for key in ("feature_dim", "hidden", "subtask_size"):
         value = meta.get(key)
@@ -84,6 +85,11 @@ def check_checkpoint(path, store, meta):
     extra = [name for name in store.names() if name not in layout]
     if extra:
         raise ConfigurationError(f"{path}: unexpected parameter '{extra[0]}'")
+    if meta["feature_dim"] != feature_dim:
+        raise ConfigurationError(
+            f"{path}: model feature dim {meta['feature_dim']} does not match "
+            f"feature dim {feature_dim} of {source}"
+        )
 
 
 def manager_param_names(store):
@@ -92,11 +98,6 @@ def manager_param_names(store):
 
 def worker_param_names(store):
     return [n for n in store.names() if n.startswith("worker.")]
-
-
-def policy_dims(store):
-    feature_dim, four_h = store["manager.lstm.Wx"].shape
-    return feature_dim, four_h // 4
 
 
 @dataclass

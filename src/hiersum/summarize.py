@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -18,10 +17,6 @@ class Summary:
     selected_shots: tuple
     frame_mask: np.ndarray  # (T,) uint8
     budget_fraction: float
-
-    @property
-    def total_selected(self):
-        return int(self.frame_mask.sum())
 
 
 def knapsack_select(values, lengths, capacity):
@@ -98,9 +93,3 @@ def summary_to_json(video_id, summary):
         "selected_shots": [int(s) for s in summary.selected_shots],
         "frame_mask": [int(b) for b in summary.frame_mask],
     }
-
-
-def save_summary(path, video_id, summary):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary_to_json(video_id, summary), fh, sort_keys=True)
-        fh.write("\n")

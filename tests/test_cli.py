@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hiersum.cli import main
-from hiersum.data import write_features
+from hiersum.data import read_annotations, read_features, write_annotations, write_features
 from hiersum.nn import load_checkpoint
 from hiersum.training import TrainConfig, new_policy
 
@@ -282,7 +282,9 @@ def test_summarize_feature_dim_mismatch_exit_1(cli_run, tmp_path, capsys):
     )
     assert code == 1
     err = capsys.readouterr().err
-    assert "feature dim" in err and "error:" in err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert str(cli_run / "fold0.ckpt") in err and str(video_file(wide / "manifest.json")) in err
+    assert "model feature dim 5" in err and "feature dim 7" in err
 
 
 def test_summarize_too_long_for_kts_memory_exit_1(cli_run, tmp_path, capsys):
@@ -308,6 +310,32 @@ def test_evaluate_too_long_for_kts_memory_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert "video 'video000'" in err and "20000 frames" in err
+
+
+@pytest.fixture(scope="module")
+def long_run(tmp_path_factory):
+    # at 8200 frames and --max-shots 8200 KTS's memory estimate is 4.7 MB over its limit
+    out = tmp_path_factory.mktemp("long")
+    assert main(
+        ["gen-synthetic", "--out", str(out / "data"), "--videos", "1", "--frames", "8200"]
+    ) == 0
+    manifest = out / "data" / "manifest.json"
+    argv = ["train", "--dataset", str(manifest), "--out", str(out / "run"), "--no-cv"]
+    assert main(argv + ["--epochs", "0", "--hidden", "6"]) == 0
+    return out / "run", manifest
+
+
+@pytest.mark.parametrize("metric, code", [("f", 1), ("all", 1), ("tau", 0), ("rho", 0)])
+def test_evaluate_kts_memory_limit_only_when_f_is_wanted(long_run, capsys, metric, code):
+    run, manifest = long_run
+    argv = ["evaluate", "--run", str(run), "--dataset", str(manifest), "--metric", metric]
+    assert main(argv + ["--max-shots", "8200"]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert list(json.loads(captured.out)["per_fold"][0]) == ["fold", "num_videos", metric]
+    else:
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        assert "video 'video000'" in captured.err and "8200 frames" in captured.err
 
 
 # --- evaluate -----------------------------------------------------------------------------
@@ -347,6 +375,25 @@ def test_evaluate_metric_choice_and_determinism(cli_run, cli_dataset, tmp_path, 
             ]
         ) == 0
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore:empty summary mask")  # no shot of 1 frame fits the budget
+@pytest.mark.parametrize("metric, code", [("f", 0), ("tau", 1), ("all", 1)])
+def test_evaluate_one_frame_video(cli_run, cli_dataset, tmp_path, capsys, metric, code):
+    data = tmp_path / "data"
+    shutil.copytree(cli_dataset.parent, data)
+    entry = json.loads((data / "manifest.json").read_text())["videos"][2]
+    write_features(data / entry["features"], read_features(data / entry["features"])[:1])
+    scores, summaries = read_annotations(data / entry["annotations"])
+    write_annotations(data / entry["annotations"], scores[:, :1], summaries[:, :1])
+    argv = ["evaluate", "--run", str(cli_run), "--dataset", str(data / "manifest.json")]
+    assert main(argv + ["--metric", metric]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert json.loads(captured.out)["per_fold"][0]["num_videos"] == 4
+    else:
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        assert "video 'video002' has 1 frame" in captured.err
 
 
 def test_evaluate_missing_run_exit_1(cli_dataset, tmp_path, capsys):

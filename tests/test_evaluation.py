@@ -21,6 +21,7 @@ from hiersum.data import (
 from hiersum.nn import load_checkpoint
 from hiersum.evaluation import (
     _TAU_BLOCK_ROWS,
+    METRIC_KEYS,
     evaluate_run,
     evaluate_video,
     f_score,
@@ -267,11 +268,14 @@ def test_evaluate_video_fields(tiny_dataset):
     store = new_policy(6, TrainConfig(hidden=6, seed=3))
     video = tiny_dataset.videos[0]
     scores = greedy_scores(store, video.features.features, 10)
-    result = evaluate_video(video, scores, "max", budget_fraction=0.3)
+    result = evaluate_video(video, scores, METRIC_KEYS["all"], "max", budget_fraction=0.3)
     assert result["video_id"] == video.video_id
     assert 0.0 <= result["F"] <= 1.0
     assert -1.0 <= result["tau"] <= 1.0
     assert -1.0 <= result["rho"] <= 1.0
+    for keys in (("F",), ("tau",), ("rho",)):
+        only = evaluate_video(video, scores, keys, "max", budget_fraction=0.3)
+        assert only == {"video_id": video.video_id, keys[0]: result[keys[0]]}
 
 
 # --- run evaluation ----------------------------------------------------------------------
@@ -318,19 +322,39 @@ def test_evaluate_run_fold_of_mixed_lengths_matches_per_video_scoring(tmp_path):
             video = dataset.by_id(video_id)
             scores = greedy_scores(store, video.features.features, 10)
             assert scores.shape == (video.num_frames,)
-            results.append(evaluate_video(video, scores, "mean", budget_fraction=0.3))
+            results.append(
+                evaluate_video(video, scores, METRIC_KEYS["all"], "mean", budget_fraction=0.3)
+            )
         entry = report["per_fold"][k]
         assert entry["num_videos"] == len(video_ids)
         for key in ("F", "tau", "rho"):
             assert abs(entry[key] - np.mean([r[key] for r in results])) <= 1e-12
 
 
-def test_evaluate_run_metric_filtering(tiny_dataset, tmp_path):
+def test_evaluate_run_metric_filtering(tiny_dataset, tmp_path, monkeypatch):
     run = make_tiny_run(tiny_dataset, tmp_path / "run")
-    report = evaluate_run(run, tiny_dataset, metric="tau")
-    assert "mean_tau" in report
-    assert "mean_F" not in report and "mean_rho" not in report
-    assert all(set(e) == {"fold", "num_videos", "tau"} for e in report["per_fold"])
+    full = evaluate_run(run, tiny_dataset, metric="all")
+
+    def not_asked_for(*args, **kwargs):
+        raise AssertionError("computed a metric that was not asked for")
+
+    # tau and rho need no segmentation or knapsack; F needs no rank correlation
+    for metric, skipped in [
+        ("tau", ["make_summary"]),
+        ("rho", ["make_summary"]),
+        ("f", ["kendall_tau", "spearman_rho"]),
+    ]:
+        with monkeypatch.context() as patch:
+            for name in skipped:
+                patch.setattr(f"hiersum.evaluation.{name}", not_asked_for)
+            report = evaluate_run(run, tiny_dataset, metric=metric)
+        (key,) = METRIC_KEYS[metric]
+        assert [k for k in report if k.startswith("mean_")] == [f"mean_{key}"]
+        assert report[f"mean_{key}"] == full[f"mean_{key}"]
+        assert report["per_fold"] == [
+            {"fold": e["fold"], "num_videos": e["num_videos"], key: e[key]}
+            for e in full["per_fold"]
+        ]
     with pytest.raises(ValueError, match="metric"):
         evaluate_run(run, tiny_dataset, metric="bogus")
 
@@ -351,8 +375,11 @@ def test_evaluate_run_feature_dim_mismatch(tiny_dataset, tmp_path):
             tmp_path / "narrow", seed=11, videos=6, frames=40, dims=5, subtask_size=10
         )
     )
-    with pytest.raises(ConfigurationError, match="feature dim"):
+    with pytest.raises(ConfigurationError) as exc:
         evaluate_run(run, other)
+    message = str(exc.value)
+    assert "fold0.ckpt" in message and "dataset 'synthetic'" in message
+    assert "model feature dim 6" in message and "feature dim 5" in message
 
 
 def test_info_log_has_one_line_per_phase_and_fold(tiny_dataset, tmp_path, caplog):

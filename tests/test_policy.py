@@ -18,7 +18,6 @@ from hiersum.policy import (
     manager_loss,
     manager_loss_backward,
     manager_param_names,
-    policy_dims,
     sample_actions,
     worker_backward,
     worker_forward,
@@ -75,7 +74,7 @@ def test_init_policy_layout():
         "worker.head.b",
     ]
     assert store["worker.mix.W"].shape == (4, 8)
-    assert policy_dims(store) == (5, 4)
+    assert store["manager.lstm.Wx"].shape == (5, 16)  # (D, 4H)
 
 
 def test_forward_shapes():
