@@ -21,11 +21,13 @@ from hiersum.summarize import DEFAULT_BUDGET_FRACTION
 
 SEED = 0
 
-out_dir = Path(tempfile.mkdtemp()) / "train_demo"
-manifest_path = generate_synthetic(
-    out_dir, seed=SEED, videos=20, frames=200, dims=16, subtask_size=20, users=3
-)
-dataset = load_dataset(manifest_path)
+# load_dataset reads every file, so the dataset on disk can go once it is loaded
+with tempfile.TemporaryDirectory() as tmp:
+    manifest_path = generate_synthetic(
+        Path(tmp) / "train_demo", seed=SEED, videos=20, frames=200, dims=16,
+        subtask_size=20, users=3,
+    )
+    dataset = load_dataset(manifest_path)
 print(f"dataset: {len(dataset.videos)} videos x {dataset.videos[0].num_frames} frames, "
       f"feature dim {dataset.manifest.feature_dim}")
 

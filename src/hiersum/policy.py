@@ -13,7 +13,9 @@ At inference, greedy_scores_batch runs each network's LSTM over a batch of
 videos in one recurrence (nn.lstm_forward_batch), so `evaluate` scores a
 fold's held-out videos together; the padded gates take T_max * B * 4H * 8
 bytes for a batch of B videos whose longest has T_max frames, and B is at
-most SCORE_BATCH.
+most SCORE_BATCH. manager_subgoals_batch is the Manager half of that pass;
+a Worker epoch, during which the Manager is frozen, takes every video's
+subgoals from it.
 
 The Worker treats subgoals as constants: gradients from Worker objectives
 never reach Manager parameters, which train only on their own loss.
@@ -116,9 +118,7 @@ def manager_forward(store, features, subtask_size):
     views = subtask_views(feats.shape[0], subtask_size)
     hs, cache = lstm_forward(store, "manager.lstm", feats)
     subgoals = _subgoals(hs, views)
-    logits = affine(store, "manager.head", subgoals)[:, 0]
-    raw = sigmoid(logits)
-    probs, clamp_mask = clamp_prob(raw)
+    logits, raw, probs, clamp_mask = manager_head(store, subgoals)
     return ManagerForward(
         views=views,
         subgoals=subgoals,
@@ -128,6 +128,30 @@ def manager_forward(store, features, subtask_size):
         clamp_mask=clamp_mask,
         cache=cache,
     )
+
+
+def manager_head(store, subgoals):
+    """Subtask probabilities from (N, H) subgoals; returns (logits, raw, probs, clamp_mask)."""
+    logits = affine(store, "manager.head", subgoals)[:, 0]
+    raw = sigmoid(logits)
+    probs, clamp_mask = clamp_prob(raw)
+    return logits, raw, probs, clamp_mask
+
+
+def manager_subgoals_batch(store, features_list, subtask_size):
+    """Each video's (N_v, H) subgoals, from Manager recurrences over up to SCORE_BATCH videos.
+
+    Subgoals match manager_forward on each video alone to within rounding of
+    the batched recurrent product (about 1e-16); a batch of one is the same
+    arithmetic. Only the subgoals outlive a batch's padded states.
+    """
+    subgoals = []
+    for first in range(0, len(features_list), SCORE_BATCH):
+        batch = [np.asarray(f, dtype=np.float64) for f in features_list[first : first + SCORE_BATCH]]
+        hs = lstm_forward_batch(store, "manager.lstm", batch)[0]
+        for v, feats in enumerate(batch):
+            subgoals.append(_subgoals(hs[:, v], subtask_views(feats.shape[0], subtask_size)))
+    return subgoals
 
 
 def manager_backward(store, fwd, dlogits):
@@ -227,9 +251,18 @@ def action_log_prob(scores, actions):
     )
 
 
+def sample_episodes(scores, rng, count):
+    """(count, T) 0/1 actions, one Bernoulli draw per frame per episode.
+
+    One rng.random((count, T)) call takes the same stream values, in the same
+    order, as count calls of sample_actions.
+    """
+    return (rng.random((count, scores.shape[0])) < scores).astype(np.uint8)
+
+
 def sample_actions(scores, rng):
     """Draw one Bernoulli action per frame from the given scores."""
-    actions = (rng.random(scores.shape[0]) < scores).astype(np.uint8)
+    actions = sample_episodes(scores, rng, 1)[0]
     return Episode(actions=actions, selected=np.flatnonzero(actions))
 
 
@@ -255,10 +288,8 @@ def greedy_scores_batch(store, features_list, subtask_size):
     scores = []
     for first in range(0, len(features_list), SCORE_BATCH):
         batch = [np.asarray(f, dtype=np.float64) for f in features_list[first : first + SCORE_BATCH]]
-        views = [subtask_views(feats.shape[0], subtask_size) for feats in batch]
-        hs = lstm_forward_batch(store, "manager.lstm", batch)[0]
-        subgoals = [_subgoals(hs[:, v], views[v]) for v in range(len(batch))]
-        del hs  # before the Worker's gates are allocated
+        # the Manager's padded states are freed before the Worker's gates are allocated
+        subgoals = manager_subgoals_batch(store, batch, subtask_size)
         hs = lstm_forward_batch(store, "worker.lstm", batch)[0]
         for v, feats in enumerate(batch):
             raw = _worker_head(store, hs[: feats.shape[0], v], subgoals[v], subtask_size)[2]

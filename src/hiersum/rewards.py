@@ -6,6 +6,10 @@ distance to the nearest selected frame). The subgoal reward compares the
 Worker's mean score per subtask with the Manager's predicted subtask
 probability. The combined reward is a convex mix of the diversity /
 representativeness average and the subgoal term.
+
+episode_rewards scores all of a video's sampled episodes from one T x T
+euclidean distance matrix (T^2 * 8 bytes), built once per call and indexed
+by each episode's selected frames.
 """
 
 from __future__ import annotations
@@ -62,12 +66,19 @@ def representativeness_reward(features, selected):
     sampled episodes that pick nothing are penalized rather than crashing.
     """
     feats = np.asarray(features, dtype=np.float64)
-    selected = np.asarray(selected, dtype=np.int64)
+    return _representativeness(cdist(feats, feats), np.asarray(selected, dtype=np.int64))
+
+
+def _representativeness(dist, selected):
+    """R_rep from the (T, T) distance matrix of all frames and the selected indices.
+
+    Column j of cdist(X, X) holds the same per-pair distances as
+    cdist(X, X[[j]]), so this is bit-identical to computing only the
+    selected columns.
+    """
     if selected.size == 0:
-        worst = cdist(feats, feats).max()
-        return float(np.exp(-worst))
-    dists = cdist(feats, feats[selected])
-    return float(np.exp(-dists.min(axis=1).mean()))
+        return float(np.exp(-dist.max()))
+    return float(np.exp(-dist[:, selected].min(axis=1).mean()))
 
 
 def sub_reward(score_means, subtask_probs):
@@ -115,16 +126,36 @@ def sub_reward_score_grad(score_means, subtask_probs, views):
     return grad
 
 
-def episode_reward(features, selected, score_means, subtask_probs, alpha=DEFAULT_ALPHA):
-    r_d = diversity_reward(features, selected)
-    r_rep = representativeness_reward(features, selected)
-    r_dr = (r_d + r_rep) / 2.0
+def episode_rewards(features, actions, score_means, subtask_probs, alpha=DEFAULT_ALPHA):
+    """One RewardBreakdown per row of an (E, T) 0/1 action matrix.
+
+    The rows share one distance matrix and one subgoal reward, which depends
+    on the scores rather than the actions.
+    """
+    feats = np.asarray(features, dtype=np.float64)
+    dist = cdist(feats, feats)
     r_sub = sub_reward(score_means, subtask_probs)
-    return RewardBreakdown(
-        r_d=r_d,
-        r_rep=r_rep,
-        r_dr=r_dr,
-        r_sub=r_sub,
-        r=combine(r_dr, r_sub, alpha),
-        alpha=alpha,
-    )
+    breakdowns = []
+    for row in np.asarray(actions):
+        selected = np.flatnonzero(row)
+        r_d = diversity_reward(feats, selected)
+        r_rep = _representativeness(dist, selected)
+        r_dr = (r_d + r_rep) / 2.0
+        breakdowns.append(
+            RewardBreakdown(
+                r_d=r_d,
+                r_rep=r_rep,
+                r_dr=r_dr,
+                r_sub=r_sub,
+                r=combine(r_dr, r_sub, alpha),
+                alpha=alpha,
+            )
+        )
+    return breakdowns
+
+
+def episode_reward(features, selected, score_means, subtask_probs, alpha=DEFAULT_ALPHA):
+    """episode_rewards of the one episode that selects the given set of frames."""
+    actions = np.zeros((1, np.shape(features)[0]), dtype=np.uint8)
+    actions[0, np.asarray(selected, dtype=np.int64)] = 1
+    return episode_rewards(features, actions, score_means, subtask_probs, alpha)[0]

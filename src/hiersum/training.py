@@ -27,17 +27,21 @@ from .policy import (
     DEFAULT_HIDDEN,
     init_policy,
     manager_forward,
+    manager_head,
     manager_loss_backward,
     manager_param_names,
+    manager_subgoals_batch,
     log_prob_score_grad,
-    sample_actions,
+    sample_actions,  # not called here; bench/tracing.py wraps this attribute
+    sample_episodes,
     worker_backward,
     worker_forward,
     worker_param_names,
 )
 from .rewards import (
     DEFAULT_ALPHA,
-    episode_reward,
+    episode_reward,  # not called here; bench/tracing.py wraps this attribute
+    episode_rewards,
     sub_reward_score_grad,
     subtask_score_means,
 )
@@ -104,33 +108,36 @@ def train_worker_epoch(store, optimizer, videos, config, baselines, epoch):
     share the deterministic forward pass, so everything is combined in score
     space before a single backward pass. Returns the epoch means of the
     reward and its components.
+
+    The Manager is frozen for the whole epoch, so every video's subgoals
+    come from one batched Manager pass at the start.
     """
     names = worker_param_names(store)
     totals = {"reward": [], "R_d": [], "R_rep": [], "R_sub": []}
-    for video in videos:
+    all_subgoals = manager_subgoals_batch(
+        store, [video.features.features for video in videos], config.subtask_size
+    )
+    for video, subgoals in zip(videos, all_subgoals):
         feats = video.features.features
-        mfwd = manager_forward(store, feats, config.subtask_size)
-        wfwd = worker_forward(store, feats, mfwd.subgoals, config.subtask_size)
+        probs = manager_head(store, subgoals)[2]
+        wfwd = worker_forward(store, feats, subgoals, config.subtask_size)
         score_means = subtask_score_means(wfwd.scores, wfwd.views)
         rng = substream(config.seed, "worker", video.video_id, epoch)
-        episodes = [sample_actions(wfwd.scores, rng) for _ in range(config.episodes)]
-        if all(ep.selected.size == 0 for ep in episodes):
+        actions = sample_episodes(wfwd.scores, rng, config.episodes)
+        if not actions.any():
             log.warning(
                 "video %s: every episode selected no frames; skipped this epoch",
                 video.video_id,
             )
             continue
-        breakdowns = [
-            episode_reward(feats, ep.selected, score_means, mfwd.probs, config.alpha)
-            for ep in episodes
-        ]
+        breakdowns = episode_rewards(feats, actions, score_means, probs, config.alpha)
         baseline = baselines.get(video.video_id, 0.0)
         dscores = np.zeros_like(wfwd.scores)
-        for ep, bd in zip(episodes, breakdowns):
+        for row, bd in zip(actions, breakdowns):
             weight = (bd.r - baseline) / config.episodes
-            dscores += weight * log_prob_score_grad(wfwd.scores, ep.actions)
+            dscores += weight * log_prob_score_grad(wfwd.scores, row)
         dscores += (1.0 - config.alpha) * sub_reward_score_grad(
-            score_means, mfwd.probs, wfwd.views
+            score_means, probs, wfwd.views
         )
         # the optimizer minimizes, the policy gradient ascends: negate
         worker_backward(store, wfwd, -dscores)

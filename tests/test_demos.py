@@ -49,7 +49,9 @@ def test_quick_demos_run(tmp_path):
         "    sys.argv = [path]\n"
         "    runpy.run_path(path, run_name='__main__')\n"
     )
-    env = dict(os.environ, TMPDIR=str(tmp_path))
+    tmpdir = tmp_path / "tmp"  # the demos' temporary files, which must not outlive them
+    tmpdir.mkdir()
+    env = dict(os.environ, TMPDIR=str(tmpdir))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", runner, *demos],
@@ -61,3 +63,4 @@ def test_quick_demos_run(tmp_path):
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-4000:]
     assert proc.stdout.count("--- demo ") == len(demos)
+    assert sorted(p.name for p in tmpdir.iterdir()) == [], "a demo left files in TMPDIR"

@@ -15,10 +15,13 @@ from hiersum.policy import (
     init_policy,
     log_prob_score_grad,
     manager_forward,
+    manager_head,
     manager_loss,
     manager_loss_backward,
     manager_param_names,
+    manager_subgoals_batch,
     sample_actions,
+    sample_episodes,
     worker_backward,
     worker_forward,
     worker_param_names,
@@ -146,6 +149,22 @@ def test_batched_scoring_holds_no_copy_of_the_features(monkeypatch):
     assert peak < feature_bytes, (peak, feature_bytes)
 
 
+def test_batched_manager_pass_matches_manager_forward():
+    # more videos than one batch holds; 23, 7, 31 and 12 frames end on a short subtask
+    lengths = [23, 40, 7, 31, 50, 12]
+    assert len(lengths) > policy.SCORE_BATCH
+    store = init_policy(16, 64, substream(68, "init"))
+    rng = substream(68, "x")
+    videos = [rng.normal(size=(t, 16)) for t in lengths]
+    subgoals = manager_subgoals_batch(store, videos, 10)
+    assert len(subgoals) == len(videos)
+    for feats, batched in zip(videos, subgoals):
+        single = manager_forward(store, feats, 10)
+        assert batched.shape == single.subgoals.shape
+        assert np.max(np.abs(batched - single.subgoals)) <= 1e-15
+        assert np.max(np.abs(manager_head(store, batched)[2] - single.probs)) <= 1e-15
+
+
 # --- forward replay oracles -------------------------------------------------------
 
 
@@ -255,6 +274,15 @@ def test_sampling_deterministic_per_substream():
     assert np.array_equal(ep1.actions, ep2.actions)
     ep3 = sample_actions(scores, substream(62, "draw", 4))
     assert not np.array_equal(ep1.actions, ep3.actions)
+
+
+def test_sample_episodes_draws_what_repeated_sample_actions_draw():
+    scores = substream(62, "p").uniform(0.2, 0.8, size=30)
+    batch = sample_episodes(scores, substream(62, "draw", 5), 7)
+    rng = substream(62, "draw", 5)
+    singles = np.stack([sample_actions(scores, rng).actions for _ in range(7)])
+    assert batch.dtype == singles.dtype
+    assert np.array_equal(batch, singles)
 
 
 # --- end-to-end gradients ------------------------------------------------------------

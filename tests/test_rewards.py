@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from hiersum.data import subtask_views
 from hiersum.rewards import (
@@ -11,6 +12,7 @@ from hiersum.rewards import (
     dissimilarity,
     diversity_reward,
     episode_reward,
+    episode_rewards,
     representativeness_reward,
     sub_reward,
     sub_reward_score_grad,
@@ -199,3 +201,34 @@ def test_episode_reward_composition():
     assert bd.r_sub == sub_reward(subtask_score_means(scores, views), probs)
     assert bd.r == combine(bd.r_dr, bd.r_sub, alpha=0.25)
     assert bd.alpha == 0.25
+
+
+@pytest.mark.parametrize("t, d", [(12, 5), (200, 16), (300, 64)])
+def test_episode_rewards_rows_match_per_episode_rewards_bit_for_bit(t, d):
+    feats = substream(49, "r", t).normal(size=(t, d))
+    views = subtask_views(t, 5)
+    score_means = subtask_score_means(substream(49, "s", t).uniform(0.1, 0.9, size=t), views)
+    probs = substream(49, "p", t).uniform(0.1, 0.9, size=len(views))
+    actions = (substream(49, "a", t).random((6, t)) < 0.3).astype(np.uint8)
+    actions[0] = 0  # empty: the worst case
+    actions[1] = 0
+    actions[1, t // 2] = 1  # one frame: no pairs, so R_div is 0
+    actions[2] = 1  # every frame
+    rows = episode_rewards(feats, actions, score_means, probs, alpha=0.3)
+    assert len(rows) == len(actions)
+    r_sub = sub_reward(score_means, probs)
+    for row, bd in zip(actions, rows):
+        selected = np.flatnonzero(row)
+        assert bd == episode_reward(feats, selected, score_means, probs, alpha=0.3)
+        # the per-episode formulas, with distances to the selected frames only
+        if selected.size:
+            want_rep = float(np.exp(-cdist(feats, feats[selected]).min(axis=1).mean()))
+        else:
+            want_rep = float(np.exp(-cdist(feats, feats).max()))
+        assert bd.r_rep == want_rep == representativeness_reward(feats, selected)
+        assert bd.r_d == diversity_reward(feats, selected)
+        assert bd.r_sub == r_sub
+        assert bd.r == combine((bd.r_d + bd.r_rep) / 2.0, r_sub, alpha=0.3)
+    assert rows[1].r_d == 0.0
+    assert rows[2].r_rep == 1.0
+    assert rows[0].r_rep < min(bd.r_rep for bd in rows[1:])

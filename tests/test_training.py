@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hiersum import nn, policy, rewards
 from hiersum.data import ConfigurationError, derive_task_labels, generate_synthetic, load_dataset
 from hiersum.nn import Adam, load_checkpoint
 from hiersum.policy import (
@@ -102,6 +103,33 @@ def test_worker_epoch_touches_only_worker_params(tiny_dataset):
     assert not unchanged(store, before, worker_param_names(store))
     assert set(stats) == {"reward", "R_d", "R_rep", "R_sub"}
     assert 0.0 < stats["reward"] <= 1.0
+
+
+def test_worker_epoch_runs_one_manager_pass_per_batch_and_one_cdist_per_video(
+    tiny_dataset, monkeypatch
+):
+    calls = {"manager": 0, "cdist": 0}
+    real_lstm, real_cdist = nn.lstm_forward_batch, rewards.cdist
+
+    def counting_lstm(store, prefix, seqs):
+        calls["manager"] += prefix == "manager.lstm"
+        return real_lstm(store, prefix, seqs)
+
+    def counting_cdist(*args, **kwargs):
+        calls["cdist"] += 1
+        return real_cdist(*args, **kwargs)
+
+    # policy calls the batched recurrence directly, and manager_forward through nn.lstm_forward
+    monkeypatch.setattr(nn, "lstm_forward_batch", counting_lstm)
+    monkeypatch.setattr(policy, "lstm_forward_batch", counting_lstm)
+    monkeypatch.setattr(rewards, "cdist", counting_cdist)
+    videos = tiny_dataset.videos
+    assert len(videos) > policy.SCORE_BATCH
+    config = small_config()
+    store = new_policy(6, config)
+    train_worker_epoch(store, Adam(store, lr=1e-3), videos, config, {}, 0)
+    assert calls["manager"] == math.ceil(len(videos) / policy.SCORE_BATCH)
+    assert calls["cdist"] == len(videos)
 
 
 # --- worker update structure ----------------------------------------------------------
