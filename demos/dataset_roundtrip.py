@@ -2,8 +2,9 @@
 
 Run:  python3 demos/dataset_roundtrip.py [out_dir]
 
-Without out_dir the datasets go to a temporary directory that is removed
-when the demo ends; a given out_dir (and its sibling demo_data_again) is kept.
+The demo writes two datasets, demo_data and demo_data_again, into out_dir,
+which it keeps. Without out_dir they go to a temporary directory that is
+removed when the demo ends.
 """
 
 import sys
@@ -12,13 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
-from hiersum import derive_task_labels, generate_synthetic, load_dataset, subtask_views
+from hiersum import derive_task_labels, generate_synthetic, load_dataset, subtask_bounds
 from hiersum.data import budget_count
 
 
 def main(out_dir):
     manifest_path = generate_synthetic(
-        out_dir, seed=42, videos=5, frames=80, dims=8, subtask_size=20, users=3
+        out_dir / "demo_data", seed=42, videos=5, frames=80, dims=8, subtask_size=20, users=3
     )
     print(f"wrote dataset under {out_dir}")
     print(f"manifest: {manifest_path}")
@@ -38,17 +39,17 @@ def main(out_dir):
 
     # weak labels: one bit per fixed-length subtask saying "contains a keyframe",
     # derived at train time from the run's subtask size
-    views = subtask_views(video.num_frames, 20)
+    bounds = subtask_bounds(video.num_frames, 20)
     labels = derive_task_labels(ann.keyframes, 20)
-    print(f"  subtasks        {[(v.start, v.end) for v in views]}")
+    print(f"  subtask bounds  {bounds.tolist()}")
     print(f"  task labels     {labels.tolist()}")
-    for v in views:
-        inside = int(ann.keyframes[v.start:v.end].sum())
-        print(f"    subtask {v.index}: {inside:2d} keyframes -> label {labels[v.index]}")
+    for i, (start, end) in enumerate(zip(bounds[:-1], bounds[1:])):
+        inside = int(ann.keyframes[start:end].sum())
+        print(f"    subtask {i} [{start}, {end}): {inside:2d} keyframes -> label {labels[i]}")
 
     # the generator is a pure function of its seed
     again = generate_synthetic(
-        out_dir.parent / "demo_data_again", seed=42, videos=5, frames=80, dims=8,
+        out_dir / "demo_data_again", seed=42, videos=5, frames=80, dims=8,
         subtask_size=20, users=3,
     )
     same = load_dataset(again)
@@ -64,4 +65,4 @@ if __name__ == "__main__":
         main(Path(sys.argv[1]))  # a directory the caller chose is left in place
     else:
         with tempfile.TemporaryDirectory() as tmp:
-            main(Path(tmp) / "demo_data")
+            main(Path(tmp))

@@ -11,12 +11,13 @@ Run:  python3 demos/rewards_tour.py
 import numpy as np
 
 from hiersum import (
+    block_means,
     diversity_reward,
     episode_reward,
     representativeness_reward,
     sub_reward,
     substream,
-    subtask_views,
+    subtask_bounds,
 )
 from hiersum.rewards import combine
 
@@ -55,9 +56,8 @@ for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
     print(f"  alpha {alpha:4.2f}: combine(0.8, 0.4) = {combine(0.8, 0.4, alpha):.3f}")
 
 # full breakdown for one sampled-looking episode
-views = subtask_views(20, 10)
 scores = np.clip(rng.uniform(0.2, 0.8, size=20), 0.0, 1.0)
-score_means = np.array([scores[v.start:v.end].mean() for v in views])
+score_means = block_means(scores, subtask_bounds(20, 10))
 bd = episode_reward(feats, np.array([0, 4, 10, 17]), score_means, np.array([0.7, 0.6]))
 print(f"\nfull breakdown: R_d={bd.r_d:.4f} R_rep={bd.r_rep:.4f} "
       f"R_dr={bd.r_dr:.4f} R_sub={bd.r_sub:.4f} -> R={bd.r:.4f} (alpha={bd.alpha})")

@@ -16,16 +16,17 @@ from .data import (
     DatasetManifest,
     FeatureSequence,
     ValidationError,
+    block_means,
     derive_keyframes,
     derive_task_labels,
     generate_synthetic,
     load_dataset,
     read_features,
-    subtask_views,
+    subtask_bounds,
     write_features,
 )
 from .evaluation import evaluate_run, f_score, f_score_multi, kendall_tau, spearman_rho
-from .kts import ShotPartition, kts_segment, shot_scores
+from .kts import ShotPartition, kts_segment
 from .nn import Adam, ParamStore, grad_check, load_checkpoint, save_checkpoint
 from .policy import greedy_scores, init_policy, manager_forward, sample_actions, worker_forward
 from .rewards import (

@@ -107,6 +107,10 @@ def _check_usage(parser, args):
     elif args.command in ("summarize", "evaluate"):
         if not 0.0 < args.budget <= 1.0:
             parser.error("--budget must be in (0, 1]")
+        if args.max_shots is not None and args.max_shots < 1:
+            parser.error("--max-shots must be >= 1")
+        if args.penalty < 0:
+            parser.error("--penalty must be >= 0")
 
 
 def cmd_gen_synthetic(args):

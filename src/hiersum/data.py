@@ -1,4 +1,10 @@
-"""Dataset types, on-disk formats, ground-truth derivation, and a synthetic generator.
+"""Dataset types, on-disk formats, ground-truth derivation, frame partitions, and a
+synthetic generator.
+
+A frame partition (the subtasks of a video, or its KTS shots) is one int64
+bounds array ``[0, b1, ..., T]``: block i is ``[bounds[i], bounds[i + 1])``.
+subtask_bounds tiles a video into fixed-size subtasks, and block_means takes
+the mean of per-frame values over each block of any partition.
 
 On disk, a dataset is a JSON manifest pointing at one binary feature file and
 one JSON annotation file per video. Feature files carry the magic ``VSF1``,
@@ -42,36 +48,34 @@ def budget_count(fraction, total):
     return max(1, math.ceil(fraction * total - 1e-9))
 
 
-@dataclass(frozen=True)
-class SubtaskView:
-    """One consecutive block of frames; ``[start, end)`` indexes the feature rows."""
+def subtask_bounds(num_frames, subtask_size):
+    """Bounds ``[0, s, 2s, ..., T]`` of the blocks of ``subtask_size`` frames tiling ``[0, T)``.
 
-    index: int
-    start: int
-    end: int
-
-    @property
-    def length(self):
-        return self.end - self.start
-
-
-def subtask_views(num_frames, subtask_size):
-    """Tile ``[0, num_frames)`` into blocks of ``subtask_size`` frames.
-
-    Only the last block may be shorter; there is no padding.
+    Block i is ``[bounds[i], bounds[i + 1])``. Only the last block may be
+    shorter; there is no padding.
     """
     if subtask_size < 1:
         raise ValueError(f"subtask_size must be >= 1, got {subtask_size}")
     if num_frames < 1:
         raise ValueError(f"num_frames must be >= 1, got {num_frames}")
-    return [
-        SubtaskView(index=i, start=s, end=min(s + subtask_size, num_frames))
-        for i, s in enumerate(range(0, num_frames, subtask_size))
-    ]
+    return np.append(np.arange(0, num_frames, subtask_size, dtype=np.int64), num_frames)
 
 
 def num_subtasks(num_frames, subtask_size):
-    return len(subtask_views(num_frames, subtask_size))
+    return subtask_bounds(num_frames, subtask_size).size - 1
+
+
+def block_means(values, bounds):
+    """Mean of ``values`` over each block ``[bounds[i], bounds[i + 1])`` of a frame partition.
+
+    Each block takes its own ``.mean()``: ``np.add.reduceat`` over the starts,
+    divided by the lengths, would move many means by an ulp.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape[0] != bounds[-1]:
+        raise ValueError(f"{values.shape[0]} values for a partition of {bounds[-1]} frames")
+    edges = np.asarray(bounds).tolist()
+    return np.array([values[start:end].mean() for start, end in zip(edges[:-1], edges[1:])])
 
 
 @dataclass
@@ -129,9 +133,9 @@ def derive_keyframes(mean_scores, budget_fraction=DEFAULT_KEYFRAME_FRACTION):
 
 def derive_task_labels(keyframes, subtask_size):
     """Label each subtask 1 iff any of its frames is a keyframe."""
-    p = np.asarray(keyframes)
-    views = subtask_views(p.size, subtask_size)
-    return np.array([int(p[v.start : v.end].any()) for v in views], dtype=np.uint8)
+    p = np.asarray(keyframes).astype(bool)
+    starts = subtask_bounds(p.size, subtask_size)[:-1]
+    return np.logical_or.reduceat(p, starts).astype(np.uint8)
 
 
 @dataclass

@@ -24,26 +24,33 @@ _DP_BLOCK_ROWS = 64
 
 @dataclass(frozen=True)
 class ShotPartition:
-    """Half-open shot ranges tiling [0, num_frames), in temporal order."""
+    """Shots tiling [0, num_frames) in temporal order; shot i is [bounds[i], bounds[i + 1])."""
 
     num_frames: int
     change_points: tuple  # start frame of every shot except the first
-    shots: tuple  # ((start, end), ...)
+
+    @property
+    def bounds(self):
+        return np.array([0, *self.change_points, self.num_frames], dtype=np.int64)
+
+    @property
+    def shots(self):
+        """((start, end), ...) as int pairs."""
+        bounds = self.bounds.tolist()
+        return tuple(zip(bounds[:-1], bounds[1:]))
 
     @property
     def num_shots(self):
-        return len(self.shots)
+        return len(self.change_points) + 1
 
     @property
     def shot_lengths(self):
-        return np.array([end - start for start, end in self.shots], dtype=np.int64)
+        return np.diff(self.bounds)
 
     def frame_mask(self, shot_indices):
-        mask = np.zeros(self.num_frames, dtype=np.uint8)
-        for s in shot_indices:
-            start, end = self.shots[s]
-            mask[start:end] = 1
-        return mask
+        picked = np.zeros(self.num_shots, dtype=np.uint8)
+        picked[list(shot_indices)] = 1
+        return np.repeat(picked, self.shot_lengths)
 
 
 def partition_from_change_points(change_points, num_frames):
@@ -52,9 +59,7 @@ def partition_from_change_points(change_points, num_frames):
         raise ValueError("change points must be strictly increasing")
     if any(p < 1 or p >= num_frames for p in points):
         raise ValueError(f"change points must lie in [1, {num_frames - 1}]")
-    bounds = [0, *points, num_frames]
-    shots = tuple((bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1))
-    return ShotPartition(num_frames=num_frames, change_points=tuple(points), shots=shots)
+    return ShotPartition(num_frames=num_frames, change_points=tuple(points))
 
 
 def segment_costs(features):
@@ -174,12 +179,3 @@ def min_costs_per_shot_count(features, max_shots):
     best, _ = _kts_dp(segment_costs(feats), _shot_cap(t, max_shots))
     return best[1:, t]
 
-
-def shot_scores(partition, frame_scores):
-    """Per-shot arithmetic mean of the frame scores."""
-    scores = np.asarray(frame_scores, dtype=np.float64)
-    if scores.shape[0] != partition.num_frames:
-        raise ValueError(
-            f"{scores.shape[0]} frame scores for a partition of {partition.num_frames} frames"
-        )
-    return np.array([scores[start:end].mean() for start, end in partition.shots])

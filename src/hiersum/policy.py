@@ -1,13 +1,15 @@
 """Manager and Worker networks.
 
-The Manager runs one LSTM pass over the whole video with hidden state carried
+Subtasks are the blocks of the bounds array data.subtask_bounds gives. The
+Manager runs one LSTM pass over the whole video with hidden state carried
 across subtask boundaries; the hidden state at the last frame of each subtask
-is that subtask's subgoal, and a sigmoid head on the subgoal predicts the
-probability that the subtask contains a keyframe. The Worker runs its own
-LSTM over the same frames (state also carried across subtasks), mixes each
-hidden state with the current subgoal through an affine layer, and a sigmoid
-head turns the mix into a per-frame importance score. Actions are Bernoulli
-draws from the scores.
+(hs[bounds[1:] - 1]) is that subtask's subgoal, and a sigmoid head on the
+subgoal predicts the probability that the subtask contains a keyframe. The
+Worker runs its own LSTM over the same frames (state also carried across
+subtasks), mixes each hidden state with its subtask's subgoal, repeated over
+the subtask's frames, through an affine layer, and a sigmoid head turns the
+mix into a per-frame importance score. Actions are Bernoulli draws from the
+scores.
 
 At inference, greedy_scores_batch runs each network's LSTM over a batch of
 videos in one recurrence (nn.lstm_forward_batch), so `evaluate` scores a
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ConfigurationError, subtask_views
+from .data import ConfigurationError, subtask_bounds
 from .nn import (
     ParamStore,
     affine,
@@ -104,7 +106,7 @@ def worker_param_names(store):
 
 @dataclass
 class ManagerForward:
-    views: list
+    bounds: np.ndarray  # (N + 1,) subtask bounds, as subtask_bounds gives them
     subgoals: np.ndarray  # (N, H), hidden state at each subtask's last frame
     logits: np.ndarray  # (N,)
     raw: np.ndarray  # (N,) sigmoid outputs before clamping
@@ -115,12 +117,12 @@ class ManagerForward:
 
 def manager_forward(store, features, subtask_size):
     feats = np.asarray(features, dtype=np.float64)
-    views = subtask_views(feats.shape[0], subtask_size)
+    bounds = subtask_bounds(feats.shape[0], subtask_size)
     hs, cache = lstm_forward(store, "manager.lstm", feats)
-    subgoals = _subgoals(hs, views)
+    subgoals = hs[bounds[1:] - 1]
     logits, raw, probs, clamp_mask = manager_head(store, subgoals)
     return ManagerForward(
-        views=views,
+        bounds=bounds,
         subgoals=subgoals,
         logits=logits,
         raw=raw,
@@ -150,16 +152,15 @@ def manager_subgoals_batch(store, features_list, subtask_size):
         batch = [np.asarray(f, dtype=np.float64) for f in features_list[first : first + SCORE_BATCH]]
         hs = lstm_forward_batch(store, "manager.lstm", batch)[0]
         for v, feats in enumerate(batch):
-            subgoals.append(_subgoals(hs[:, v], subtask_views(feats.shape[0], subtask_size)))
+            subgoals.append(hs[subtask_bounds(feats.shape[0], subtask_size)[1:] - 1, v])
     return subgoals
 
 
 def manager_backward(store, fwd, dlogits):
     """Accumulate gradients given d(loss)/d(subtask logits)."""
-    num_frames = fwd.views[-1].end
-    dhs = np.zeros((num_frames, fwd.subgoals.shape[1]))
+    dhs = np.zeros((fwd.bounds[-1], fwd.subgoals.shape[1]))
     dsubgoals = affine_backward(store, "manager.head", fwd.subgoals, dlogits[:, None])
-    dhs[[v.end - 1 for v in fwd.views]] = dsubgoals
+    dhs[fwd.bounds[1:] - 1] = dsubgoals
     lstm_backward(store, "manager.lstm", fwd.cache, dhs)
 
 
@@ -184,7 +185,7 @@ def manager_loss_backward(store, fwd, task_labels):
 
 @dataclass
 class WorkerForward:
-    views: list
+    bounds: np.ndarray  # (N + 1,) subtask bounds, as subtask_bounds gives them
     scores: np.ndarray  # (T,) clamped per-frame importance scores
     raw: np.ndarray  # (T,) sigmoid outputs before clamping
     clamp_mask: np.ndarray
@@ -195,14 +196,14 @@ class WorkerForward:
 
 def worker_forward(store, features, subgoals, subtask_size):
     feats = np.asarray(features, dtype=np.float64)
-    views = subtask_views(feats.shape[0], subtask_size)
-    if len(views) != subgoals.shape[0]:
-        raise ValueError(f"{subgoals.shape[0]} subgoals for {len(views)} subtasks")
+    bounds = subtask_bounds(feats.shape[0], subtask_size)
+    if bounds.size - 1 != subgoals.shape[0]:
+        raise ValueError(f"{subgoals.shape[0]} subgoals for {bounds.size - 1} subtasks")
     hs, cache = lstm_forward(store, "worker.lstm", feats)
-    concat, mixed, raw = _worker_head(store, hs, subgoals, subtask_size)
+    concat, mixed, raw = _worker_head(store, hs, subgoals, bounds)
     scores, clamp_mask = clamp_prob(raw)
     return WorkerForward(
-        views=views,
+        bounds=bounds,
         scores=scores,
         raw=raw,
         clamp_mask=clamp_mask,
@@ -212,14 +213,9 @@ def worker_forward(store, features, subgoals, subtask_size):
     )
 
 
-def _subgoals(hs, views):
-    """The Manager's hidden states at each subtask's last frame."""
-    return hs[[v.end - 1 for v in views]]
-
-
-def _worker_head(store, hs, subgoals, subtask_size):
+def _worker_head(store, hs, subgoals, bounds):
     """Mix each Worker hidden state with its subtask's subgoal; returns (concat, mixed, raw)."""
-    concat = np.hstack([subgoals[np.arange(hs.shape[0]) // subtask_size], hs])
+    concat = np.hstack([np.repeat(subgoals, np.diff(bounds), axis=0), hs])
     mixed = affine(store, "worker.mix", concat)
     raw = sigmoid(affine(store, "worker.head", mixed)[:, 0])
     return concat, mixed, raw
@@ -292,6 +288,7 @@ def greedy_scores_batch(store, features_list, subtask_size):
         subgoals = manager_subgoals_batch(store, batch, subtask_size)
         hs = lstm_forward_batch(store, "worker.lstm", batch)[0]
         for v, feats in enumerate(batch):
-            raw = _worker_head(store, hs[: feats.shape[0], v], subgoals[v], subtask_size)[2]
+            bounds = subtask_bounds(feats.shape[0], subtask_size)
+            raw = _worker_head(store, hs[: feats.shape[0], v], subgoals[v], bounds)[2]
             scores.append(clamp_prob(raw)[0])
     return scores

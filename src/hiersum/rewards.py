@@ -4,8 +4,10 @@ Diversity is the mean pairwise cosine dissimilarity within the selected
 frames. Representativeness is exp(-mean over all frames of the euclidean
 distance to the nearest selected frame). The subgoal reward compares the
 Worker's mean score per subtask with the Manager's predicted subtask
-probability. The combined reward is a convex mix of the diversity /
-representativeness average and the subgoal term.
+probability; subtasks are the blocks of a data.subtask_bounds array, and the
+Worker's means come from data.block_means over them. The combined reward is
+a convex mix of the diversity / representativeness average and the subgoal
+term.
 
 episode_rewards scores all of a video's sampled episodes from one T x T
 euclidean distance matrix (T^2 * 8 bytes), built once per call and indexed
@@ -99,31 +101,21 @@ def combine(r_dr, r_sub, alpha=DEFAULT_ALPHA):
     return alpha * r_dr + (1.0 - alpha) * r_sub
 
 
-def subtask_score_means(scores, views):
-    """Mean Worker score per subtask, honoring a short final subtask."""
-    scores = np.asarray(scores, dtype=np.float64)
-    return np.array([scores[v.start : v.end].mean() for v in views])
-
-
-def sub_reward_score_grad(score_means, subtask_probs, views):
+def sub_reward_score_grad(score_means, subtask_probs, bounds):
     """d(sub reward) / d(per-frame scores), holding the subtask probabilities fixed.
 
     Unlike the diversity and representativeness terms, the subgoal reward
     depends on the scores directly rather than through sampled actions, so
-    its gradient is available in closed form: each frame of subtask i gets
+    its gradient is available in closed form: each of the n_i frames of
+    subtask i, the block [bounds[i], bounds[i + 1]), gets
     R_sub * (-sign(m_i - yhat_i)) / (N * n_i). At m_i = yhat_i the
     subgradient 0 is used.
     """
     score_means = np.asarray(score_means, dtype=np.float64)
     subtask_probs = np.asarray(subtask_probs, dtype=np.float64)
     r = sub_reward(score_means, subtask_probs)
-    n = len(views)
-    grad = np.zeros(views[-1].end)
-    for v in views:
-        grad[v.start : v.end] = (
-            -r * np.sign(score_means[v.index] - subtask_probs[v.index]) / (n * v.length)
-        )
-    return grad
+    lengths = np.diff(bounds)
+    return np.repeat(-r * np.sign(score_means - subtask_probs) / (lengths.size * lengths), lengths)
 
 
 def episode_rewards(features, actions, score_means, subtask_probs, alpha=DEFAULT_ALPHA):

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kts import kts_segment, shot_scores
+from .data import block_means
+from .kts import kts_segment
 
 DEFAULT_BUDGET_FRACTION = 0.15
 
@@ -65,7 +66,7 @@ def assemble_summary(partition, frame_scores, budget_fraction=DEFAULT_BUDGET_FRA
     # the epsilon keeps floor() honest when the float product sits one ulp
     # below an exact integer
     capacity = math.floor(budget_fraction * partition.num_frames + 1e-9)
-    values = shot_scores(partition, frame_scores)
+    values = block_means(frame_scores, partition.bounds)
     chosen = knapsack_select(values, partition.shot_lengths, capacity)
     return Summary(
         selected_shots=tuple(chosen),

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ConfigurationError, derive_task_labels
+from .data import ConfigurationError, block_means, derive_task_labels
 from .nn import Adam, save_checkpoint
 from .policy import (
     DEFAULT_HIDDEN,
@@ -43,7 +43,6 @@ from .rewards import (
     episode_reward,  # not called here; bench/tracing.py wraps this attribute
     episode_rewards,
     sub_reward_score_grad,
-    subtask_score_means,
 )
 from .seeding import substream
 
@@ -121,7 +120,7 @@ def train_worker_epoch(store, optimizer, videos, config, baselines, epoch):
         feats = video.features.features
         probs = manager_head(store, subgoals)[2]
         wfwd = worker_forward(store, feats, subgoals, config.subtask_size)
-        score_means = subtask_score_means(wfwd.scores, wfwd.views)
+        score_means = block_means(wfwd.scores, wfwd.bounds)
         rng = substream(config.seed, "worker", video.video_id, epoch)
         actions = sample_episodes(wfwd.scores, rng, config.episodes)
         if not actions.any():
@@ -136,9 +135,7 @@ def train_worker_epoch(store, optimizer, videos, config, baselines, epoch):
         for row, bd in zip(actions, breakdowns):
             weight = (bd.r - baseline) / config.episodes
             dscores += weight * log_prob_score_grad(wfwd.scores, row)
-        dscores += (1.0 - config.alpha) * sub_reward_score_grad(
-            score_means, probs, wfwd.views
-        )
+        dscores += (1.0 - config.alpha) * sub_reward_score_grad(score_means, probs, wfwd.bounds)
         # the optimizer minimizes, the policy gradient ascends: negate
         worker_backward(store, wfwd, -dscores)
         optimizer.step(names)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from hiersum.cli import main as cli_main
-from hiersum.data import generate_synthetic, load_dataset, subtask_views
+from hiersum.data import block_means, generate_synthetic, load_dataset
 from hiersum.evaluation import (
     evaluate_run,
     f_score,
@@ -39,7 +39,6 @@ from hiersum.rewards import (
     episode_reward,
     representativeness_reward,
     sub_reward,
-    subtask_score_means,
 )
 from hiersum.seeding import substream
 from hiersum.summarize import knapsack_select, make_summary
@@ -105,7 +104,7 @@ def test_criterion_2_reinforce_unbiasedness(capsys):
     subgoals = mfwd.subgoals.copy()
     probs = mfwd.probs.copy()
     base = worker_forward(store, feats, subgoals, subtask_size)
-    score_means = subtask_score_means(base.scores, base.views)
+    score_means = block_means(base.scores, base.bounds)
 
     # one frozen reward per action sequence, indexed over all 2^6 of them
     actions_list = [

@@ -3,8 +3,11 @@
 bench/tracing.py replaces each TARGETS entry at its module attribute and
 binds the arguments its counter reads by name. A rename in the program
 otherwise shows up only inside the output of the traced smoke run.
+
+The same TARGETS are the only imports a program module may bind and not use.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -55,3 +58,27 @@ def test_tracer_target_resolves(owner, attr, counter):
     params = inspect.signature(getattr(obj, attr)).parameters
     missing = sorted(counter_arguments(counter) - set(params))
     assert missing == [], f"{owner}.{attr} has no argument {missing} that {counter.__name__} reads"
+
+
+def module_imports(tree):
+    """Names bound by the module-level imports of a parsed module, __future__ excluded."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+PROGRAM_MODULES = [p for p in sorted((ROOT / "src" / "hiersum").glob("*.py")) if p.stem != "__init__"]
+
+
+@pytest.mark.parametrize("path", PROGRAM_MODULES, ids=[p.name for p in PROGRAM_MODULES])
+def test_module_imports_are_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    module = f"hiersum.{path.stem}"
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    traced = {attr for owner, attr, _, _ in TARGETS if owner == module}
+    unused = sorted(set(module_imports(tree)) - used - traced)
+    assert unused == [], f"{module} imports {unused} and never uses them"

@@ -70,6 +70,10 @@ def cli_run(cli_dataset, tmp_path_factory):
         ["evaluate", "--run", "r", "--dataset", "d", "--jobs", "0"],  # no --jobs option
         ["train", "--out", "x"],  # missing required --dataset
         ["no-such-command"],
+        ["summarize", "--model", "m", "--video", "v", "--max-shots", "0"],
+        ["evaluate", "--run", "r", "--dataset", "d", "--max-shots", "-4"],
+        ["summarize", "--model", "m", "--video", "v", "--penalty", "-1"],
+        ["evaluate", "--run", "r", "--dataset", "d", "--penalty", "-1"],
     ],
 )
 def test_usage_errors_exit_2(argv):

@@ -9,6 +9,7 @@ from hiersum.data import (
     FeatureSequence,
     ValidationError,
     VideoEntry,
+    block_means,
     budget_count,
     derive_keyframes,
     derive_task_labels,
@@ -19,48 +20,120 @@ from hiersum.data import (
     read_annotations,
     read_features,
     save_manifest,
-    subtask_views,
+    subtask_bounds,
     write_annotations,
     write_features,
     DatasetManifest,
 )
+from hiersum.kts import partition_from_change_points
+from hiersum.rewards import sub_reward, sub_reward_score_grad
+from hiersum.seeding import substream
 
 
 # --- subtask tiling ---------------------------------------------------------
 
 
 def test_tiling_even():
-    views = subtask_views(40, 20)
-    assert [(v.start, v.end) for v in views] == [(0, 20), (20, 40)]
+    bounds = subtask_bounds(40, 20)
+    assert bounds.tolist() == [0, 20, 40]
     assert num_subtasks(40, 20) == 2
 
 
 def test_tiling_short_last():
-    views = subtask_views(50, 20)
-    assert [(v.start, v.end) for v in views] == [(0, 20), (20, 40), (40, 50)]
-    assert views[-1].length == 10
+    bounds = subtask_bounds(50, 20)
+    assert bounds.tolist() == [0, 20, 40, 50]
+    assert np.diff(bounds)[-1] == 10
 
 
 def test_tiling_properties(rng):
     for _ in range(50):
         t = int(rng.integers(1, 120))
         n = int(rng.integers(1, 40))
-        views = subtask_views(t, n)
-        assert len(views) == math.ceil(t / n)
-        covered = []
-        for i, v in enumerate(views):
-            assert v.index == i
-            assert 1 <= v.length <= n
-            covered.extend(range(v.start, v.end))
-        assert covered == list(range(t))
-        assert all(v.length == n for v in views[:-1])
+        bounds = subtask_bounds(t, n)
+        assert bounds.dtype == np.int64
+        assert bounds.size - 1 == math.ceil(t / n)
+        lengths = np.diff(bounds)
+        assert bounds[0] == 0 and bounds[-1] == t
+        assert np.all((lengths >= 1) & (lengths <= n))
+        assert np.all(lengths[:-1] == n)
 
 
 def test_tiling_rejects_bad_args():
     with pytest.raises(ValueError):
-        subtask_views(0, 4)
+        subtask_bounds(0, 4)
     with pytest.raises(ValueError):
-        subtask_views(4, 0)
+        subtask_bounds(4, 0)
+
+
+# --- partitions against per-block loop oracles ----------------------------------
+# The oracles are written block by block, with no shared code with the module.
+
+# (T, subtask_size): T=1, T < size, T % size == 0, size 1, short last blocks
+PARTITION_GRID = [
+    (1, 1), (1, 20), (3, 20), (19, 20), (20, 20), (40, 20), (200, 20),
+    (7, 1), (40, 1), (7, 3), (19, 7), (41, 20), (50, 20), (201, 20), (10, 4),
+]  # fmt: skip
+
+
+def loop_blocks(num_frames, subtask_size):
+    """(start, end) per block: every subtask_size frames from 0, the last one clipped to T."""
+    return [(s, min(s + subtask_size, num_frames)) for s in range(0, num_frames, subtask_size)]
+
+
+@pytest.mark.parametrize("t, n", PARTITION_GRID)
+def test_subtask_bounds_match_loop_oracle(t, n):
+    blocks = loop_blocks(t, n)
+    bounds = subtask_bounds(t, n)
+    assert np.array_equal(bounds, [0] + [end for _, end in blocks])
+    assert num_subtasks(t, n) == len(blocks)
+
+
+@pytest.mark.parametrize("t, n", PARTITION_GRID)
+def test_block_means_match_loop_oracle(t, n):
+    values = substream(11, "means", t, n).uniform(0.0, 1.0, size=t)
+    want = np.array([values[a:b].mean() for a, b in loop_blocks(t, n)])
+    got = block_means(values, subtask_bounds(t, n))
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("t, n", PARTITION_GRID)
+def test_task_labels_match_loop_oracle(t, n):
+    rng = substream(11, "labels", t, n)
+    for keyframes in (
+        (rng.random(t) < 0.15).astype(np.uint8),
+        np.zeros(t, dtype=np.uint8),
+        np.ones(t, dtype=np.uint8),
+    ):
+        want = [int(keyframes[a:b].any()) for a, b in loop_blocks(t, n)]
+        got = derive_task_labels(keyframes, n)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("t, n", PARTITION_GRID)
+def test_sub_reward_score_grad_matches_loop_oracle(t, n):
+    blocks = loop_blocks(t, n)
+    rng = substream(11, "grad", t, n)
+    means = rng.uniform(0.1, 0.9, size=len(blocks))
+    probs = rng.uniform(0.1, 0.9, size=len(blocks))
+    probs[::3] = means[::3]  # agreement: the subgradient 0
+    r = sub_reward(means, probs)
+    want = np.zeros(t)
+    for i, (a, b) in enumerate(blocks):
+        want[a:b] = -r * np.sign(means[i] - probs[i]) / (len(blocks) * (b - a))
+    assert np.array_equal(sub_reward_score_grad(means, probs, subtask_bounds(t, n)), want)
+
+
+def test_block_means_over_shot_partition_bounds(rng):
+    for _ in range(20):
+        t = int(rng.integers(1, 150))
+        cuts = rng.choice(np.arange(1, t), size=min(int(rng.integers(0, 12)), t - 1), replace=False)
+        part = partition_from_change_points(sorted(cuts.tolist()), t)
+        scores = rng.random(t)
+        want = np.array([scores[a:b].mean() for a, b in part.shots])
+        assert np.array_equal(block_means(scores, part.bounds), want)
+        assert part.bounds.tolist() == [0, *part.change_points, t]
 
 
 # --- keyframe and label derivation -----------------------------------------
@@ -115,8 +188,9 @@ def test_label_consistency_property(rng):
         scores = rng.random(t)
         p = derive_keyframes(scores, 0.15)
         y = derive_task_labels(p, n)
-        for v in subtask_views(t, n):
-            assert y[v.index] == int(p[v.start : v.end].any())
+        bounds = subtask_bounds(t, n)
+        for i, (start, end) in enumerate(zip(bounds[:-1], bounds[1:])):
+            assert y[i] == int(p[start:end].any())
 
 
 # --- feature files ----------------------------------------------------------

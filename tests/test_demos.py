@@ -64,3 +64,19 @@ def test_quick_demos_run(tmp_path):
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-4000:]
     assert proc.stdout.count("--- demo ") == len(demos)
     assert sorted(p.name for p in tmpdir.iterdir()) == [], "a demo left files in TMPDIR"
+
+
+def test_dataset_roundtrip_writes_only_inside_its_out_dir(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / "dataset_roundtrip.py"), str(tmp_path / "out")],
+        env=env,
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-4000:]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["demo_data", "demo_data_again"]

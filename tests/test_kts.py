@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hiersum.data import ConfigurationError
+from hiersum.data import ConfigurationError, block_means
 from hiersum.kts import (
     _DP_BLOCK_ROWS,
     ShotPartition,
@@ -14,7 +14,6 @@ from hiersum.kts import (
     min_costs_per_shot_count,
     partition_from_change_points,
     segment_costs,
-    shot_scores,
 )
 from hiersum.seeding import substream
 
@@ -296,7 +295,7 @@ def test_kts_memory_bound_raises_before_allocating():
 
 def test_shot_scores_example():
     part = partition_from_change_points([2], 5)
-    means = shot_scores(part, np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+    means = block_means(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), part.bounds)
     assert means.tolist() == [1.5, 4.0]
 
 
@@ -304,7 +303,7 @@ def test_shot_scores_mean_oracle():
     rng = substream(39, "kts")
     part = partition_from_change_points([4, 9, 15], 20)
     scores = rng.random(20)
-    means = shot_scores(part, scores)
+    means = block_means(scores, part.bounds)
     for i, (a, b) in enumerate(part.shots):
         assert means[i] == np.mean(scores[a:b])
 
@@ -312,4 +311,4 @@ def test_shot_scores_mean_oracle():
 def test_shot_scores_length_check():
     part = partition_from_change_points([2], 5)
     with pytest.raises(ValueError, match="5 frames"):
-        shot_scores(part, np.ones(4))
+        block_means(np.ones(4), part.bounds)

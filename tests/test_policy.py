@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hiersum.data import subtask_views
+from hiersum.data import subtask_bounds
 from hiersum.nn import grad_check
 from hiersum import policy
 from hiersum.policy import (
@@ -84,7 +84,7 @@ def test_forward_shapes():
     store = init_policy(6, 5, substream(52, "init"))
     feats = substream(52, "x").normal(size=(50, 6))
     mfwd = manager_forward(store, feats, 20)
-    assert [v.length for v in mfwd.views] == [20, 20, 10]
+    assert np.diff(mfwd.bounds).tolist() == [20, 20, 10]
     assert mfwd.subgoals.shape == (3, 5)
     assert mfwd.probs.shape == (3,)
     wfwd = worker_forward(store, feats, mfwd.subgoals, 20)
@@ -187,10 +187,10 @@ def test_worker_forward_matches_replay():
     mfwd = manager_forward(store, feats, 4)
     wfwd = worker_forward(store, feats, mfwd.subgoals, 4)
     hs = replay_lstm(store, "worker.lstm", feats)  # one chain across subtasks
-    views = subtask_views(11, 4)
-    for v in views:
-        for t in range(v.start, v.end):
-            cat = np.concatenate([mfwd.subgoals[v.index], hs[t]])
+    bounds = subtask_bounds(11, 4)
+    for i, (start, end) in enumerate(zip(bounds[:-1], bounds[1:])):
+        for t in range(start, end):
+            cat = np.concatenate([mfwd.subgoals[i], hs[t]])
             assert np.allclose(wfwd.concat[t], cat, atol=1e-10)
             mixed = replay_affine(store, "worker.mix", cat)
             logit = replay_affine(store, "worker.head", mixed)[0]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from hiersum.data import subtask_views
+from hiersum.data import block_means, subtask_bounds
 from hiersum.rewards import (
     RewardBreakdown,
     combine,
@@ -16,7 +16,6 @@ from hiersum.rewards import (
     representativeness_reward,
     sub_reward,
     sub_reward_score_grad,
-    subtask_score_means,
 )
 from hiersum.seeding import substream
 
@@ -141,21 +140,21 @@ def test_sub_reward_shape_check():
 
 
 def test_subtask_score_means_short_tail():
-    views = subtask_views(7, 3)  # lengths 3, 3, 1
+    bounds = subtask_bounds(7, 3)  # lengths 3, 3, 1
     scores = np.array([0.0, 0.25, 0.5, 1.0, 1.0, 0.25, 0.9])
-    means = subtask_score_means(scores, views)
+    means = block_means(scores, bounds)
     assert means.tolist() == [0.25, 0.75, 0.9]
 
 
 def test_sub_reward_score_grad_matches_finite_differences():
-    views = subtask_views(10, 4)  # lengths 4, 4, 2
+    bounds = subtask_bounds(10, 4)  # lengths 4, 4, 2
     probs = np.array([0.2, 0.9, 0.5])
     scores = substream(47, "r").uniform(0.05, 0.95, size=10)
 
     def f(s):
-        return sub_reward(subtask_score_means(s, views), probs)
+        return sub_reward(block_means(s, bounds), probs)
 
-    grad = sub_reward_score_grad(subtask_score_means(scores, views), probs, views)
+    grad = sub_reward_score_grad(block_means(scores, bounds), probs, bounds)
     h = 1e-6
     for t in range(10):
         bump = np.zeros(10)
@@ -165,10 +164,10 @@ def test_sub_reward_score_grad_matches_finite_differences():
 
 
 def test_sub_reward_score_grad_zero_at_agreement():
-    views = subtask_views(4, 2)
+    bounds = subtask_bounds(4, 2)
     scores = np.array([0.3, 0.5, 0.6, 0.8])
-    probs = subtask_score_means(scores, views)  # means match exactly
-    grad = sub_reward_score_grad(probs, probs, views)
+    probs = block_means(scores, bounds)  # means match exactly
+    grad = sub_reward_score_grad(probs, probs, bounds)
     assert not grad.any()
 
 
@@ -189,16 +188,16 @@ def test_combine_alpha_range():
 
 def test_episode_reward_composition():
     feats = substream(48, "r").normal(size=(8, 4))
-    views = subtask_views(8, 4)
+    bounds = subtask_bounds(8, 4)
     scores = substream(48, "s").uniform(0.1, 0.9, size=8)
     probs = np.array([0.4, 0.8])
     selected = np.array([1, 4, 6])
-    bd = episode_reward(feats, selected, subtask_score_means(scores, views), probs, alpha=0.25)
+    bd = episode_reward(feats, selected, block_means(scores, bounds), probs, alpha=0.25)
     assert isinstance(bd, RewardBreakdown)
     assert bd.r_d == diversity_reward(feats, selected)
     assert bd.r_rep == representativeness_reward(feats, selected)
     assert bd.r_dr == (bd.r_d + bd.r_rep) / 2.0
-    assert bd.r_sub == sub_reward(subtask_score_means(scores, views), probs)
+    assert bd.r_sub == sub_reward(block_means(scores, bounds), probs)
     assert bd.r == combine(bd.r_dr, bd.r_sub, alpha=0.25)
     assert bd.alpha == 0.25
 
@@ -206,9 +205,9 @@ def test_episode_reward_composition():
 @pytest.mark.parametrize("t, d", [(12, 5), (200, 16), (300, 64)])
 def test_episode_rewards_rows_match_per_episode_rewards_bit_for_bit(t, d):
     feats = substream(49, "r", t).normal(size=(t, d))
-    views = subtask_views(t, 5)
-    score_means = subtask_score_means(substream(49, "s", t).uniform(0.1, 0.9, size=t), views)
-    probs = substream(49, "p", t).uniform(0.1, 0.9, size=len(views))
+    bounds = subtask_bounds(t, 5)
+    score_means = block_means(substream(49, "s", t).uniform(0.1, 0.9, size=t), bounds)
+    probs = substream(49, "p", t).uniform(0.1, 0.9, size=bounds.size - 1)
     actions = (substream(49, "a", t).random((6, t)) < 0.3).astype(np.uint8)
     actions[0] = 0  # empty: the worst case
     actions[1] = 0

@@ -15,7 +15,8 @@ from hiersum.policy import (
     worker_forward,
     worker_param_names,
 )
-from hiersum.rewards import episode_reward, subtask_score_means
+from hiersum.data import block_means
+from hiersum.rewards import episode_reward
 from hiersum.seeding import substream
 from hiersum.training import (
     TrainConfig,
@@ -149,7 +150,7 @@ def test_matched_baseline_single_episode_is_a_fixed_point(tiny_dataset):
     bd = episode_reward(
         feats,
         ep.selected,
-        subtask_score_means(wfwd.scores, wfwd.views),
+        block_means(wfwd.scores, wfwd.bounds),
         mfwd.probs,
         config.alpha,
     )
@@ -172,7 +173,7 @@ def test_score_reward_term_updates_even_at_matched_baseline(tiny_dataset):
     bd = episode_reward(
         feats,
         ep.selected,
-        subtask_score_means(wfwd.scores, wfwd.views),
+        block_means(wfwd.scores, wfwd.bounds),
         mfwd.probs,
         config.alpha,
     )
