@@ -19,7 +19,7 @@ from hiersum.data import budget_count
 
 def main(out_dir):
     manifest_path = generate_synthetic(
-        out_dir / "demo_data", seed=42, videos=5, frames=80, dims=8, subtask_size=20, users=3
+        out_dir / "demo_data", seed=42, videos=5, frames=80, dims=8, users=3
     )
     print(f"wrote dataset under {out_dir}")
     print(f"manifest: {manifest_path}")
@@ -49,8 +49,7 @@ def main(out_dir):
 
     # the generator is a pure function of its seed
     again = generate_synthetic(
-        out_dir / "demo_data_again", seed=42, videos=5, frames=80, dims=8,
-        subtask_size=20, users=3,
+        out_dir / "demo_data_again", seed=42, videos=5, frames=80, dims=8, users=3
     )
     same = load_dataset(again)
     identical = all(

@@ -19,7 +19,7 @@ from hiersum import (
     substream,
     subtask_bounds,
 )
-from hiersum.rewards import combine
+from hiersum.rewards import DEFAULT_ALPHA, combine
 
 rng = substream(3, "demo")
 
@@ -58,6 +58,6 @@ for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
 # full breakdown for one sampled-looking episode
 scores = np.clip(rng.uniform(0.2, 0.8, size=20), 0.0, 1.0)
 score_means = block_means(scores, subtask_bounds(20, 10))
-bd = episode_reward(feats, np.array([0, 4, 10, 17]), score_means, np.array([0.7, 0.6]))
+bd = episode_reward(feats, np.array([0, 4, 10, 17]), score_means, np.array([0.7, 0.6]), DEFAULT_ALPHA)
 print(f"\nfull breakdown: R_d={bd.r_d:.4f} R_rep={bd.r_rep:.4f} "
-      f"R_dr={bd.r_dr:.4f} R_sub={bd.r_sub:.4f} -> R={bd.r:.4f} (alpha={bd.alpha})")
+      f"R_dr={(bd.r_d + bd.r_rep) / 2:.4f} R_sub={bd.r_sub:.4f} -> R={bd.r:.4f} (alpha={DEFAULT_ALPHA})")

@@ -24,8 +24,7 @@ SEED = 0
 # load_dataset reads every file, so the dataset on disk can go once it is loaded
 with tempfile.TemporaryDirectory() as tmp:
     manifest_path = generate_synthetic(
-        Path(tmp) / "train_demo", seed=SEED, videos=20, frames=200, dims=16,
-        subtask_size=20, users=3,
+        Path(tmp) / "train_demo", seed=SEED, videos=20, frames=200, dims=16, users=3
     )
     dataset = load_dataset(manifest_path)
 print(f"dataset: {len(dataset.videos)} videos x {dataset.videos[0].num_frames} frames, "
@@ -49,11 +48,11 @@ rows = []
 for video in dataset.videos:
     feats = video.features.features
     scores = greedy_scores(store, feats, config.subtask_size)
-    summary, _ = make_summary(feats, scores)
+    summary = make_summary(feats, scores)
     f_trained = video_f_for_mask(video, summary.frame_mask, mode)
 
     rand = substream(SEED, "baseline", video.video_id).random(video.num_frames)
-    summary, _ = make_summary(feats, rand)
+    summary = make_summary(feats, rand)
     f_random = video_f_for_mask(video, summary.frame_mask, mode)
     rows.append((video.video_id, f_trained, f_random))
 

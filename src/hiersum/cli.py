@@ -43,7 +43,6 @@ def build_parser():
     gen.add_argument("--frames", type=int, default=200)
     gen.add_argument("--dim", type=int, default=16)
     gen.add_argument("--users", type=int, default=3)
-    gen.add_argument("--subtask-size", type=int, default=20)
     gen.add_argument("--keyframe-fraction", type=float, default=DEFAULT_KEYFRAME_FRACTION)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--name", default="synthetic")
@@ -85,8 +84,8 @@ def build_parser():
 
 def _check_usage(parser, args):
     if args.command == "gen-synthetic":
-        if min(args.videos, args.frames, args.dim, args.users, args.subtask_size) < 1:
-            parser.error("--videos, --frames, --dim, --users, --subtask-size must be >= 1")
+        if min(args.videos, args.frames, args.dim, args.users) < 1:
+            parser.error("--videos, --frames, --dim, --users must be >= 1")
         if not 0.0 < args.keyframe_fraction < 1.0:
             parser.error("--keyframe-fraction must be in (0, 1)")
     elif args.command == "train":
@@ -120,7 +119,6 @@ def cmd_gen_synthetic(args):
         videos=args.videos,
         frames=args.frames,
         dims=args.dim,
-        subtask_size=args.subtask_size,
         keyframe_fraction=args.keyframe_fraction,
         users=args.users,
         name=args.name,
@@ -160,7 +158,7 @@ def cmd_summarize(args):
     check_memory(feats.shape[0], args.max_shots, args.video)
     scores = greedy_scores(store, feats, meta["subtask_size"])
     video_id = Path(args.video).stem
-    summary, _ = make_summary(
+    summary = make_summary(
         feats,
         scores,
         budget_fraction=args.budget,

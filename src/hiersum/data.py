@@ -112,8 +112,8 @@ class FeatureSequence:
         return self.features.shape[1]
 
 
-def derive_keyframes(mean_scores, budget_fraction=DEFAULT_KEYFRAME_FRACTION):
-    """Mark the ceil(budget_fraction * T) highest-scoring frames as keyframes.
+def derive_keyframes(mean_scores):
+    """Mark the ceil(DEFAULT_KEYFRAME_FRACTION * T) highest-scoring frames as keyframes.
 
     Ties break toward the lower frame index.
     """
@@ -122,9 +122,7 @@ def derive_keyframes(mean_scores, budget_fraction=DEFAULT_KEYFRAME_FRACTION):
         raise ValueError("mean_scores must be a non-empty 1-D vector")
     if not np.all(np.isfinite(scores)):
         raise ValueError("mean_scores contain non-finite values")
-    if not 0.0 < budget_fraction < 1.0:
-        raise ValueError(f"budget_fraction must be in (0, 1), got {budget_fraction}")
-    k = budget_count(budget_fraction, scores.size)
+    k = budget_count(DEFAULT_KEYFRAME_FRACTION, scores.size)
     order = np.argsort(-scores, kind="stable")
     keyframes = np.zeros(scores.size, dtype=np.uint8)
     keyframes[order[:k]] = 1
@@ -177,7 +175,7 @@ class AnnotationSet:
                 )
             summaries = (summaries != 0).astype(np.uint8)
         mean_scores = scores.mean(axis=0)
-        keyframes = derive_keyframes(mean_scores, DEFAULT_KEYFRAME_FRACTION)
+        keyframes = derive_keyframes(mean_scores)
         return cls(
             per_user_scores=scores,
             mean_scores=mean_scores,
@@ -274,7 +272,6 @@ class VideoEntry:
 class DatasetManifest:
     name: str
     feature_dim: int
-    subtask_size: int
     videos: list[VideoEntry]
     f_aggregate: str = "mean"  # per-user F-score combination: "max" or "mean"
     root: Path | None = None  # directory of the manifest file, not serialized
@@ -283,7 +280,6 @@ class DatasetManifest:
         doc = {
             "name": self.name,
             "feature_dim": int(self.feature_dim),
-            "subtask_size": int(self.subtask_size),
             "f_aggregate": self.f_aggregate,
             "videos": [
                 {"id": v.video_id, "features": v.features, "annotations": v.annotations}
@@ -300,14 +296,14 @@ def save_manifest(path, manifest):
 
 
 def load_manifest(path):
+    """Read and check a manifest; unknown keys (older ones carry subtask_size) are ignored."""
     path = Path(path)
     doc = _read_json_object(path, "manifest")
-    for key in ("name", "feature_dim", "subtask_size", "videos"):
+    for key in ("name", "feature_dim", "videos"):
         if key not in doc:
             raise ValidationError(f"{path}: manifest missing '{key}'")
-    for key in ("feature_dim", "subtask_size"):
-        if type(doc[key]) is not int or doc[key] < 1:
-            raise ValidationError(f"{path}: '{key}' must be a positive integer")
+    if type(doc["feature_dim"]) is not int or doc["feature_dim"] < 1:
+        raise ValidationError(f"{path}: 'feature_dim' must be a positive integer")
     f_aggregate = doc.get("f_aggregate", "mean")
     if f_aggregate not in ("max", "mean"):
         raise ValidationError(f"{path}: f_aggregate must be 'max' or 'mean'")
@@ -329,7 +325,6 @@ def load_manifest(path):
     return DatasetManifest(
         name=doc["name"],
         feature_dim=doc["feature_dim"],
-        subtask_size=doc["subtask_size"],
         videos=videos,
         f_aggregate=f_aggregate,
         root=path.parent,
@@ -424,7 +419,6 @@ def generate_synthetic(
     videos=20,
     frames=200,
     dims=16,
-    subtask_size=20,
     keyframe_fraction=DEFAULT_KEYFRAME_FRACTION,
     users=3,
     name="synthetic",
@@ -437,8 +431,8 @@ def generate_synthetic(
     elsewhere with small jitter, so the derived keyframes recover the planted
     ones. Output is byte-identical for a given seed.
     """
-    if min(videos, frames, dims, subtask_size, users) < 1:
-        raise ValueError("videos, frames, dims, subtask_size, and users must be positive")
+    if min(videos, frames, dims, users) < 1:
+        raise ValueError("videos, frames, dims, and users must be positive")
     if not 0.0 < keyframe_fraction < 1.0:
         raise ValueError(f"keyframe_fraction must be in (0, 1), got {keyframe_fraction}")
     out = Path(out_dir)
@@ -475,7 +469,6 @@ def generate_synthetic(
     manifest = DatasetManifest(
         name=name,
         feature_dim=dims,
-        subtask_size=subtask_size,
         videos=entries,
         f_aggregate="mean",
         root=out,

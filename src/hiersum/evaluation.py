@@ -146,7 +146,7 @@ def evaluate_video(
     """
     result = {"video_id": video.video_id}
     if "F" in keys:
-        summary, _ = make_summary(
+        summary = make_summary(
             video.features.features,
             scores,
             budget_fraction=budget_fraction,

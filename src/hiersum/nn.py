@@ -16,6 +16,7 @@ its batch of one. Its zero-padded gates take T_max * B * 4H * 8 bytes.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -238,14 +239,18 @@ def affine_backward(store, prefix, x, dout):
 
 
 class Adam:
-    """Adam with per-parameter step counts so disjoint groups update independently."""
+    """Adam at a given learning rate, with the usual constant beta1, beta2 and eps.
 
-    def __init__(self, store, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    Step counts are per parameter, so disjoint groups update independently.
+    """
+
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, store, lr=1e-3):
         self.store = store
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = {name: np.zeros_like(p) for name, p in store.params.items()}
         self.v = {name: np.zeros_like(p) for name, p in store.params.items()}
         self.t = {name: 0 for name in store.params}
@@ -308,14 +313,20 @@ def load_checkpoint(path):
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed checkpoint header ({exc!r})") from exc
         store = ParamStore()
+        file_size = os.fstat(fh.fileno()).st_size
         for name, shape in specs:
             if any(n < 0 for n in shape):
                 raise ValueError(f"{path}: parameter '{name}' has negative shape {list(shape)}")
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(8 * count)
-            if len(raw) != 8 * count:
-                raise ValueError(f"{path}: truncated payload for '{name}'")
-            store.add(name, np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
+            if name in store:
+                raise ValueError(f"{path}: parameter '{name}' is listed twice")
+            nbytes = 8 * math.prod(shape)  # Python ints, which cannot wrap around
+            if nbytes > file_size - fh.tell():
+                raise ValueError(f"{path}: truncated payload for '{name}' of shape {list(shape)}")
+            try:  # a shape with no elements can still be too large for numpy
+                value = np.frombuffer(fh.read(nbytes), dtype="<f8").reshape(shape)
+            except ValueError as exc:
+                raise ValueError(f"{path}: parameter '{name}' shape {list(shape)}: {exc}") from None
+            store.add(name, value)  # copies the read-only buffer
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after last parameter")
     return store, meta

@@ -65,26 +65,36 @@ def init_policy(feature_dim, hidden, rng):
     return store
 
 
+def policy_shapes(feature_dim, hidden):
+    """{name: shape} of the parameters init_policy gives, in its order, with none allocated."""
+    d, h = feature_dim, hidden
+    lstm = {"lstm.Wx": (d, 4 * h), "lstm.Wh": (h, 4 * h), "lstm.b": (4 * h,)}
+    head = {"head.W": (1, h), "head.b": (1,)}
+    mix = {"mix.W": (h, 2 * h), "mix.b": (h,)}
+    nets = {"manager": {**lstm, **head}, "worker": {**lstm, **mix, **head}}
+    return {f"{net}.{key}": shape for net, layers in nets.items() for key, shape in layers.items()}
+
+
 def check_checkpoint(path, store, meta, feature_dim, source):
     """Reject a loaded checkpoint that does not fit init_policy or the features to score.
 
-    The meta must hold positive integers feature_dim, hidden and subtask_size,
-    and the parameters must have exactly the names and shapes init_policy
-    gives for that feature_dim and hidden. The meta's feature_dim must equal
-    feature_dim, the width of source (the features file or the dataset).
+    The meta must hold positive integers (not booleans) feature_dim, hidden
+    and subtask_size, and the parameters must have exactly the names and
+    shapes init_policy gives for that feature_dim and hidden (policy_shapes,
+    which allocates nothing). The meta's feature_dim must equal feature_dim,
+    the width of source (the features file or the dataset).
     """
     for key in ("feature_dim", "hidden", "subtask_size"):
         value = meta.get(key)
-        if not isinstance(value, int) or value < 1:
+        if type(value) is not int or value < 1:
             raise ConfigurationError(f"{path}: meta.{key} is {value!r}, not a positive integer")
-    layout = init_policy(meta["feature_dim"], meta["hidden"], np.random.default_rng(0))
-    for name in layout.names():
+    layout = policy_shapes(meta["feature_dim"], meta["hidden"])
+    for name, shape in layout.items():
         if name not in store:
             raise ConfigurationError(f"{path}: parameter '{name}' is missing")
-        if store[name].shape != layout[name].shape:
+        if store[name].shape != shape:
             raise ConfigurationError(
-                f"{path}: parameter '{name}' has shape {store[name].shape}, "
-                f"expected {layout[name].shape}"
+                f"{path}: parameter '{name}' has shape {store[name].shape}, expected {shape}"
             )
     extra = [name for name in store.names() if name not in layout]
     if extra:
@@ -108,7 +118,6 @@ def worker_param_names(store):
 class ManagerForward:
     bounds: np.ndarray  # (N + 1,) subtask bounds, as subtask_bounds gives them
     subgoals: np.ndarray  # (N, H), hidden state at each subtask's last frame
-    logits: np.ndarray  # (N,)
     raw: np.ndarray  # (N,) sigmoid outputs before clamping
     probs: np.ndarray  # (N,) clamped subtask probabilities
     clamp_mask: np.ndarray
@@ -120,11 +129,10 @@ def manager_forward(store, features, subtask_size):
     bounds = subtask_bounds(feats.shape[0], subtask_size)
     hs, cache = lstm_forward(store, "manager.lstm", feats)
     subgoals = hs[bounds[1:] - 1]
-    logits, raw, probs, clamp_mask = manager_head(store, subgoals)
+    raw, probs, clamp_mask = manager_head(store, subgoals)
     return ManagerForward(
         bounds=bounds,
         subgoals=subgoals,
-        logits=logits,
         raw=raw,
         probs=probs,
         clamp_mask=clamp_mask,
@@ -133,11 +141,10 @@ def manager_forward(store, features, subtask_size):
 
 
 def manager_head(store, subgoals):
-    """Subtask probabilities from (N, H) subgoals; returns (logits, raw, probs, clamp_mask)."""
-    logits = affine(store, "manager.head", subgoals)[:, 0]
-    raw = sigmoid(logits)
+    """Subtask probabilities from (N, H) subgoals; returns (raw, probs, clamp_mask)."""
+    raw = sigmoid(affine(store, "manager.head", subgoals)[:, 0])
     probs, clamp_mask = clamp_prob(raw)
-    return logits, raw, probs, clamp_mask
+    return raw, probs, clamp_mask
 
 
 def manager_subgoals_batch(store, features_list, subtask_size):

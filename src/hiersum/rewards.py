@@ -28,10 +28,8 @@ DEFAULT_ALPHA = 0.5
 class RewardBreakdown:
     r_d: float
     r_rep: float
-    r_dr: float
     r_sub: float
     r: float
-    alpha: float
 
 
 def dissimilarity(x, x_other):
@@ -132,17 +130,8 @@ def episode_rewards(features, actions, score_means, subtask_probs, alpha=DEFAULT
         selected = np.flatnonzero(row)
         r_d = diversity_reward(feats, selected)
         r_rep = _representativeness(dist, selected)
-        r_dr = (r_d + r_rep) / 2.0
-        breakdowns.append(
-            RewardBreakdown(
-                r_d=r_d,
-                r_rep=r_rep,
-                r_dr=r_dr,
-                r_sub=r_sub,
-                r=combine(r_dr, r_sub, alpha),
-                alpha=alpha,
-            )
-        )
+        r = combine((r_d + r_rep) / 2.0, r_sub, alpha)
+        breakdowns.append(RewardBreakdown(r_d=r_d, r_rep=r_rep, r_sub=r_sub, r=r))
     return breakdowns
 
 

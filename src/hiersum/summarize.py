@@ -84,7 +84,7 @@ def make_summary(
 ):
     """Full post-processing pipeline: segment, score shots, select under budget."""
     partition = kts_segment(features, max_shots=max_shots, penalty_weight=penalty_weight)
-    return assemble_summary(partition, frame_scores, budget_fraction), partition
+    return assemble_summary(partition, frame_scores, budget_fraction)
 
 
 def summary_to_json(video_id, summary):

@@ -118,7 +118,7 @@ def train_worker_epoch(store, optimizer, videos, config, baselines, epoch):
     )
     for video, subgoals in zip(videos, all_subgoals):
         feats = video.features.features
-        probs = manager_head(store, subgoals)[2]
+        probs = manager_head(store, subgoals)[1]
         wfwd = worker_forward(store, feats, subgoals, config.subtask_size)
         score_means = block_means(wfwd.scores, wfwd.bounds)
         rng = substream(config.seed, "worker", video.video_id, epoch)

@@ -10,11 +10,9 @@ from hiersum.seeding import substream
 
 @pytest.fixture(scope="session")
 def tiny_dataset(tmp_path_factory):
-    """Six separable videos, T=40, D=6, subtask size 10."""
+    """Six separable videos, T=40, D=6."""
     out = tmp_path_factory.mktemp("tiny")
-    manifest = generate_synthetic(
-        out, seed=11, videos=6, frames=40, dims=6, subtask_size=10, users=3
-    )
+    manifest = generate_synthetic(out, seed=11, videos=6, frames=40, dims=6, users=3)
     return load_dataset(manifest)
 
 

@@ -431,7 +431,6 @@ def test_criterion_7_end_to_end_learning(capsys, tmp_path):
             videos=20,
             frames=200,
             dims=16,
-            subtask_size=20,
             keyframe_fraction=0.15,
             users=3,
         )
@@ -444,10 +443,10 @@ def test_criterion_7_end_to_end_learning(capsys, tmp_path):
         for video in dataset.videos:
             feats = video.features.features
             scores = greedy_scores(store, feats, config.subtask_size)
-            summary, _ = make_summary(feats, scores)
+            summary = make_summary(feats, scores)
             trained.append(video_f_for_mask(video, summary.frame_mask, f_mode))
             rand = substream(seed, "baseline", video.video_id).random(feats.shape[0])
-            rand_summary, _ = make_summary(feats, rand)
+            rand_summary = make_summary(feats, rand)
             random_baseline.append(video_f_for_mask(video, rand_summary.frame_mask, f_mode))
         rewards = [e["reward"] for e in history if e["phase"] == "worker"]
         gaps.append(float(np.mean(trained)) - float(np.mean(random_baseline)))
@@ -475,9 +474,7 @@ def test_criterion_7_end_to_end_learning(capsys, tmp_path):
 
 
 def test_criterion_8_report_fields(capsys, tmp_path):
-    manifest = generate_synthetic(
-        tmp_path / "data", seed=1, videos=10, frames=60, dims=8, subtask_size=20
-    )
+    manifest = generate_synthetic(tmp_path / "data", seed=1, videos=10, frames=60, dims=8)
     dataset = load_dataset(manifest)
     config = TrainConfig(epochs=1, episodes=2, hidden=8, subtask_size=20, seed=1)
     run = train_run(dataset, config, tmp_path / "run", folds=5)
@@ -519,7 +516,6 @@ def test_criterion_9_determinism(capsys, tmp_path):
                 "--videos", "6",
                 "--frames", "40",
                 "--dim", "6",
-                "--subtask-size", "10",
                 "--seed", "3",
             ]
         )

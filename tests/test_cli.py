@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -8,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hiersum.cli import main
+from hiersum.cli import build_parser, main
 from hiersum.data import read_annotations, read_features, write_annotations, write_features
 from hiersum.nn import load_checkpoint
 from hiersum.training import TrainConfig, new_policy
@@ -24,7 +26,6 @@ def cli_dataset(tmp_path_factory):
             "--videos", "4",
             "--frames", "30",
             "--dim", "5",
-            "--subtask-size", "10",
             "--seed", "5",
         ]
     )
@@ -74,12 +75,34 @@ def cli_run(cli_dataset, tmp_path_factory):
         ["evaluate", "--run", "r", "--dataset", "d", "--max-shots", "-4"],
         ["summarize", "--model", "m", "--video", "v", "--penalty", "-1"],
         ["evaluate", "--run", "r", "--dataset", "d", "--penalty", "-1"],
+        ["gen-synthetic", "--out", "x", "--subtask-size", "10"],  # the run sets it, not the data
     ],
 )
 def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def readme_commands():
+    """Each `hiersum ...` command of README's Command line block, continuation lines joined."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        if words and re.fullmatch(r"\w+=\S*", words[0]):  # an environment setting
+            words = words[1:]
+        if words and words[0] == "hiersum":
+            commands.append(words[1:])
+    return commands
+
+
+def test_readme_command_lines_parse():
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == ["gen-synthetic", "train", "summarize", "evaluate"]
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 # --- gen-synthetic --------------------------------------------------------------------
@@ -91,7 +114,6 @@ def test_gen_synthetic_files_and_rerun_identical(tmp_path):
         "--videos", "3",
         "--frames", "20",
         "--dim", "4",
-        "--subtask-size", "10",
         "--seed", "9",
     ]
     assert main(args + ["--out", str(tmp_path / "a")]) == 0
@@ -103,6 +125,7 @@ def test_gen_synthetic_files_and_rerun_identical(tmp_path):
     assert "manifest.json" in names_a
     for name in names_a:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    assert "subtask_size" not in json.loads((tmp_path / "a" / "manifest.json").read_text())
 
 
 # --- train ------------------------------------------------------------------------------
@@ -274,7 +297,6 @@ def test_summarize_feature_dim_mismatch_exit_1(cli_run, tmp_path, capsys):
             "--videos", "1",
             "--frames", "20",
             "--dim", "7",
-            "--subtask-size", "10",
         ]
     ) == 0
     code = main(
@@ -469,9 +491,46 @@ def negative_shape(header):
     return header
 
 
+def shape_past_file_end(header):
+    header["params"][0]["shape"] = [3, 2**61]  # 8 * 3 * 2**61 bytes overflow a read size
+    return header
+
+
+def shape_wrapping_int64(header):
+    header["params"][0]["shape"] = [2**32, 2**32]  # np.prod wraps around to 0
+    return header
+
+
+def name_listed_twice(header):
+    header["params"][1]["name"] = header["params"][0]["name"]
+    return header
+
+
+def boolean_hidden(header):
+    header["meta"]["hidden"] = True
+    return header
+
+
+def boolean_subtask_size(header):
+    header["meta"]["subtask_size"] = True
+    return header
+
+
 @pytest.mark.parametrize("command", ["summarize", "evaluate"])
 @pytest.mark.parametrize(
-    "mangle", [drop_subtask_size, drop_params, rename_param, not_an_object, negative_shape]
+    "mangle",
+    [
+        drop_subtask_size,
+        drop_params,
+        rename_param,
+        not_an_object,
+        negative_shape,
+        shape_past_file_end,
+        shape_wrapping_int64,
+        name_listed_twice,
+        boolean_hidden,
+        boolean_subtask_size,
+    ],
 )
 def test_malformed_checkpoint_header_exit_1(cli_run, cli_dataset, tmp_path, capsys, command, mangle):
     run = tmp_path / "run"
@@ -488,3 +547,5 @@ def test_malformed_checkpoint_header_exit_1(cli_run, cli_dataset, tmp_path, caps
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error:") and str(ckpt) in err
+    if mangle in (shape_past_file_end, shape_wrapping_int64, name_listed_twice):
+        assert "'manager.lstm.Wx'" in err

@@ -140,17 +140,18 @@ def test_block_means_over_shot_partition_bounds(rng):
 
 
 def test_keyframes_top_one():
-    assert derive_keyframes([0.1, 0.9, 0.5, 0.2], 0.25).tolist() == [0, 1, 0, 0]
+    assert derive_keyframes([0.1, 0.9, 0.5, 0.2]).tolist() == [0, 1, 0, 0]
 
 
 def test_keyframes_tie_breaks_by_index():
-    assert derive_keyframes([0.3, 0.3, 0.3, 0.3], 0.5).tolist() == [1, 1, 0, 0]
+    # ceil(0.15 * 20) = 3 of 20 equal scores
+    assert derive_keyframes([0.3] * 20).tolist() == [1, 1, 1] + [0] * 17
 
 
 def test_keyframes_count_matches_sort_oracle(rng):
     for _ in range(20):
         scores = rng.random(100)
-        p = derive_keyframes(scores, 0.15)
+        p = derive_keyframes(scores)
         assert int(p.sum()) == 15
         # independent oracle: sort by (-score, index), take the first 15
         order = sorted(range(100), key=lambda i: (-scores[i], i))
@@ -168,11 +169,9 @@ def test_budget_count_rounding():
 
 def test_keyframes_input_validation():
     with pytest.raises(ValueError):
-        derive_keyframes([], 0.5)
+        derive_keyframes([])
     with pytest.raises(ValueError):
-        derive_keyframes([0.1, np.nan], 0.5)
-    with pytest.raises(ValueError):
-        derive_keyframes([0.1, 0.2], 1.0)
+        derive_keyframes([0.1, np.nan])
 
 
 def test_task_labels_examples():
@@ -186,7 +185,7 @@ def test_label_consistency_property(rng):
         t = int(rng.integers(4, 80))
         n = int(rng.integers(1, 12))
         scores = rng.random(t)
-        p = derive_keyframes(scores, 0.15)
+        p = derive_keyframes(scores)
         y = derive_task_labels(p, n)
         bounds = subtask_bounds(t, n)
         for i, (start, end) in enumerate(zip(bounds[:-1], bounds[1:])):
@@ -276,7 +275,6 @@ def test_manifest_roundtrip_and_errors(tmp_path):
     manifest = DatasetManifest(
         name="demo",
         feature_dim=3,
-        subtask_size=5,
         videos=[VideoEntry("v1", "v1.vsf", "v1.json")],
     )
     path = tmp_path / "manifest.json"
@@ -298,11 +296,26 @@ def test_manifest_roundtrip_and_errors(tmp_path):
         load_manifest(path)
 
 
+@pytest.mark.parametrize("legacy", [20, 0, "x"])
+def test_manifest_legacy_subtask_size_is_ignored(tmp_path, legacy):
+    manifest = generate_synthetic(tmp_path, seed=2, videos=2, frames=30, dims=4)
+    plain = load_dataset(manifest)
+    doc = json.loads(manifest.read_text())
+    doc["subtask_size"] = legacy
+    manifest.write_text(json.dumps(doc))
+    loaded = load_dataset(manifest)
+    assert loaded.manifest == plain.manifest
+    for a, b in zip(loaded.videos, plain.videos, strict=True):
+        assert np.array_equal(a.features.features, b.features.features)
+        for field in ("per_user_scores", "mean_scores", "keyframes", "user_summaries"):
+            assert np.array_equal(getattr(a.annotations, field), getattr(b.annotations, field))
+
+
 def test_load_dataset_validates_shapes(tmp_path):
     write_features(tmp_path / "v1.vsf", np.zeros((40, 3)) + 0.5)
     write_annotations(tmp_path / "v1.json", np.full((2, 39), 0.5))
     manifest = DatasetManifest(
-        name="demo", feature_dim=3, subtask_size=5,
+        name="demo", feature_dim=3,
         videos=[VideoEntry("v1", "v1.vsf", "v1.json")],
     )
     save_manifest(tmp_path / "manifest.json", manifest)
@@ -312,7 +325,7 @@ def test_load_dataset_validates_shapes(tmp_path):
 
 def test_load_dataset_missing_file(tmp_path):
     manifest = DatasetManifest(
-        name="demo", feature_dim=3, subtask_size=5,
+        name="demo", feature_dim=3,
         videos=[VideoEntry("v1", "missing.vsf", "missing.json")],
     )
     save_manifest(tmp_path / "manifest.json", manifest)
@@ -328,16 +341,16 @@ def read_tree_bytes(root):
 
 
 def test_synthetic_deterministic(tmp_path):
-    a = generate_synthetic(tmp_path / "a", seed=7, videos=3, frames=30, dims=4, subtask_size=10)
-    b = generate_synthetic(tmp_path / "b", seed=7, videos=3, frames=30, dims=4, subtask_size=10)
+    a = generate_synthetic(tmp_path / "a", seed=7, videos=3, frames=30, dims=4)
+    b = generate_synthetic(tmp_path / "b", seed=7, videos=3, frames=30, dims=4)
     assert read_tree_bytes(a.parent) == read_tree_bytes(b.parent)
-    c = generate_synthetic(tmp_path / "c", seed=8, videos=3, frames=30, dims=4, subtask_size=10)
+    c = generate_synthetic(tmp_path / "c", seed=8, videos=3, frames=30, dims=4)
     assert read_tree_bytes(c.parent) != read_tree_bytes(a.parent)
 
 
 def test_synthetic_keyframe_count(tmp_path):
     manifest = generate_synthetic(
-        tmp_path, seed=3, videos=2, frames=200, dims=4, subtask_size=20,
+        tmp_path, seed=3, videos=2, frames=200, dims=4,
         keyframe_fraction=0.15,
     )
     ds = load_dataset(manifest)
@@ -346,7 +359,7 @@ def test_synthetic_keyframe_count(tmp_path):
 
 
 def test_synthetic_cluster_separation(tmp_path):
-    manifest = generate_synthetic(tmp_path, seed=5, videos=4, frames=120, dims=8, subtask_size=20)
+    manifest = generate_synthetic(tmp_path, seed=5, videos=4, frames=120, dims=8)
     ds = load_dataset(manifest)
     for video in ds.videos:
         key = video.annotations.keyframes.astype(bool)

@@ -309,7 +309,7 @@ def test_evaluate_run_fold_of_mixed_lengths_matches_per_video_scoring(tmp_path):
         write_features(tmp_path / f"v{i}.vsf", rng.normal(size=(frames, 6)))
         write_annotations(tmp_path / f"v{i}.json", rng.uniform(size=(2, frames)))
         entries.append(VideoEntry(f"v{i}", f"v{i}.vsf", f"v{i}.json"))
-    save_manifest(tmp_path / "manifest.json", DatasetManifest("mixed", 6, 10, entries))
+    save_manifest(tmp_path / "manifest.json", DatasetManifest("mixed", 6, entries))
     dataset = load_dataset(tmp_path / "manifest.json")
     run = make_tiny_run(dataset, tmp_path / "run")
     report = evaluate_run(run, dataset, budget_fraction=0.3)
@@ -371,9 +371,7 @@ def test_evaluate_run_missing_pieces(tiny_dataset, tmp_path):
 def test_evaluate_run_feature_dim_mismatch(tiny_dataset, tmp_path):
     run = make_tiny_run(tiny_dataset, tmp_path / "run")
     other = load_dataset(
-        generate_synthetic(
-            tmp_path / "narrow", seed=11, videos=6, frames=40, dims=5, subtask_size=10
-        )
+        generate_synthetic(tmp_path / "narrow", seed=11, videos=6, frames=40, dims=5)
     )
     with pytest.raises(ConfigurationError) as exc:
         evaluate_run(run, other)

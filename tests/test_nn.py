@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -275,6 +276,7 @@ def test_checkpoint_roundtrip(tmp_path):
     assert back.names() == ["w", "b", "s"]
     for name in store.names():
         assert np.array_equal(back[name], store[name])
+        assert back[name].flags.writeable  # a copy, not a view of the read bytes
     assert not (tmp_path / "model.ckpt.tmp").exists()
     # saving the loaded store reproduces the file byte for byte
     save_checkpoint(tmp_path / "again.ckpt", back, back_meta)
@@ -296,3 +298,9 @@ def test_checkpoint_errors(tmp_path):
     (tmp_path / "trail.ckpt").write_bytes(data + b"\x00")
     with pytest.raises(ValueError, match="trailing"):
         load_checkpoint(tmp_path / "trail.ckpt")
+    # zero elements, so no payload to read, but a shape numpy cannot hold
+    header = json.loads(data.partition(b"\n")[0])
+    header["params"][0]["shape"] = [0, 2**62]
+    (tmp_path / "huge.ckpt").write_bytes(json.dumps(header).encode() + b"\n")
+    with pytest.raises(ValueError, match=r"huge\.ckpt: parameter 'w' shape \[0, \d+\]"):
+        load_checkpoint(tmp_path / "huge.ckpt")

@@ -5,11 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hiersum.data import subtask_bounds
+from hiersum.data import ConfigurationError, subtask_bounds
 from hiersum.nn import grad_check
 from hiersum import policy
 from hiersum.policy import (
     action_log_prob,
+    check_checkpoint,
     greedy_scores,
     greedy_scores_batch,
     init_policy,
@@ -20,6 +21,7 @@ from hiersum.policy import (
     manager_loss_backward,
     manager_param_names,
     manager_subgoals_batch,
+    policy_shapes,
     sample_actions,
     sample_episodes,
     worker_backward,
@@ -78,6 +80,28 @@ def test_init_policy_layout():
     ]
     assert store["worker.mix.W"].shape == (4, 8)
     assert store["manager.lstm.Wx"].shape == (5, 16)  # (D, 4H)
+
+
+@pytest.mark.parametrize("dim, hidden", [(1, 1), (5, 4), (16, 64), (1024, 3)])
+def test_policy_shapes_match_init_policy(dim, hidden):
+    store = init_policy(dim, hidden, substream(50, "init"))
+    shapes = policy_shapes(dim, hidden)
+    assert list(shapes) == store.names()
+    assert list(shapes.values()) == [store[name].shape for name in store.names()]
+
+
+def test_check_checkpoint_rejects_a_large_hidden_without_allocating_it():
+    # parameters for hidden = 1200 at D = 4 would take about 115 MB
+    store = init_policy(4, 2, substream(50, "init"))
+    meta = {"feature_dim": 4, "hidden": 1200, "subtask_size": 5}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError, match="'manager.lstm.Wx' has shape"):
+            check_checkpoint("model.ckpt", store, meta, 4, "video.vsf")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_forward_shapes():
@@ -162,7 +186,7 @@ def test_batched_manager_pass_matches_manager_forward():
         single = manager_forward(store, feats, 10)
         assert batched.shape == single.subgoals.shape
         assert np.max(np.abs(batched - single.subgoals)) <= 1e-15
-        assert np.max(np.abs(manager_head(store, batched)[2] - single.probs)) <= 1e-15
+        assert np.max(np.abs(manager_head(store, batched)[1] - single.probs)) <= 1e-15
 
 
 # --- forward replay oracles -------------------------------------------------------
@@ -177,7 +201,6 @@ def test_manager_forward_matches_replay():
     for idx, end in enumerate([4, 9, 12]):
         assert np.allclose(mfwd.subgoals[idx], hs[end], atol=1e-10)
         logit = replay_affine(store, "manager.head", hs[end])[0]
-        assert abs(mfwd.logits[idx] - logit) < 1e-10
         assert abs(mfwd.probs[idx] - 1.0 / (1.0 + math.exp(-logit))) < 1e-10
 
 

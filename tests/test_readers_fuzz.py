@@ -42,7 +42,7 @@ def annotations_file(path):
 
 def manifest_file(path):
     videos = [VideoEntry(f"video{i}", f"video{i}.vsf", f"video{i}.json") for i in range(2)]
-    save_manifest(path, DatasetManifest("fuzz", 3, 2, videos, f_aggregate="max"))
+    save_manifest(path, DatasetManifest("fuzz", 3, videos, f_aggregate="max"))
     return path.stat().st_size
 
 

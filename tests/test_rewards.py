@@ -196,10 +196,8 @@ def test_episode_reward_composition():
     assert isinstance(bd, RewardBreakdown)
     assert bd.r_d == diversity_reward(feats, selected)
     assert bd.r_rep == representativeness_reward(feats, selected)
-    assert bd.r_dr == (bd.r_d + bd.r_rep) / 2.0
     assert bd.r_sub == sub_reward(block_means(scores, bounds), probs)
-    assert bd.r == combine(bd.r_dr, bd.r_sub, alpha=0.25)
-    assert bd.alpha == 0.25
+    assert bd.r == combine((bd.r_d + bd.r_rep) / 2.0, bd.r_sub, alpha=0.25)
 
 
 @pytest.mark.parametrize("t, d", [(12, 5), (200, 16), (300, 64)])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hiersum.kts import partition_from_change_points
+from hiersum.kts import kts_segment, partition_from_change_points
 from hiersum.seeding import substream
 from hiersum.summarize import (
     Summary,
@@ -162,12 +162,12 @@ def test_make_summary_recovers_planted_shots():
     scores = np.full(50, 0.1)
     scores[10:15] = 0.9
     scores[35:40] = 0.9
-    summary, partition = make_summary(
-        feats, scores, budget_fraction=0.2, max_shots=10, penalty_weight=0.1
-    )
+    summary = make_summary(feats, scores, budget_fraction=0.2, max_shots=10, penalty_weight=0.1)
+    partition = kts_segment(feats, max_shots=10, penalty_weight=0.1)  # the one make_summary uses
     assert partition.num_shots == 10
     assert partition.change_points == tuple(range(5, 50, 5))
     assert summary.selected_shots == (2, 7)
+    assert np.array_equal(summary.frame_mask, partition.frame_mask(summary.selected_shots))
     keyframes = np.zeros(50, dtype=np.uint8)
     keyframes[10:15] = 1
     keyframes[35:40] = 1

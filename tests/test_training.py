@@ -320,13 +320,16 @@ def test_train_run_layout(tiny_dataset, tmp_path):
 
 
 def test_manager_labels_follow_run_subtask_size_not_manifest(tmp_path):
-    # 200 frames make 10 windows at both sizes, so misaligned labels would still fit
+    # 200 frames make 10 windows at both sizes, so misaligned labels would still fit;
+    # the manifests carry a subtask_size key as older datasets do, and it must not count
     outputs = []
     for manifest_size in (20, 21):
         manifest = generate_synthetic(
-            tmp_path / f"data{manifest_size}", seed=3, videos=4, frames=200, dims=4,
-            subtask_size=manifest_size,
+            tmp_path / f"data{manifest_size}", seed=3, videos=4, frames=200, dims=4
         )
+        doc = json.loads(manifest.read_text())
+        doc["subtask_size"] = manifest_size
+        manifest.write_text(json.dumps(doc))
         config = small_config(epochs=1, episodes=2, subtask_size=21, hidden=4)
         out = train_run(load_dataset(manifest), config, tmp_path / f"run{manifest_size}", folds=2)
         kept = [p for p in sorted(out.iterdir()) if p.suffix in (".ckpt", ".jsonl")]
