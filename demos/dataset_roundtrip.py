@@ -30,21 +30,20 @@ def main(out_dir):
           f"F aggregation '{dataset.manifest.f_aggregate}'")
 
     video = dataset.videos[0]
-    ann = video.annotations
     print(f"\nfirst video: {video.video_id}")
-    print(f"  features        {video.features.features.shape}")
-    print(f"  per-user scores {ann.per_user_scores.shape}")
-    print(f"  keyframes       {int(ann.keyframes.sum())} of {video.num_frames} "
+    print(f"  features        {video.features.shape}")
+    print(f"  per-user scores {video.per_user_scores.shape}")
+    print(f"  keyframes       {int(video.keyframes.sum())} of {video.num_frames} "
           f"(budget_count(0.15, {video.num_frames}) = {budget_count(0.15, video.num_frames)})")
 
     # weak labels: one bit per fixed-length subtask saying "contains a keyframe",
     # derived at train time from the run's subtask size
     bounds = subtask_bounds(video.num_frames, 20)
-    labels = derive_task_labels(ann.keyframes, 20)
+    labels = derive_task_labels(video.keyframes, 20)
     print(f"  subtask bounds  {bounds.tolist()}")
     print(f"  task labels     {labels.tolist()}")
     for i, (start, end) in enumerate(zip(bounds[:-1], bounds[1:])):
-        inside = int(ann.keyframes[start:end].sum())
+        inside = int(video.keyframes[start:end].sum())
         print(f"    subtask {i} [{start}, {end}): {inside:2d} keyframes -> label {labels[i]}")
 
     # the generator is a pure function of its seed
@@ -53,7 +52,7 @@ def main(out_dir):
     )
     same = load_dataset(again)
     identical = all(
-        np.array_equal(a.features.features, b.features.features)
+        np.array_equal(a.features, b.features)
         for a, b in zip(dataset.videos, same.videos)
     )
     print(f"\nregenerated with the same seed -> identical features: {identical}")

@@ -46,7 +46,7 @@ for epoch, r in enumerate(rewards):
 mode = dataset.manifest.f_aggregate
 rows = []
 for video in dataset.videos:
-    feats = video.features.features
+    feats = video.features
     scores = greedy_scores(store, feats, config.subtask_size)
     summary = make_summary(feats, scores)
     f_trained = video_f_for_mask(video, summary.frame_mask, mode)

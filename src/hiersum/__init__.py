@@ -11,11 +11,10 @@ correlations against human importance scores.
 __version__ = "0.1.0"
 
 from .data import (
-    AnnotationSet,
     Dataset,
     DatasetManifest,
-    FeatureSequence,
     ValidationError,
+    Video,
     block_means,
     derive_keyframes,
     derive_task_labels,

@@ -89,18 +89,20 @@ def _check_usage(parser, args):
         if not 0.0 < args.keyframe_fraction < 1.0:
             parser.error("--keyframe-fraction must be in (0, 1)")
     elif args.command == "train":
-        if not 0.0 <= args.alpha <= 1.0:
-            parser.error("--alpha must be in [0, 1]")
-        if args.epochs < 0:
-            parser.error("--epochs must be >= 0")
-        if args.episodes < 1:
-            parser.error("--episodes must be >= 1")
-        if min(args.subtask_size, args.hidden) < 1:
-            parser.error("--subtask-size, --hidden must be >= 1")
-        if args.lr <= 0:
-            parser.error("--lr must be > 0")
-        if not 0.0 <= args.baseline_momentum < 1.0:
-            parser.error("--baseline-momentum must be in [0, 1)")
+        args.config = TrainConfig(
+            epochs=args.epochs,
+            episodes=args.episodes,
+            alpha=args.alpha,
+            subtask_size=args.subtask_size,
+            hidden=args.hidden,
+            learning_rate=args.lr,
+            baseline_momentum=args.baseline_momentum,
+            seed=args.seed,
+        )
+        try:
+            args.config.validate()
+        except ValueError as exc:
+            parser.error(str(exc))
         if args.folds < 2 and not args.no_cv:
             parser.error("--folds must be >= 2 (or pass --no-cv)")
     elif args.command in ("summarize", "evaluate"):
@@ -129,19 +131,9 @@ def cmd_gen_synthetic(args):
 
 def cmd_train(args):
     dataset = load_dataset(args.dataset)
-    config = TrainConfig(
-        epochs=args.epochs,
-        episodes=args.episodes,
-        alpha=args.alpha,
-        subtask_size=args.subtask_size,
-        hidden=args.hidden,
-        learning_rate=args.lr,
-        baseline_momentum=args.baseline_momentum,
-        seed=args.seed,
-    )
     out = train_run(
         dataset,
-        config,
+        args.config,
         args.out,
         folds=args.folds,
         no_cv=args.no_cv,

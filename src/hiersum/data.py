@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -78,40 +78,6 @@ def block_means(values, bounds):
     return np.array([values[start:end].mean() for start, end in zip(edges[:-1], edges[1:])])
 
 
-@dataclass
-class FeatureSequence:
-    """Per-video frame features, one row per (already subsampled) frame."""
-
-    video_id: str
-    features: np.ndarray  # (T, D) float64
-
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
-            raise ValidationError(
-                f"video '{self.video_id}': features must be a non-empty 2-D matrix"
-            )
-        if not np.all(np.isfinite(feats)):
-            raise ValidationError(
-                f"video '{self.video_id}': features contain non-finite values"
-            )
-        zero_frames = np.flatnonzero(~feats.any(axis=1))
-        if zero_frames.size:
-            # cosine dissimilarity in the diversity reward is undefined for them
-            raise ValidationError(
-                f"video '{self.video_id}': frame {zero_frames[0]} has all-zero features"
-            )
-        self.features = feats
-
-    @property
-    def num_frames(self):
-        return self.features.shape[0]
-
-    @property
-    def feature_dim(self):
-        return self.features.shape[1]
-
-
 def derive_keyframes(mean_scores):
     """Mark the ceil(DEFAULT_KEYFRAME_FRACTION * T) highest-scoring frames as keyframes.
 
@@ -134,58 +100,6 @@ def derive_task_labels(keyframes, subtask_size):
     p = np.asarray(keyframes).astype(bool)
     starts = subtask_bounds(p.size, subtask_size)[:-1]
     return np.logical_or.reduceat(p, starts).astype(np.uint8)
-
-
-@dataclass
-class AnnotationSet:
-    """Multi-user importance scores plus the derived keyframes."""
-
-    per_user_scores: np.ndarray  # (U, T) float64 in [0, 1]
-    mean_scores: np.ndarray  # (T,)
-    keyframes: np.ndarray  # (T,) uint8
-    user_summaries: np.ndarray | None = None  # (U, T) uint8
-
-    @classmethod
-    def from_scores(
-        cls,
-        per_user_scores,
-        user_summaries=None,
-        video_id="<unknown>",
-    ):
-        scores = np.asarray(per_user_scores, dtype=np.float64)
-        if scores.ndim != 2 or scores.shape[0] < 1 or scores.shape[1] < 1:
-            raise ValidationError(
-                f"video '{video_id}': per_user_scores must be a non-empty U x T matrix"
-            )
-        if not np.all(np.isfinite(scores)):
-            raise ValidationError(
-                f"video '{video_id}': per_user_scores contain non-finite values"
-            )
-        if scores.min() < 0.0 or scores.max() > 1.0:
-            raise ValidationError(
-                f"video '{video_id}': per_user_scores must lie in [0, 1]"
-            )
-        summaries = None
-        if user_summaries is not None:
-            summaries = np.asarray(user_summaries)
-            if summaries.shape != scores.shape:
-                raise ValidationError(
-                    f"video '{video_id}': user_summaries shape {summaries.shape} "
-                    f"does not match per_user_scores shape {scores.shape}"
-                )
-            summaries = (summaries != 0).astype(np.uint8)
-        mean_scores = scores.mean(axis=0)
-        keyframes = derive_keyframes(mean_scores)
-        return cls(
-            per_user_scores=scores,
-            mean_scores=mean_scores,
-            keyframes=keyframes,
-            user_summaries=summaries,
-        )
-
-    @property
-    def num_frames(self):
-        return self.per_user_scores.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -333,16 +247,70 @@ def load_manifest(path):
 
 @dataclass
 class Video:
-    features: FeatureSequence
-    annotations: AnnotationSet
+    """One video's frame features and multi-user importance scores, checked together.
 
-    @property
-    def video_id(self):
-        return self.features.video_id
+    The checks name the video and raise ValidationError. mean_scores and the
+    keyframes are derived from the scores; user_summaries, when given, are
+    turned into 0/1 uint8 masks.
+    """
+
+    video_id: str
+    features: np.ndarray  # (T, D) float64, one row per (already subsampled) frame
+    per_user_scores: np.ndarray  # (U, T) float64 in [0, 1]
+    user_summaries: np.ndarray | None = None  # (U, T) uint8
+    mean_scores: np.ndarray = field(init=False)  # (T,)
+    keyframes: np.ndarray = field(init=False)  # (T,) uint8
+
+    def __post_init__(self):
+        feats = np.asarray(self.features, dtype=np.float64)
+        scores = np.asarray(self.per_user_scores, dtype=np.float64)
+        if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
+            raise ValidationError(
+                f"video '{self.video_id}': features must be a non-empty 2-D matrix"
+            )
+        if scores.ndim != 2 or scores.shape[1] != feats.shape[0]:
+            raise ValidationError(
+                f"video '{self.video_id}': {feats.shape[0]} feature rows but "
+                f"annotation scores have shape {scores.shape}"
+            )
+        if not np.all(np.isfinite(feats)):
+            raise ValidationError(
+                f"video '{self.video_id}': features contain non-finite values"
+            )
+        zero_frames = np.flatnonzero(~feats.any(axis=1))
+        if zero_frames.size:
+            # cosine dissimilarity in the diversity reward is undefined for them
+            raise ValidationError(
+                f"video '{self.video_id}': frame {zero_frames[0]} has all-zero features"
+            )
+        if scores.shape[0] < 1:
+            raise ValidationError(
+                f"video '{self.video_id}': per_user_scores must be a non-empty U x T matrix"
+            )
+        if not np.all(np.isfinite(scores)):
+            raise ValidationError(
+                f"video '{self.video_id}': per_user_scores contain non-finite values"
+            )
+        if scores.min() < 0.0 or scores.max() > 1.0:
+            raise ValidationError(
+                f"video '{self.video_id}': per_user_scores must lie in [0, 1]"
+            )
+        if self.user_summaries is not None:
+            summaries = np.asarray(self.user_summaries)
+            if summaries.shape != scores.shape:
+                raise ValidationError(
+                    f"video '{self.video_id}': user_summaries shape {summaries.shape} "
+                    f"does not match per_user_scores shape {scores.shape}"
+                )
+            self.user_summaries = (summaries != 0).astype(np.uint8)
+        self.features = feats
+        self.per_user_scores = scores
+        self.mean_scores = scores.mean(axis=0)
+        self.keyframes = derive_keyframes(self.mean_scores)
 
     @property
     def num_frames(self):
-        return self.features.num_frames
+        return self.features.shape[0]
 
 
 @dataclass
@@ -373,18 +341,7 @@ def load_dataset(manifest_path):
                 f"video '{entry.video_id}': feature dim {feats.shape[1]} "
                 f"does not match manifest feature_dim {manifest.feature_dim}"
             )
-        if scores.ndim != 2 or scores.shape[1] != feats.shape[0]:
-            raise ValidationError(
-                f"video '{entry.video_id}': {feats.shape[0]} feature rows but "
-                f"annotation scores have shape {scores.shape}"
-            )
-        sequence = FeatureSequence(video_id=entry.video_id, features=feats)
-        annotations = AnnotationSet.from_scores(
-            scores,
-            user_summaries=summaries,
-            video_id=entry.video_id,
-        )
-        videos.append(Video(features=sequence, annotations=annotations))
+        videos.append(Video(entry.video_id, feats, scores, user_summaries=summaries))
     return Dataset(manifest=manifest, videos=videos)
 
 

@@ -17,7 +17,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import ConfigurationError, num_subtasks
 from .kts import check_memory
@@ -97,14 +96,32 @@ def kendall_tau(pred, truth):
     return (concordant - discordant) / math.sqrt((n0 - n1) * (n0 - n2))
 
 
+def _average_ranks(values):
+    """1-based ranks of a 1-D vector, each tie group sharing the mean of its ranks.
+
+    Equals scipy.stats.rankdata(values, method="average") bit for bit,
+    including all-NaN ranks for a vector holding a NaN.
+    """
+    if np.isnan(values).any():
+        return np.full(values.shape, np.nan)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], values.size)
+    ranks = np.empty(values.size)
+    # the group sorted into positions [start, end) holds ranks start + 1 .. end
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
+
+
 def spearman_rho(pred, truth):
     """Pearson correlation of average ranks (ties share the mean rank)."""
     p = np.asarray(pred, dtype=np.float64)
     q = np.asarray(truth, dtype=np.float64)
     if p.shape != q.shape or p.ndim != 1 or p.shape[0] < 2:
         raise ValueError("need two equal-length vectors with at least 2 entries")
-    ra = rankdata(p, method="average")
-    rb = rankdata(q, method="average")
+    ra = _average_ranks(p)
+    rb = _average_ranks(q)
     da = ra - ra.mean()
     db = rb - rb.mean()
     denom = math.sqrt(np.sum(da * da) * np.sum(db * db))
@@ -120,10 +137,9 @@ def spearman_rho(pred, truth):
 
 def video_truth_masks(video):
     """Per-user binary summaries if annotated, else the derived keyframes."""
-    ann = video.annotations
-    if ann.user_summaries is not None:
-        return ann.user_summaries
-    return ann.keyframes[None, :]
+    if video.user_summaries is not None:
+        return video.user_summaries
+    return video.keyframes[None, :]
 
 
 def video_f_for_mask(video, frame_mask, mode):
@@ -147,7 +163,7 @@ def evaluate_video(
     result = {"video_id": video.video_id}
     if "F" in keys:
         summary = make_summary(
-            video.features.features,
+            video.features,
             scores,
             budget_fraction=budget_fraction,
             max_shots=max_shots,
@@ -155,9 +171,9 @@ def evaluate_video(
         )
         result["F"] = video_f_for_mask(video, summary.frame_mask, f_mode)
     if "tau" in keys:
-        result["tau"] = kendall_tau(scores, video.annotations.mean_scores)
+        result["tau"] = kendall_tau(scores, video.mean_scores)
     if "rho" in keys:
-        result["rho"] = spearman_rho(scores, video.annotations.mean_scores)
+        result["rho"] = spearman_rho(scores, video.mean_scores)
     return result
 
 
@@ -242,7 +258,7 @@ def evaluate_run(
         check_checkpoint(ckpt_path, store, meta, dataset.manifest.feature_dim, source)
         subtask_size = meta["subtask_size"]
         videos = [dataset.by_id(video_id) for video_id in video_ids]
-        scores = greedy_scores_batch(store, [v.features.features for v in videos], subtask_size)
+        scores = greedy_scores_batch(store, [v.features for v in videos], subtask_size)
         results = [
             evaluate_video(
                 video,

@@ -8,9 +8,11 @@ LSTM forward returns a cache of the whole sequence, and its backward
 propagates through every step with no truncation.
 
 The one LSTM recurrence, lstm_forward_batch, steps a batch of B sequences
-together, with one (B, H) @ (H, 4H) product per step; `evaluate` uses it to
-score a fold's videos at once, and lstm_forward (training, `summarize`) is
-its batch of one. Its zero-padded gates take T_max * B * 4H * 8 bytes.
+together, with one (B, H) @ (H, 4H) product per step. `evaluate` and
+`summarize` score through it directly (policy.greedy_scores_batch), as does
+the frozen Manager pass of each Worker epoch; lstm_forward, which the
+training forward passes use, is its batch of one. Its zero-padded gates
+take T_max * B * 4H * 8 bytes.
 """
 
 from __future__ import annotations
@@ -87,9 +89,6 @@ class ParamStore:
 
     def __contains__(self, name):
         return name in self.params
-
-    def grad(self, name):
-        return self.grads[name]
 
     def zero_grads(self, names=None):
         for name in names if names is not None else self.params:
@@ -309,12 +308,14 @@ def load_checkpoint(path):
             raise ValueError(f"{path}: unsupported checkpoint format {found!r}")
         try:
             meta = dict(header["meta"])
-            specs = [(str(e["name"]), tuple(int(n) for n in e["shape"])) for e in header["params"]]
+            specs = [(str(e["name"]), tuple(e["shape"])) for e in header["params"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed checkpoint header ({exc!r})") from exc
         store = ParamStore()
         file_size = os.fstat(fh.fileno()).st_size
         for name, shape in specs:
+            if not all(type(n) is int for n in shape):  # rejects 16.0, "16" and true
+                raise ValueError(f"{path}: parameter '{name}' has non-integer shape {list(shape)}")
             if any(n < 0 for n in shape):
                 raise ValueError(f"{path}: parameter '{name}' has negative shape {list(shape)}")
             if name in store:

@@ -89,8 +89,8 @@ def train_manager_epoch(store, optimizer, videos, subtask_size):
     names = manager_param_names(store)
     losses = []
     for video in videos:
-        fwd = manager_forward(store, video.features.features, subtask_size)
-        labels = derive_task_labels(video.annotations.keyframes, subtask_size)
+        fwd = manager_forward(store, video.features, subtask_size)
+        labels = derive_task_labels(video.keyframes, subtask_size)
         losses.append(manager_loss_backward(store, fwd, labels))
         optimizer.step(names)
     return float(np.mean(losses))
@@ -114,10 +114,10 @@ def train_worker_epoch(store, optimizer, videos, config, baselines, epoch):
     names = worker_param_names(store)
     totals = {"reward": [], "R_d": [], "R_rep": [], "R_sub": []}
     all_subgoals = manager_subgoals_batch(
-        store, [video.features.features for video in videos], config.subtask_size
+        store, [video.features for video in videos], config.subtask_size
     )
     for video, subgoals in zip(videos, all_subgoals):
-        feats = video.features.features
+        feats = video.features
         probs = manager_head(store, subgoals)[1]
         wfwd = worker_forward(store, feats, subgoals, config.subtask_size)
         score_means = block_means(wfwd.scores, wfwd.bounds)

@@ -441,7 +441,7 @@ def test_criterion_7_end_to_end_learning(capsys, tmp_path):
         trained = []
         random_baseline = []
         for video in dataset.videos:
-            feats = video.features.features
+            feats = video.features
             scores = greedy_scores(store, feats, config.subtask_size)
             summary = make_summary(feats, scores)
             trained.append(video_f_for_mask(video, summary.frame_mask, f_mode))

@@ -66,6 +66,9 @@ def cli_run(cli_dataset, tmp_path_factory):
         ["train", "--dataset", "d", "--out", "x", "--episodes", "0"],
         ["train", "--dataset", "d", "--out", "x", "--folds", "1"],
         ["train", "--dataset", "d", "--out", "x", "--lr", "0"],
+        ["train", "--dataset", "d", "--out", "x", "--subtask-size", "0"],
+        ["train", "--dataset", "d", "--out", "x", "--hidden", "0"],
+        ["train", "--dataset", "d", "--out", "x", "--baseline-momentum", "1.0"],
         ["summarize", "--model", "m", "--video", "v", "--budget", "0"],
         ["evaluate", "--run", "r", "--dataset", "d", "--budget", "2.0"],
         ["evaluate", "--run", "r", "--dataset", "d", "--jobs", "0"],  # no --jobs option
@@ -157,6 +160,16 @@ def test_train_zero_epochs_equals_fresh_init(cli_dataset, tmp_path):
     init = new_policy(5, TrainConfig(hidden=6, subtask_size=10, seed=5))
     assert all(np.array_equal(store[n], init[n]) for n in store.names())
     assert meta["epochs"] == 0
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = "import sys, hiersum.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("level", [None, "INFO"])
@@ -516,6 +529,27 @@ def boolean_subtask_size(header):
     return header
 
 
+def float_shape(header):
+    header["params"][0]["shape"][0] += 0.0  # D + 0.0 used to load as D
+    return header
+
+
+def string_shape(header):
+    header["params"][0]["shape"][0] = str(header["params"][0]["shape"][0])
+    return header
+
+
+def fractional_shape(header):
+    header["params"][0]["shape"][0] += 0.9  # used to be truncated to D
+    return header
+
+
+def boolean_shape(header):
+    (entry,) = [e for e in header["params"] if e["name"] == "manager.head.b"]
+    entry["shape"] = [True]  # used to load as shape (1,)
+    return header
+
+
 @pytest.mark.parametrize("command", ["summarize", "evaluate"])
 @pytest.mark.parametrize(
     "mangle",
@@ -530,6 +564,10 @@ def boolean_subtask_size(header):
         name_listed_twice,
         boolean_hidden,
         boolean_subtask_size,
+        float_shape,
+        string_shape,
+        fractional_shape,
+        boolean_shape,
     ],
 )
 def test_malformed_checkpoint_header_exit_1(cli_run, cli_dataset, tmp_path, capsys, command, mangle):
@@ -547,5 +585,14 @@ def test_malformed_checkpoint_header_exit_1(cli_run, cli_dataset, tmp_path, caps
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error:") and str(ckpt) in err
-    if mangle in (shape_past_file_end, shape_wrapping_int64, name_listed_twice):
+    if mangle in (
+        shape_past_file_end,
+        shape_wrapping_int64,
+        name_listed_twice,
+        float_shape,
+        string_shape,
+        fractional_shape,
+    ):
         assert "'manager.lstm.Wx'" in err
+    if mangle is boolean_shape:
+        assert "'manager.head.b'" in err

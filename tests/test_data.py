@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from hiersum.data import (
-    AnnotationSet,
-    FeatureSequence,
     ValidationError,
+    Video,
     VideoEntry,
     block_means,
     budget_count,
@@ -254,21 +253,34 @@ def test_annotation_roundtrip(tmp_path):
 
 
 def test_annotation_set_validation():
+    feats = np.ones((2, 3))
     with pytest.raises(ValidationError, match="\\[0, 1\\]"):
-        AnnotationSet.from_scores([[0.2, 1.4]])
+        Video("v", feats, [[0.2, 1.4]])
     with pytest.raises(ValidationError, match="shape"):
-        AnnotationSet.from_scores([[0.2, 0.4]], user_summaries=[[1, 0, 1]])
-    ann = AnnotationSet.from_scores([[0.1, 0.9], [0.3, 0.7]])
-    assert np.allclose(ann.mean_scores, [0.2, 0.8])
-    assert ann.keyframes.tolist() == [0, 1]
-    assert derive_task_labels(ann.keyframes, 1).tolist() == [0, 1]
+        Video("v", feats, [[0.2, 0.4]], user_summaries=[[1, 0, 1]])
+    video = Video("v", feats, [[0.1, 0.9], [0.3, 0.7]])
+    assert np.allclose(video.mean_scores, [0.2, 0.8])
+    assert video.keyframes.tolist() == [0, 1]
+    assert derive_task_labels(video.keyframes, 1).tolist() == [0, 1]
 
 
 def test_feature_sequence_validation():
     with pytest.raises(ValidationError, match="non-finite"):
-        FeatureSequence("v", np.array([[1.0, np.inf]]))
+        Video("v", np.array([[1.0, np.inf]]), [[0.5]])
     with pytest.raises(ValidationError, match="2-D"):
-        FeatureSequence("v", np.zeros(4))
+        Video("v", np.zeros(4), [[0.5] * 4])
+
+
+def test_video_checks_scores_against_frames():
+    with pytest.raises(ValidationError, match="video 'v': 3 feature rows .* shape \\(2, 4\\)"):
+        Video("v", np.ones((3, 2)), np.full((2, 4), 0.5))
+    # the frame count mismatch is reported before the faults of either array
+    with pytest.raises(ValidationError, match="video 'v': 2 feature rows"):
+        Video("v", np.array([[1.0, np.nan], [1.0, 1.0]]), [[np.nan]])
+    video = Video("v", np.ones((3, 2), dtype=np.float32), [[0.5, 0.5, 0.5]], [[2, 0, 1]])
+    assert video.features.dtype == np.float64 and video.per_user_scores.dtype == np.float64
+    assert video.user_summaries.dtype == np.uint8 and video.user_summaries.tolist() == [[1, 0, 1]]
+    assert video.num_frames == 3
 
 
 def test_manifest_roundtrip_and_errors(tmp_path):
@@ -306,9 +318,8 @@ def test_manifest_legacy_subtask_size_is_ignored(tmp_path, legacy):
     loaded = load_dataset(manifest)
     assert loaded.manifest == plain.manifest
     for a, b in zip(loaded.videos, plain.videos, strict=True):
-        assert np.array_equal(a.features.features, b.features.features)
-        for field in ("per_user_scores", "mean_scores", "keyframes", "user_summaries"):
-            assert np.array_equal(getattr(a.annotations, field), getattr(b.annotations, field))
+        for field in ("features", "per_user_scores", "mean_scores", "keyframes", "user_summaries"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
 def test_load_dataset_validates_shapes(tmp_path):
@@ -355,15 +366,15 @@ def test_synthetic_keyframe_count(tmp_path):
     )
     ds = load_dataset(manifest)
     for video in ds.videos:
-        assert int(video.annotations.keyframes.sum()) == 30
+        assert int(video.keyframes.sum()) == 30
 
 
 def test_synthetic_cluster_separation(tmp_path):
     manifest = generate_synthetic(tmp_path, seed=5, videos=4, frames=120, dims=8)
     ds = load_dataset(manifest)
     for video in ds.videos:
-        key = video.annotations.keyframes.astype(bool)
-        feats = video.features.features
+        key = video.keyframes.astype(bool)
+        feats = video.features
         center_key = feats[key].mean(axis=0)
         center_other = feats[~key].mean(axis=0)
         pooled = np.concatenate([feats[key] - center_key, feats[~key] - center_other])

@@ -2,15 +2,15 @@ import json
 import logging
 import math
 import re
-import types
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from hiersum.data import (
-    AnnotationSet,
     ConfigurationError,
     DatasetManifest,
+    Video,
     VideoEntry,
     generate_synthetic,
     load_dataset,
@@ -21,6 +21,7 @@ from hiersum.data import (
 from hiersum.nn import load_checkpoint
 from hiersum.evaluation import (
     _TAU_BLOCK_ROWS,
+    _average_ranks,
     METRIC_KEYS,
     evaluate_run,
     evaluate_video,
@@ -209,6 +210,20 @@ def test_kendall_tau_validation():
 # --- Spearman rho ---------------------------------------------------------------------
 
 
+def test_average_ranks_match_rankdata():
+    rng = substream(87, "ranks")
+    for trial in range(200):
+        n = int(rng.integers(2, 600))
+        if trial % 2 == 0:
+            v = rng.integers(0, max(2, n // 5), size=n).astype(np.float64)
+        else:
+            v = rng.random(n)
+        assert np.array_equal(_average_ranks(v), rankdata(v, method="average"))
+    for v in ([0.0, -0.0, 1.0], [2.0, 2.0, 2.0], [1.0, np.nan, 1.0]):
+        v = np.array(v)
+        assert np.array_equal(_average_ranks(v), rankdata(v, method="average"), equal_nan=True)
+
+
 def test_spearman_rho_extremes():
     x = np.array([3.0, 1.0, 4.0, 1.5, 9.0, 2.6, 5.0, 3.5])
     assert spearman_rho(x, x) == 1.0
@@ -252,13 +267,7 @@ def test_spearman_rho_monotone_transform_invariant():
 
 
 def test_video_truth_masks_fallback():
-    ann = AnnotationSet(
-        per_user_scores=np.array([[0.5, 0.5, 0.5]]),
-        mean_scores=np.array([0.5, 0.5, 0.5]),
-        keyframes=np.array([1, 0, 0], dtype=np.uint8),
-        user_summaries=None,
-    )
-    video = types.SimpleNamespace(annotations=ann)
+    video = Video("v", np.ones((3, 2)), np.array([[0.5, 0.5, 0.5]]), user_summaries=None)
     masks = video_truth_masks(video)
     assert masks.shape == (1, 3)
     assert masks[0].tolist() == [1, 0, 0]
@@ -267,7 +276,7 @@ def test_video_truth_masks_fallback():
 def test_evaluate_video_fields(tiny_dataset):
     store = new_policy(6, TrainConfig(hidden=6, seed=3))
     video = tiny_dataset.videos[0]
-    scores = greedy_scores(store, video.features.features, 10)
+    scores = greedy_scores(store, video.features, 10)
     result = evaluate_video(video, scores, METRIC_KEYS["all"], "max", budget_fraction=0.3)
     assert result["video_id"] == video.video_id
     assert 0.0 <= result["F"] <= 1.0
@@ -320,7 +329,7 @@ def test_evaluate_run_fold_of_mixed_lengths_matches_per_video_scoring(tmp_path):
         results = []
         for video_id in video_ids:
             video = dataset.by_id(video_id)
-            scores = greedy_scores(store, video.features.features, 10)
+            scores = greedy_scores(store, video.features, 10)
             assert scores.shape == (video.num_frames,)
             results.append(
                 evaluate_video(video, scores, METRIC_KEYS["all"], "mean", budget_fraction=0.3)

@@ -142,7 +142,7 @@ def test_matched_baseline_single_episode_is_a_fixed_point(tiny_dataset):
     config = small_config(episodes=1, alpha=1.0)
     video = tiny_dataset.videos[0]
     store = new_policy(6, config)
-    feats = video.features.features
+    feats = video.features
     mfwd = manager_forward(store, feats, config.subtask_size)
     wfwd = worker_forward(store, feats, mfwd.subgoals, config.subtask_size)
     rng = substream(config.seed, "worker", video.video_id, 0)
@@ -166,7 +166,7 @@ def test_score_reward_term_updates_even_at_matched_baseline(tiny_dataset):
     config = small_config(episodes=1, alpha=0.5)
     video = tiny_dataset.videos[0]
     store = new_policy(6, config)
-    feats = video.features.features
+    feats = video.features
     mfwd = manager_forward(store, feats, config.subtask_size)
     wfwd = worker_forward(store, feats, mfwd.subgoals, config.subtask_size)
     ep = sample_actions(wfwd.scores, substream(config.seed, "worker", video.video_id, 0))
@@ -226,8 +226,8 @@ def test_manager_loss_decreases(tiny_dataset):
 def test_zero_store_manager_loss_is_log_two(tiny_dataset):
     store = zero_store(6, 8)
     video = tiny_dataset.videos[0]
-    fwd = manager_forward(store, video.features.features, 10)
-    loss = manager_loss(fwd, derive_task_labels(video.annotations.keyframes, 10))
+    fwd = manager_forward(store, video.features, 10)
+    loss = manager_loss(fwd, derive_task_labels(video.keyframes, 10))
     assert abs(loss - math.log(2.0)) < 1e-15
 
 
