@@ -9,8 +9,8 @@ HIERSUM_LOG environment variable sets the logging level (DEBUG, INFO, ...).
 from __future__ import annotations
 
 import argparse
-import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -20,6 +20,7 @@ from .data import (
     DEFAULT_KEYFRAME_FRACTION,
     ValidationError,
     generate_synthetic,
+    json_text,
     load_dataset,
     read_features,
 )
@@ -110,8 +111,8 @@ def _check_usage(parser, args):
             parser.error("--budget must be in (0, 1]")
         if args.max_shots is not None and args.max_shots < 1:
             parser.error("--max-shots must be >= 1")
-        if args.penalty < 0:
-            parser.error("--penalty must be >= 0")
+        if not (math.isfinite(args.penalty) and args.penalty >= 0):
+            parser.error("--penalty must be finite and >= 0")
 
 
 def cmd_gen_synthetic(args):
@@ -157,17 +158,18 @@ def cmd_summarize(args):
         max_shots=args.max_shots,
         penalty_weight=args.penalty,
     )
+    # both documents are serialized before either file is opened
+    text = json_text(summary_to_json(video_id, summary), args.out or "summary", sort_keys=True)
     if args.scores_out:
+        scores_doc = {"video_id": video_id, "scores": [float(s) for s in scores]}
+        scores_text = json_text(scores_doc, args.scores_out)
         with open(args.scores_out, "w", encoding="utf-8") as fh:
-            json.dump({"video_id": video_id, "scores": [float(s) for s in scores]}, fh)
-            fh.write("\n")
-    doc = summary_to_json(video_id, summary)
+            fh.write(scores_text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
     else:
-        print(json.dumps(doc, sort_keys=True))
+        sys.stdout.write(text)
     return 0
 
 
@@ -184,7 +186,7 @@ def cmd_evaluate(args):
     if args.out:
         save_report(args.out, report)
     else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        sys.stdout.write(json_text(report, "report", indent=2, sort_keys=True))
     return 0
 
 

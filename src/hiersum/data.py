@@ -13,7 +13,10 @@ little-endian integers, then T*D IEEE-754 float32 little-endian values in
 row-major order. Annotation files store per-user importance scores (and
 optionally per-user binary summaries); keyframes and task-level labels are
 derived, never stored, the labels at train time from the run's subtask size.
-All internal computation is float64.
+
+A loaded video holds its features as the float32 their file stores, 4*T*D
+bytes. All arithmetic is float64: every computation that reads the features
+widens them first, one video at a time, and the widening is exact.
 """
 
 from __future__ import annotations
@@ -119,7 +122,7 @@ def write_features(path, features):
 
 
 def read_features(path):
-    """Read a binary feature file back into a (T, D) float64 matrix."""
+    """Read a binary feature file back into a read-only (T, D) float32 matrix over its payload."""
     path = Path(path)
     with open(path, "rb") as fh:
         header = fh.read(_FEATURE_HEADER.size)
@@ -136,7 +139,7 @@ def read_features(path):
         raise ValidationError(
             f"{path}: expected {expected} payload bytes for {t}x{d}, got {len(payload)}"
         )
-    return np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(t, d)
+    return np.frombuffer(payload, dtype="<f4").reshape(t, d)
 
 
 def write_annotations(path, per_user_scores, user_summaries=None):
@@ -146,6 +149,18 @@ def write_annotations(path, per_user_scores, user_summaries=None):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
+
+
+def json_text(doc, where, **kwargs):
+    """doc as JSON text ending in a newline, for the file or stream named by where.
+
+    NaN and infinity are not JSON: a doc holding one raises ValueError naming
+    where, so callers serialize before opening a file and leave none behind.
+    """
+    try:
+        return json.dumps(doc, allow_nan=False, **kwargs) + "\n"
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _read_json_object(path, what):
@@ -255,14 +270,18 @@ class Video:
     """
 
     video_id: str
-    features: np.ndarray  # (T, D) float64, one row per (already subsampled) frame
+    # (T, D), one row per (already subsampled) frame: float32 is kept as read from a
+    # feature file, anything else becomes float64; computations widen it to float64
+    features: np.ndarray
     per_user_scores: np.ndarray  # (U, T) float64 in [0, 1]
     user_summaries: np.ndarray | None = None  # (U, T) uint8
     mean_scores: np.ndarray = field(init=False)  # (T,)
     keyframes: np.ndarray = field(init=False)  # (T,) uint8
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
+        feats = self.features
+        if not (isinstance(feats, np.ndarray) and feats.dtype == np.float32):
+            feats = np.asarray(feats, dtype=np.float64)
         scores = np.asarray(self.per_user_scores, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
             raise ValidationError(

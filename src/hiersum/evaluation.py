@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ConfigurationError, num_subtasks
+from .data import ConfigurationError, json_text, num_subtasks
 from .kts import check_memory
 from .nn import load_checkpoint
 from .policy import check_checkpoint, greedy_scores_batch
@@ -298,6 +298,8 @@ def evaluate_run(
 
 
 def save_report(path, report):
+    """Write the report as indented JSON; one with a NaN or infinity raises
+    ValueError before the file is opened (data.json_text)."""
+    text = json_text(report, path, indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)

@@ -151,8 +151,8 @@ def kts_segment(features, max_shots=None, penalty_weight=1.0):
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] < 1:
         raise ValueError("features must be a non-empty (T, D) matrix")
-    if penalty_weight < 0:
-        raise ValueError(f"penalty_weight must be >= 0, got {penalty_weight}")
+    if not (np.isfinite(penalty_weight) and penalty_weight >= 0):
+        raise ValueError(f"penalty_weight must be finite and >= 0, got {penalty_weight}")
     t = feats.shape[0]
     check_memory(t, max_shots, "features")
     max_shots = _shot_cap(t, max_shots)

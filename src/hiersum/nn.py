@@ -143,6 +143,10 @@ def lstm_forward_batch(store, prefix, seqs):
     gates, so the inputs themselves are never padded or copied; each step
     then does one (B, H) @ (H, 4H) product. The gates take T_max * B * 4H * 8
     bytes, so callers bound B.
+
+    Sequences may be float32 (data.Video holds features as read): the product
+    with the float64 Wx widens one sequence at a time, exactly, so the result
+    is the same as for the sequence's float64 copy.
     """
     wx, wh = store[f"{prefix}.Wx"], store[f"{prefix}.Wh"]
     for xs in seqs:

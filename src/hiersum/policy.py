@@ -48,9 +48,9 @@ from .nn import (
 DEFAULT_HIDDEN = 64
 # videos per batched recurrence in greedy_scores_batch; bounds the padded gates
 # at T_max * SCORE_BATCH * 4H * 8 bytes. At D = 1024 and H = 64 the gates of 4
-# videos are no larger than the longest one's features. Batches of 10 were
-# about 10% faster at scoring, but freeing their 8 MB gates raised glibc's mmap
-# threshold, and evaluate's peak RSS with it, by about 2%.
+# videos are no larger than a float64 copy of the longest one's features.
+# Batches of 10 were about 10% faster at scoring, but freeing their 8 MB gates
+# raised glibc's mmap threshold, and evaluate's peak RSS with it, by about 2%.
 SCORE_BATCH = 4
 
 
@@ -81,8 +81,9 @@ def check_checkpoint(path, store, meta, feature_dim, source):
     The meta must hold positive integers (not booleans) feature_dim, hidden
     and subtask_size, and the parameters must have exactly the names and
     shapes init_policy gives for that feature_dim and hidden (policy_shapes,
-    which allocates nothing). The meta's feature_dim must equal feature_dim,
-    the width of source (the features file or the dataset).
+    which allocates nothing) and hold only finite values. The meta's
+    feature_dim must equal feature_dim, the width of source (the features
+    file or the dataset).
     """
     for key in ("feature_dim", "hidden", "subtask_size"):
         value = meta.get(key)
@@ -96,6 +97,8 @@ def check_checkpoint(path, store, meta, feature_dim, source):
             raise ConfigurationError(
                 f"{path}: parameter '{name}' has shape {store[name].shape}, expected {shape}"
             )
+        if not np.all(np.isfinite(store[name])):
+            raise ConfigurationError(f"{path}: parameter '{name}' holds a non-finite value")
     extra = [name for name in store.names() if name not in layout]
     if extra:
         raise ConfigurationError(f"{path}: unexpected parameter '{extra[0]}'")
@@ -156,7 +159,7 @@ def manager_subgoals_batch(store, features_list, subtask_size):
     """
     subgoals = []
     for first in range(0, len(features_list), SCORE_BATCH):
-        batch = [np.asarray(f, dtype=np.float64) for f in features_list[first : first + SCORE_BATCH]]
+        batch = features_list[first : first + SCORE_BATCH]
         hs = lstm_forward_batch(store, "manager.lstm", batch)[0]
         for v, feats in enumerate(batch):
             subgoals.append(hs[subtask_bounds(feats.shape[0], subtask_size)[1:] - 1, v])
@@ -290,7 +293,7 @@ def greedy_scores_batch(store, features_list, subtask_size):
     """
     scores = []
     for first in range(0, len(features_list), SCORE_BATCH):
-        batch = [np.asarray(f, dtype=np.float64) for f in features_list[first : first + SCORE_BATCH]]
+        batch = features_list[first : first + SCORE_BATCH]
         # the Manager's padded states are freed before the Worker's gates are allocated
         subgoals = manager_subgoals_batch(store, batch, subtask_size)
         hs = lstm_forward_batch(store, "worker.lstm", batch)[0]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,8 +72,8 @@ class TrainConfig:
             raise ValueError(f"subtask_size must be >= 1, got {self.subtask_size}")
         if self.hidden < 1:
             raise ValueError(f"hidden must be >= 1, got {self.hidden}")
-        if self.learning_rate <= 0.0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 <= self.baseline_momentum < 1.0:
             raise ValueError(
                 f"baseline_momentum must be in [0, 1), got {self.baseline_momentum}"

@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hiersum import cli as cli_module
 from hiersum.cli import build_parser, main
 from hiersum.data import read_annotations, read_features, write_annotations, write_features
-from hiersum.nn import load_checkpoint
+from hiersum.nn import load_checkpoint, save_checkpoint
 from hiersum.training import TrainConfig, new_policy
 
 
@@ -79,6 +80,12 @@ def cli_run(cli_dataset, tmp_path_factory):
         ["summarize", "--model", "m", "--video", "v", "--penalty", "-1"],
         ["evaluate", "--run", "r", "--dataset", "d", "--penalty", "-1"],
         ["gen-synthetic", "--out", "x", "--subtask-size", "10"],  # the run sets it, not the data
+        ["train", "--dataset", "d", "--out", "x", "--lr", "nan"],
+        ["train", "--dataset", "d", "--out", "x", "--lr", "inf"],
+        ["summarize", "--model", "m", "--video", "v", "--penalty", "nan"],
+        ["summarize", "--model", "m", "--video", "v", "--penalty", "inf"],
+        ["evaluate", "--run", "r", "--dataset", "d", "--penalty", "nan"],
+        ["evaluate", "--run", "r", "--dataset", "d", "--penalty", "inf"],
     ],
 )
 def test_usage_errors_exit_2(argv):
@@ -416,6 +423,46 @@ def test_evaluate_metric_choice_and_determinism(cli_run, cli_dataset, tmp_path, 
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+def test_evaluate_non_finite_metric_exit_1_and_no_report(
+    cli_run, cli_dataset, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr("hiersum.evaluation.spearman_rho", lambda pred, truth: float("nan"))
+    out = tmp_path / "report.json"
+    argv = ["evaluate", "--run", str(cli_run), "--dataset", str(cli_dataset)]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err and str(out) in err
+    assert not out.exists()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: report:")
+
+
+def test_summarize_non_finite_score_exit_1_and_no_files(
+    cli_run, cli_dataset, tmp_path, capsys, monkeypatch
+):
+    real = cli_module.greedy_scores
+
+    def nan_first_score(*args):
+        scores = real(*args)
+        scores[0] = np.nan
+        return scores
+
+    monkeypatch.setattr(cli_module, "greedy_scores", nan_first_score)
+    out, scores_out = tmp_path / "summary.json", tmp_path / "scores.json"
+    argv = [
+        "summarize",
+        "--model", str(cli_run / "fold0.ckpt"),
+        "--video", str(video_file(cli_dataset)),
+        "--out", str(out),
+        "--scores-out", str(scores_out),
+    ]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err and str(scores_out) in err
+    assert not out.exists() and not scores_out.exists()
+
+
 @pytest.mark.filterwarnings("ignore:empty summary mask")  # no shot of 1 frame fits the budget
 @pytest.mark.parametrize("metric, code", [("f", 0), ("tau", 1), ("all", 1)])
 def test_evaluate_one_frame_video(cli_run, cli_dataset, tmp_path, capsys, metric, code):
@@ -596,3 +643,26 @@ def test_malformed_checkpoint_header_exit_1(cli_run, cli_dataset, tmp_path, caps
         assert "'manager.lstm.Wx'" in err
     if mangle is boolean_shape:
         assert "'manager.head.b'" in err
+
+
+@pytest.mark.parametrize("command", ["summarize", "evaluate"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_checkpoint_parameter_exit_1(
+    cli_run, cli_dataset, tmp_path, capsys, command, value
+):
+    run = tmp_path / "run"
+    shutil.copytree(cli_run, run)
+    ckpt = run / "fold0.ckpt"
+    store, meta = load_checkpoint(ckpt)
+    store.params["worker.head.b"][0] = value
+    save_checkpoint(ckpt, store, meta)
+    out = tmp_path / "out.json"
+    if command == "summarize":
+        argv = ["summarize", "--model", str(ckpt), "--video", str(video_file(cli_dataset))]
+    else:
+        argv = ["evaluate", "--run", str(run), "--dataset", str(cli_dataset)]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert str(ckpt) in err and "'worker.head.b'" in err and "non-finite" in err
+    assert not out.exists()

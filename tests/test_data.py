@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,13 +196,16 @@ def test_label_consistency_property(rng):
 
 
 def test_feature_roundtrip_bit_exact(tmp_path, rng):
-    # values already representable in float32 survive the storage round trip
-    feats = rng.standard_normal((17, 5)).astype(np.float32).astype(np.float64)
+    # features come back as the float32 the file stores, bit for bit, whether
+    # written from float32 or from float64 values that float32 represents
+    narrow = rng.standard_normal((17, 5)).astype(np.float32)
     path = tmp_path / "x.vsf"
-    write_features(path, feats)
-    back = read_features(path)
-    assert back.dtype == np.float64
-    assert np.array_equal(back, feats)
+    for feats in (narrow, narrow.astype(np.float64)):
+        write_features(path, feats)
+        back = read_features(path)
+        assert back.dtype == np.float32 and back.shape == (17, 5)
+        assert back.tobytes() == narrow.tobytes()
+        assert back.astype(np.float64).tobytes() == narrow.astype(np.float64).tobytes()
 
 
 def test_feature_file_layout(tmp_path):
@@ -234,6 +238,19 @@ def test_feature_file_errors(tmp_path):
         write_features(empty, np.zeros(shape))
         with pytest.raises(ValidationError, match=f"{empty}: empty"):
             read_features(empty)
+
+
+def test_loaded_dataset_holds_four_bytes_per_feature(tmp_path):
+    manifest = generate_synthetic(tmp_path, 12, videos=4, frames=100, dims=256)
+    tracemalloc.start()
+    try:
+        dataset = load_dataset(manifest)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    feature_bytes = 4 * sum(v.num_frames for v in dataset.videos) * 256
+    # the slack covers the annotations (about 15 KB here) and the Python objects
+    assert held <= feature_bytes + 64 * 1024, (held, feature_bytes)
 
 
 # --- annotations and manifest -----------------------------------------------
@@ -278,7 +295,10 @@ def test_video_checks_scores_against_frames():
     with pytest.raises(ValidationError, match="video 'v': 2 feature rows"):
         Video("v", np.array([[1.0, np.nan], [1.0, 1.0]]), [[np.nan]])
     video = Video("v", np.ones((3, 2), dtype=np.float32), [[0.5, 0.5, 0.5]], [[2, 0, 1]])
-    assert video.features.dtype == np.float64 and video.per_user_scores.dtype == np.float64
+    # float32 features are held as given; anything else is widened to float64
+    assert video.features.dtype == np.float32 and video.per_user_scores.dtype == np.float64
+    assert Video("v", [[1, 2]] * 3, [[0.5] * 3]).features.dtype == np.float64
+    assert Video("v", np.ones((3, 2), dtype=np.float16), [[0.5] * 3]).features.dtype == np.float64
     assert video.user_summaries.dtype == np.uint8 and video.user_summaries.tolist() == [[1, 0, 1]]
     assert video.num_frames == 3
 

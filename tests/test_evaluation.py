@@ -9,6 +9,7 @@ from scipy.stats import rankdata
 
 from hiersum.data import (
     ConfigurationError,
+    Dataset,
     DatasetManifest,
     Video,
     VideoEntry,
@@ -429,3 +430,26 @@ def test_save_report(tmp_path):
     path = tmp_path / "report.json"
     save_report(path, report)
     assert json.loads(path.read_text()) == report
+
+
+def test_run_on_float32_features_equals_run_on_their_float64_widening(tmp_path):
+    narrow = load_dataset(generate_synthetic(tmp_path / "data", 72, videos=4, frames=40, dims=8))
+    wide = Dataset(
+        narrow.manifest,
+        [
+            Video(v.video_id, v.features.astype(np.float64), v.per_user_scores, v.user_summaries)
+            for v in narrow.videos
+        ],
+    )
+    assert narrow.videos[0].features.dtype == np.float32
+    assert wide.videos[0].features.dtype == np.float64
+    config = TrainConfig(epochs=2, episodes=3, subtask_size=10, hidden=8, seed=72)
+    for name, dataset in (("narrow", narrow), ("wide", wide)):
+        train_run(dataset, config, tmp_path / name, folds=2)
+        save_report(tmp_path / name / "report.json", evaluate_run(tmp_path / name, dataset))
+    names = sorted(p.name for p in (tmp_path / "narrow").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "wide").iterdir())
+    assert {"fold0.ckpt", "fold1.ckpt", "train_fold0.jsonl", "report.json"} <= set(names)
+    for file_name in names:
+        narrow_bytes = (tmp_path / "narrow" / file_name).read_bytes()
+        assert narrow_bytes == (tmp_path / "wide" / file_name).read_bytes(), file_name

@@ -274,8 +274,9 @@ def test_default_max_shots_small_video():
 def test_kts_input_validation():
     with pytest.raises(ValueError, match="non-empty"):
         kts_segment(np.zeros((0, 3)))
-    with pytest.raises(ValueError, match="penalty_weight"):
-        kts_segment(np.ones((4, 2)), penalty_weight=-1.0)
+    for penalty in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="penalty_weight"):
+            kts_segment(np.ones((4, 2)), penalty_weight=penalty)
 
 
 def test_kts_memory_bound_raises_before_allocating():

@@ -173,6 +173,17 @@ def test_batched_scoring_holds_no_copy_of_the_features(monkeypatch):
     assert peak < feature_bytes, (peak, feature_bytes)
 
 
+def test_float32_features_score_as_their_float64_widening():
+    # 57 frames ends on a short subtask, and six videos take two batches
+    lengths = [23, 40, 7, 31, 57, 12]
+    store = init_policy(32, 8, substream(69, "init"))
+    rng = substream(69, "x")
+    narrow = [rng.normal(size=(t, 32)).astype(np.float32) for t in lengths]
+    wide = [feats.astype(np.float64) for feats in narrow]
+    for a, b in zip(greedy_scores_batch(store, narrow, 10), greedy_scores_batch(store, wide, 10)):
+        assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+
+
 def test_batched_manager_pass_matches_manager_forward():
     # more videos than one batch holds; 23, 7, 31 and 12 frames end on a short subtask
     lengths = [23, 40, 7, 31, 50, 12]

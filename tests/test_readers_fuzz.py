@@ -53,7 +53,7 @@ def checkpoint_file(path):
 
 
 def features_ok(result):
-    return isinstance(result, np.ndarray) and result.ndim == 2 and result.dtype == np.float64
+    return isinstance(result, np.ndarray) and result.ndim == 2 and result.dtype == np.float32
 
 
 def annotations_ok(result):

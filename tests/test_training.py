@@ -67,6 +67,8 @@ def test_config_validation():
         dict(subtask_size=0),
         dict(hidden=0),
         dict(learning_rate=0.0),
+        dict(learning_rate=float("nan")),
+        dict(learning_rate=float("inf")),
         dict(baseline_momentum=1.0),
         dict(baseline_momentum=-0.1),
     ]
