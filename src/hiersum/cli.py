@@ -19,6 +19,7 @@ from .data import (
     ConfigurationError,
     DEFAULT_KEYFRAME_FRACTION,
     ValidationError,
+    check_finite_features,
     generate_synthetic,
     json_text,
     load_dataset,
@@ -147,6 +148,7 @@ def cmd_train(args):
 def cmd_summarize(args):
     store, meta = load_checkpoint(args.model)
     feats = read_features(args.video)
+    check_finite_features(feats, args.video)
     check_checkpoint(args.model, store, meta, feats.shape[1], args.video)
     check_memory(feats.shape[0], args.max_shots, args.video)
     scores = greedy_scores(store, feats, meta["subtask_size"])

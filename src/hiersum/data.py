@@ -142,6 +142,12 @@ def read_features(path):
     return np.frombuffer(payload, dtype="<f4").reshape(t, d)
 
 
+def check_finite_features(features, where):
+    """Raise ValidationError naming `where` unless every feature value is finite."""
+    if not np.all(np.isfinite(features)):
+        raise ValidationError(f"{where}: features contain non-finite values")
+
+
 def write_annotations(path, per_user_scores, user_summaries=None):
     doc = {"per_user_scores": np.asarray(per_user_scores, dtype=np.float64).tolist()}
     if user_summaries is not None:
@@ -292,10 +298,7 @@ class Video:
                 f"video '{self.video_id}': {feats.shape[0]} feature rows but "
                 f"annotation scores have shape {scores.shape}"
             )
-        if not np.all(np.isfinite(feats)):
-            raise ValidationError(
-                f"video '{self.video_id}': features contain non-finite values"
-            )
+        check_finite_features(feats, f"video '{self.video_id}'")
         zero_frames = np.flatnonzero(~feats.any(axis=1))
         if zero_frames.size:
             # cosine dissimilarity in the diversity reward is undefined for them

@@ -3,8 +3,12 @@
 The within-segment cost of [a, b) is the total squared deviation of the
 segment's features from their mean, written in kernel form as
 sum of diagonal entries minus the segment block sum divided by the length.
-Dynamic programming finds the cheapest partition into m segments for every
-m up to max_shots, and a penalized criterion picks m.
+Every cost takes four lookups in one corner-padded (T+1)^2 prefix table of
+the Gram matrix and two in the prefix of its diagonal. Dynamic programming
+finds the cheapest partition into m segments for every m up to max_shots,
+and a penalized criterion picks m. The DP walks the ends in blocks: it
+builds one block's cost rows from the prefix table and runs every shot
+count on that block before the next, so no (T+1)^2 cost matrix is held.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from .data import ConfigurationError
 
 # KTS inputs whose matrices would need more than this are rejected up front
 _MEMORY_LIMIT = 2 * 1024**3  # bytes
-# ends per row block of the DP: the fastest of 16 to 256 at T=1600, where its
-# (64, T+1) scratch buffer is 820 KB; T = 200..400 change by under 0.7 ms
+# ends per block of the DP: it sizes both the block's cost rows and the candidate
+# buffer, (64, T+1) each, 2 x 820 KB at T=1600, inside a 2 MB L2 cache
 _DP_BLOCK_ROWS = 64
 
 
@@ -62,29 +66,62 @@ def partition_from_change_points(change_points, num_frames):
     return ShotPartition(num_frames=num_frames, change_points=tuple(points))
 
 
+def _prefix_tables(feats):
+    """Corner-padded 2-D prefix sums of the Gram matrix of (T, D) float64 features.
+
+    Returns (prefix, diag_prefix): prefix[a, b] sums gram[:a, :b], so the block
+    gram[a:b, a:b] takes four lookups, and diag_prefix[b] sums the first b
+    diagonal entries. The Gram matrix is written into prefix[1:, 1:] and summed
+    there, so this is the only (T+1)^2 matrix KTS holds. Raises ValueError when
+    a total is not finite: a NaN or inf feature reaches both totals, and so
+    does a Gram sum that overflows.
+    """
+    t = feats.shape[0]
+    prefix = np.zeros((t + 1, t + 1))
+    gram = prefix[1:, 1:]
+    diag_prefix = np.zeros(t + 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below as one ValueError
+        np.matmul(feats, feats.T, out=gram)
+        np.cumsum(np.diagonal(gram), out=diag_prefix[1:])
+        np.cumsum(gram, axis=0, out=gram)
+        np.cumsum(gram, axis=1, out=gram)
+    if not (np.isfinite(prefix[t, t]) and np.isfinite(diag_prefix[t])):
+        raise ValueError("features contain non-finite values or their Gram sums overflow")
+    return prefix, diag_prefix
+
+
+def _cost_rows(prefix, diag_prefix, e0, e1, out):
+    """Write end-major costs[e, a] = cost of [a, e) into out, for e0 <= e < e1 and a < e1.
+
+    Cells with e <= a are +inf. Every cell takes the same steps in the same
+    order whatever the block, so segment_costs and the DP read the same bits.
+    """
+    t = prefix.shape[0] - 1
+    corners = np.diagonal(prefix)
+    # the block sum of [a, e): prefix[e, e] - prefix[a, e] - prefix[e, a] + prefix[a, a]
+    np.subtract(corners[e0:e1, None], prefix[:e1, e0:e1].T, out=out)
+    out -= prefix[e0:e1, :e1]
+    out += corners[None, :e1]
+    # lengths[e, a] = e - a, a view
+    lengths = np.lib.stride_tricks.sliding_window_view(np.arange(-t, t + 1), t + 1)[e0:e1, ::-1]
+    lengths = lengths[:, :e1]
+    np.divide(out, lengths, out=out, where=lengths > 0)
+    np.subtract(diag_prefix[e0:e1, None] - diag_prefix[None, :e1], out, out=out)
+    out[lengths <= 0] = np.inf
+    return out
+
+
 def segment_costs(features):
     """Cost matrix C[a, b] = within-segment cost of [a, b), +inf for b <= a.
 
-    Uses cumulative sums of the Gram matrix so every cost is O(1) to read.
+    The full (T+1)^2 matrix, for the tests' oracles and the benchmark's
+    tracer; it is off the program path, since kts_segment builds the same
+    rows block by block inside the DP and never holds the whole matrix.
     """
     feats = np.asarray(features, dtype=np.float64)
     t = feats.shape[0]
-    gram = feats @ feats.T
-    diag_prefix = np.concatenate(([0.0], np.cumsum(np.diag(gram))))
-    # corner-padded 2-D prefix sums: block[a:b, a:b] in four lookups
-    prefix = np.zeros((t + 1, t + 1))
-    np.cumsum(np.cumsum(gram, axis=0, out=gram), axis=1, out=prefix[1:, 1:])
-    del gram  # at most two (T+1)^2 matrices are alive at once
-    # end-major costs[b, a] starts as prefix[b, b] - prefix[a, b] - prefix[b, a] + prefix[a, a]
-    costs = np.subtract(np.diag(prefix)[:, None], prefix.T, order="C")
-    costs -= prefix
-    costs += np.diag(prefix)[None, :]
-    del prefix
-    lengths = np.lib.stride_tricks.sliding_window_view(np.arange(-t, t + 1), t + 1)[:, ::-1]
-    np.divide(costs, lengths, out=costs, where=lengths > 0)  # lengths[b, a] = b - a, a view
-    np.subtract(diag_prefix[:, None] - diag_prefix[None, :], costs, out=costs)
-    costs[lengths <= 0] = np.inf
-    return costs.T  # stored end-major, the order _kts_dp reads it in
+    prefix, diag_prefix = _prefix_tables(feats)
+    return _cost_rows(prefix, diag_prefix, 0, t + 1, np.empty((t + 1, t + 1))).T
 
 
 def _shot_cap(num_frames, max_shots):
@@ -98,15 +135,16 @@ def check_memory(num_frames, max_shots, where):
     """Raise ConfigurationError naming `where` if KTS on num_frames would pass _MEMORY_LIMIT.
 
     Commands call it once up front, naming their file or video; kts_segment
-    calls it again as the library's own guard.
+    and min_costs_per_shot_count call it again as the library's own guard.
 
-    At its peak KTS holds two (T+1)^2 float64 matrices, both inside
-    segment_costs (the Gram/prefix pair, then the prefix and the cost
-    matrix), plus the (max_shots+1, T+1) best and split_at tables. The DP
-    itself holds the cost matrix and a (_DP_BLOCK_ROWS, T+1) buffer.
+    At its peak KTS holds one (T+1)^2 float64 matrix, the prefix table, plus
+    the (max_shots+1, T+1) best and split_at tables and the DP's block
+    scratch: the cost rows of one block of _DP_BLOCK_ROWS ends, the candidate
+    buffer and one block-sized temporary while the cost rows are built.
     """
     rows = num_frames + 1
-    need = 8 * rows * (2 * rows + 2 * (_shot_cap(num_frames, max_shots) + 1))
+    cap = _shot_cap(num_frames, max_shots)
+    need = 8 * rows * (rows + 2 * (cap + 1) + 3 * _DP_BLOCK_ROWS)
     if need > _MEMORY_LIMIT:
         raise ConfigurationError(
             f"{where}: KTS over {num_frames} frames needs an estimated {need} bytes, "
@@ -114,29 +152,50 @@ def check_memory(num_frames, max_shots, where):
         )
 
 
-def _kts_dp(costs, max_shots):
+def _kts_dp(prefix, diag_prefix, max_shots):
     """best[m, e] = min cost of [0, e) in exactly m shots, split_at[m, e] its last start.
 
-    Layer m walks its ends in blocks of _DP_BLOCK_ROWS rows; a block of ends
-    [e0, e1) scans only the splits m-1 <= s < e1-1, so the +inf cells with
-    s >= e are mostly skipped and the scratch buffer stays cache-sized.
+    The outer loop walks the ends in blocks of _DP_BLOCK_ROWS: it builds the
+    block's end-major cost rows from the prefix table, sets best[1] for it,
+    then runs every shot count m on the block before moving on. Layer m of a
+    block of ends [e0, e1) needs best[m-1] only before e1-1, which earlier
+    blocks and layer m-1 of this one have filled. It scans the splits
+    m-1 <= s < e1-1, so the +inf cells with s >= e are mostly skipped, and the
+    cost rows and the candidate buffer stay cache-sized.
     """
-    t = costs.shape[0] - 1
+    t = prefix.shape[0] - 1
     best = np.full((max_shots + 1, t + 1), np.inf)
     split_at = np.zeros((max_shots + 1, t + 1), dtype=np.int64)
-    best[1] = costs[0]
+    block = np.empty(_DP_BLOCK_ROWS * (t + 1))
     buffer = np.empty(_DP_BLOCK_ROWS * (t + 1))
-    for m in range(2, max_shots + 1):
-        for e0 in range(m, t + 1, _DP_BLOCK_ROWS):
-            # m-1 shots on [0, s) plus [s, e); splits at or past e cost +inf
-            e1 = min(e0 + _DP_BLOCK_ROWS, t + 1)
-            rows, width = e1 - e0, e1 - m
+    for e0 in range(0, t + 1, _DP_BLOCK_ROWS):
+        e1 = min(e0 + _DP_BLOCK_ROWS, t + 1)
+        costs = block[: (e1 - e0) * e1].reshape(e1 - e0, e1)
+        _cost_rows(prefix, diag_prefix, e0, e1, out=costs)
+        best[1, e0:e1] = costs[:, 0]
+        for m in range(2, min(max_shots, e1 - 1) + 1):
+            # ends below m hold fewer than m frames; m-1 shots on [0, s) plus [s, e),
+            # and splits at or past e cost +inf
+            lo = max(e0, m)
+            rows, width = e1 - lo, e1 - m
             candidate = buffer[: rows * width].reshape(rows, width)
-            np.add(costs.T[e0:e1, m - 1 : e1 - 1], best[m - 1, m - 1 : e1 - 1], out=candidate)
+            np.add(costs[lo - e0 :, m - 1 : e1 - 1], best[m - 1, m - 1 : e1 - 1], out=candidate)
             first = np.argmin(candidate, axis=1)  # the first minimum: the earliest split
-            split_at[m, e0:e1] = first + (m - 1)
-            best[m, e0:e1] = candidate[np.arange(rows), first]
+            split_at[m, lo:e1] = first + (m - 1)
+            best[m, lo:e1] = candidate[np.arange(rows), first]
     return best, split_at
+
+
+def _dp_tables(features, max_shots):
+    """best and split_at of _kts_dp over (T, D) features, checked by check_memory first."""
+    feats = np.asarray(features, dtype=np.float64)
+    if feats.ndim != 2 or feats.shape[0] < 1:
+        raise ValueError("features must be a non-empty (T, D) matrix")
+    t = feats.shape[0]
+    check_memory(t, max_shots, "features")
+    prefix, diag_prefix = _prefix_tables(feats)
+    del feats  # a float64 copy of float32 features is freed before the DP's tables exist
+    return _kts_dp(prefix, diag_prefix, _shot_cap(t, max_shots))
 
 
 def kts_segment(features, max_shots=None, penalty_weight=1.0):
@@ -146,17 +205,13 @@ def kts_segment(features, max_shots=None, penalty_weight=1.0):
     clamped to T) the DP finds the minimum total within-segment cost L_m;
     the returned partition minimizes L_m + penalty_weight * m * (log(T/m) + 1),
     with ties broken toward fewer shots. Raises ConfigurationError, before
-    allocating, when the matrices would pass _MEMORY_LIMIT (check_memory).
+    allocating, when the matrices would pass _MEMORY_LIMIT (check_memory), and
+    ValueError on non-finite features.
     """
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[0] < 1:
-        raise ValueError("features must be a non-empty (T, D) matrix")
     if not (np.isfinite(penalty_weight) and penalty_weight >= 0):
         raise ValueError(f"penalty_weight must be finite and >= 0, got {penalty_weight}")
-    t = feats.shape[0]
-    check_memory(t, max_shots, "features")
-    max_shots = _shot_cap(t, max_shots)
-    best, split_at = _kts_dp(segment_costs(feats), max_shots)
+    best, split_at = _dp_tables(features, max_shots)
+    max_shots, t = best.shape[0] - 1, best.shape[1] - 1
 
     shot_counts = np.arange(1, max_shots + 1)
     penalty = penalty_weight * shot_counts * (np.log(t / shot_counts) + 1.0)
@@ -174,8 +229,5 @@ def kts_segment(features, max_shots=None, penalty_weight=1.0):
 
 def min_costs_per_shot_count(features, max_shots):
     """L_m for m = 1..max_shots over the whole sequence; support for verification."""
-    feats = np.asarray(features, dtype=np.float64)
-    t = feats.shape[0]
-    best, _ = _kts_dp(segment_costs(feats), _shot_cap(t, max_shots))
-    return best[1:, t]
-
+    best, _ = _dp_tables(features, max_shots)
+    return best[1:, -1]

@@ -360,10 +360,12 @@ def test_evaluate_too_long_for_kts_memory_exit_1(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def long_run(tmp_path_factory):
-    # at 8200 frames and --max-shots 8200 KTS's memory estimate is 4.7 MB over its limit
+    # 9427 frames at --max-shots 9427 is the first size whose KTS memory estimate (one
+    # (T+1)^2 prefix table, two (T+1)^2 DP tables, three blocks of rows) is over its limit,
+    # by 0.28 MB
     out = tmp_path_factory.mktemp("long")
     assert main(
-        ["gen-synthetic", "--out", str(out / "data"), "--videos", "1", "--frames", "8200"]
+        ["gen-synthetic", "--out", str(out / "data"), "--videos", "1", "--frames", "9427"]
     ) == 0
     manifest = out / "data" / "manifest.json"
     argv = ["train", "--dataset", str(manifest), "--out", str(out / "run"), "--no-cv"]
@@ -375,13 +377,13 @@ def long_run(tmp_path_factory):
 def test_evaluate_kts_memory_limit_only_when_f_is_wanted(long_run, capsys, metric, code):
     run, manifest = long_run
     argv = ["evaluate", "--run", str(run), "--dataset", str(manifest), "--metric", metric]
-    assert main(argv + ["--max-shots", "8200"]) == code
+    assert main(argv + ["--max-shots", "9427"]) == code
     captured = capsys.readouterr()
     if code == 0:
         assert list(json.loads(captured.out)["per_fold"][0]) == ["fold", "num_videos", metric]
     else:
         assert captured.err.startswith("error:") and "Traceback" not in captured.err
-        assert "video 'video000'" in captured.err and "8200 frames" in captured.err
+        assert "video 'video000'" in captured.err and "9427 frames" in captured.err
 
 
 # --- evaluate -----------------------------------------------------------------------------
@@ -460,6 +462,29 @@ def test_summarize_non_finite_score_exit_1_and_no_files(
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err and str(scores_out) in err
+    assert not out.exists() and not scores_out.exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_summarize_non_finite_features_exit_1_and_no_files(
+    cli_run, cli_dataset, tmp_path, capsys, value
+):
+    feats = read_features(video_file(cli_dataset)).copy()
+    feats[7, 2] = value
+    video = tmp_path / "bad.vsf"
+    write_features(video, feats)
+    out, scores_out = tmp_path / "summary.json", tmp_path / "scores.json"
+    argv = [
+        "summarize",
+        "--model", str(cli_run / "fold0.ckpt"),
+        "--video", str(video),
+        "--out", str(out),
+        "--scores-out", str(scores_out),
+    ]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert str(video) in err and "non-finite" in err
     assert not out.exists() and not scores_out.exists()
 
 

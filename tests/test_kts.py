@@ -9,7 +9,7 @@ from hiersum.data import ConfigurationError, block_means
 from hiersum.kts import (
     _DP_BLOCK_ROWS,
     ShotPartition,
-    _kts_dp,
+    check_memory,
     kts_segment,
     min_costs_per_shot_count,
     partition_from_change_points,
@@ -212,16 +212,31 @@ def test_blocked_dp_matches_full_matrix_reference_at_block_edges(t):
                 assert part.change_points == want_points, (t, max_shots, weight)
 
 
-def test_kts_dp_scratch_below_one_cost_matrix():
+def test_kts_segment_peak_below_one_and_a_half_prefix_tables():
+    # one (T+1)^2 prefix table; the cost rows exist only one block of ends at a time
     t = 1000
-    costs = segment_costs(substream(42, "kts").normal(size=(t, 8)))
+    feats = substream(42, "kts").normal(size=(t, 8))
     tracemalloc.start()
     try:
-        _kts_dp(costs, t // 10)
+        kts_segment(feats)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * (t + 1) ** 2
+    assert peak < 1.5 * 8 * (t + 1) ** 2
+
+
+def test_float32_features_match_their_float64_widening():
+    # read_features and data.Video hold float32; KTS widens it, and the widening is exact
+    rng = substream(43, "kts")
+    for t in (57, 200):
+        feats32 = rng.normal(size=(t, 16)).astype(np.float32)
+        feats64 = feats32.astype(np.float64)
+        for weight in (0.0, 1.0, 20.0):
+            want = kts_segment(feats64, max_shots=t // 4, penalty_weight=weight)
+            got = kts_segment(feats32, max_shots=t // 4, penalty_weight=weight)
+            assert got.change_points == want.change_points
+        want_costs = min_costs_per_shot_count(feats64, t // 4)
+        assert min_costs_per_shot_count(feats32, t // 4).tobytes() == want_costs.tobytes()
 
 
 def test_two_block_sequence_boundary_exact():
@@ -289,6 +304,33 @@ def test_kts_memory_bound_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20  # one (T+1)^2 matrix alone would be 3.2 GB
+
+
+def test_min_costs_memory_bound_raises_before_allocating():
+    feats = np.ones((20000, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError, match=r"20000 frames .* bytes, over the \d+-byte"):
+            min_costs_per_shot_count(feats, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_default_max_shots_frame_limit():
+    # one (T+1)^2 prefix table, two (T // 10 + 1, T+1) DP tables and three blocks of 64 rows
+    check_memory(14875, None, "features")
+    with pytest.raises(ConfigurationError, match="features: KTS over 14876 frames"):
+        check_memory(14876, None, "features")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+def test_kts_rejects_non_finite_features_and_overflowing_gram_sums(bad):
+    feats = np.ones((12, 3))
+    feats[5, 1] = bad  # 1e200 is finite, but its square overflows
+    with pytest.raises(ValueError, match="non-finite"):
+        kts_segment(feats)
 
 
 # --- shot scores and cache -------------------------------------------------------
