@@ -271,8 +271,8 @@ class Video:
     """One video's frame features and multi-user importance scores, checked together.
 
     The checks name the video and raise ValidationError. mean_scores and the
-    keyframes are derived from the scores; user_summaries, when given, are
-    turned into 0/1 uint8 masks.
+    keyframes are derived from the scores; user_summaries, when given, must
+    hold only 0 and 1 (or booleans) and are kept as uint8 masks.
     """
 
     video_id: str
@@ -324,7 +324,14 @@ class Video:
                     f"video '{self.video_id}': user_summaries shape {summaries.shape} "
                     f"does not match per_user_scores shape {scores.shape}"
                 )
-            self.user_summaries = (summaries != 0).astype(np.uint8)
+            bad = np.argwhere(~np.isin(summaries, (0, 1)))
+            if bad.size:
+                user, frame = bad[0]
+                raise ValidationError(
+                    f"video '{self.video_id}': user_summaries must hold only 0 and 1, "
+                    f"but user {user} frame {frame} is {summaries[user, frame]}"
+                )
+            self.user_summaries = summaries.astype(np.uint8)
         self.features = feats
         self.per_user_scores = scores
         self.mean_scores = scores.mean(axis=0)

@@ -9,9 +9,10 @@ Worker's means come from data.block_means over them. The combined reward is
 a convex mix of the diversity / representativeness average and the subgoal
 term.
 
-episode_rewards scores all of a video's sampled episodes from one T x T
-euclidean distance matrix (T^2 * 8 bytes), built once per call and indexed
-by each episode's selected frames.
+All of a video's sampled episodes are scored from one T x T Gram matrix
+(T^2 * 8 bytes): one product with it gives every episode's diversity, and it
+is then reused in place as the euclidean distance matrix. The single-episode
+functions score a one-row action matrix the same way, bit for bit.
 """
 
 from __future__ import annotations
@@ -19,14 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 DEFAULT_ALPHA = 0.5
 
 
 @dataclass(frozen=True)
 class RewardBreakdown:
-    r_d: float
+    r_d: float  # floats for one episode; (E,) arrays in r_d, r_rep, r from episode_rewards
     r_rep: float
     r_sub: float
     r: float
@@ -45,37 +45,53 @@ def dissimilarity(x, x_other):
 
 def diversity_reward(features, selected):
     """Mean pairwise cosine dissimilarity within the selected frames; 0 if fewer than 2."""
-    selected = np.asarray(selected, dtype=np.int64)
-    if selected.size < 2:
-        return 0.0
-    feats = np.asarray(features, dtype=np.float64)[selected]
-    norms = np.linalg.norm(feats, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("cosine dissimilarity is undefined for a zero feature vector")
-    cos = (feats @ feats.T) / np.outer(norms, norms)
-    dis = 1.0 - cos
-    k = selected.size
-    off_diag_sum = dis.sum() - np.trace(dis)
-    return float(off_diag_sum) / (k * (k - 1))
+    return float(_action_rewards(features, _one_episode(features, selected))[0][0])
 
 
 def representativeness_reward(features, selected):
-    """exp(-mean distance from each frame to its nearest selected frame).
+    """exp(-mean distance from each frame to its nearest selected frame); an empty
+    selection is penalized with the worst case, exp(-max pairwise distance)."""
+    return float(_action_rewards(features, _one_episode(features, selected))[1][0])
 
-    An empty selection scores the worst case exp(-max pairwise distance), so
-    sampled episodes that pick nothing are penalized rather than crashing.
+
+def _one_episode(features, selected):
+    actions = np.zeros((1, np.shape(features)[0]))
+    actions[0, np.asarray(selected, dtype=np.int64)] = 1.0
+    return actions
+
+
+def _action_rewards(features, actions):
+    """(R_div, R_rep) arrays for the rows of an (E, T) 0/1 action matrix, from one Gram matrix.
+
+    With the actions scaled by 1/|x|, the row sums of (w @ G) * w add the
+    cosines of all ordered pairs of selected frames, self pairs included.
+    einsum sums each row of that product in the same order whatever E is
+    (BLAS does not), so a row scores the same bits alone or among others.
+    G then becomes the distances sqrt(max(|x|^2 + |y|^2 - 2 x.y, 0)) in place.
     """
     feats = np.asarray(features, dtype=np.float64)
-    return _representativeness(cdist(feats, feats), np.asarray(selected, dtype=np.int64))
+    actions = np.asarray(actions, dtype=np.float64)
+    # the copy makes numpy call gemm: its syrk for X @ X.T is threaded even at
+    # T=200, D=16, where it was 2-3x slower and at times took 8 ms on 2 cores
+    gram = feats @ feats.T.copy()
+    sq_norms = gram.diagonal().copy()
+    counts = actions.sum(axis=1)
+    if np.any((counts >= 2) & actions[:, sq_norms == 0.0].any(axis=1)):
+        raise ValueError("cosine dissimilarity is undefined for a zero feature vector")
+    weights = actions / np.sqrt(np.where(sq_norms == 0.0, 1.0, sq_norms))
+    cos_sums = (np.einsum("et,ts->es", weights, gram) * weights).sum(axis=1)
+    pairs = counts * (counts - 1.0)
+    r_div = np.where(pairs > 0, 1.0 - (cos_sums - counts) / np.maximum(pairs, 1.0), 0.0)
+    dist = np.multiply(gram, -2.0, out=gram)
+    dist += sq_norms[:, None]
+    dist += sq_norms
+    np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
+    np.fill_diagonal(dist, 0.0)
+    return r_div, np.array([_representativeness(dist, np.flatnonzero(row)) for row in actions])
 
 
 def _representativeness(dist, selected):
-    """R_rep from the (T, T) distance matrix of all frames and the selected indices.
-
-    Column j of cdist(X, X) holds the same per-pair distances as
-    cdist(X, X[[j]]), so this is bit-identical to computing only the
-    selected columns.
-    """
+    """R_rep of one episode from the distances (the Gram matrix, reused in place)."""
     if selected.size == 0:
         return float(np.exp(-dist.max()))
     return float(np.exp(-dist[:, selected].min(axis=1).mean()))
@@ -117,26 +133,14 @@ def sub_reward_score_grad(score_means, subtask_probs, bounds):
 
 
 def episode_rewards(features, actions, score_means, subtask_probs, alpha=DEFAULT_ALPHA):
-    """One RewardBreakdown per row of an (E, T) 0/1 action matrix.
-
-    The rows share one distance matrix and one subgoal reward, which depends
-    on the scores rather than the actions.
-    """
-    feats = np.asarray(features, dtype=np.float64)
-    dist = cdist(feats, feats)
+    """The rewards of each row of an (E, T) 0/1 action matrix; r_sub depends on the scores only."""
+    r_d, r_rep = _action_rewards(features, actions)
     r_sub = sub_reward(score_means, subtask_probs)
-    breakdowns = []
-    for row in np.asarray(actions):
-        selected = np.flatnonzero(row)
-        r_d = diversity_reward(feats, selected)
-        r_rep = _representativeness(dist, selected)
-        r = combine((r_d + r_rep) / 2.0, r_sub, alpha)
-        breakdowns.append(RewardBreakdown(r_d=r_d, r_rep=r_rep, r_sub=r_sub, r=r))
-    return breakdowns
+    return RewardBreakdown(r_d, r_rep, r_sub, combine((r_d + r_rep) / 2.0, r_sub, alpha))
 
 
 def episode_reward(features, selected, score_means, subtask_probs, alpha=DEFAULT_ALPHA):
-    """episode_rewards of the one episode that selects the given set of frames."""
-    actions = np.zeros((1, np.shape(features)[0]), dtype=np.uint8)
-    actions[0, np.asarray(selected, dtype=np.int64)] = 1
-    return episode_rewards(features, actions, score_means, subtask_probs, alpha)[0]
+    """episode_rewards of the one episode that selects the given set of frames, as floats."""
+    actions = _one_episode(features, selected)
+    one = episode_rewards(features, actions, score_means, subtask_probs, alpha)
+    return RewardBreakdown(float(one.r_d[0]), float(one.r_rep[0]), one.r_sub, float(one.r[0]))

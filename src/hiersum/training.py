@@ -101,16 +101,16 @@ def train_worker_epoch(store, optimizer, videos, config, baselines, epoch):
     """One policy-gradient step per video on the Worker parameters.
 
     The update combines two unbiased pieces of the objective's gradient:
-    the score-function term (1/c) * sum over episodes of (R - b) grad log-pi
-    for the action-dependent rewards, and the closed-form gradient of the
-    subgoal-agreement reward, which depends on the scores directly and would
-    average to zero through the score-function estimator alone. Episodes
-    share the deterministic forward pass, so everything is combined in score
-    space before a single backward pass. Returns the epoch means of the
-    reward and its components.
+    the score-function term (1/E) * sum over episodes of (R - b) grad log-pi
+    for the action-dependent rewards, one (E,) @ (E, T) product, and the
+    closed-form gradient of the subgoal-agreement reward, which depends on
+    the scores directly and would average to zero through the score-function
+    estimator alone. Both are combined in score space before a single
+    backward pass. Returns the epoch means of the reward and its components.
 
-    The Manager is frozen for the whole epoch, so every video's subgoals
-    come from one batched Manager pass at the start.
+    The frozen Manager gives every video's subgoals in one batched pass at
+    the start; each video's E episodes are scored from one T x T Gram matrix
+    (T^2 * 8 bytes), reused in place as the distance matrix.
     """
     names = worker_param_names(store)
     totals = {"reward": [], "R_d": [], "R_rep": [], "R_sub": []}
@@ -130,25 +130,21 @@ def train_worker_epoch(store, optimizer, videos, config, baselines, epoch):
                 video.video_id,
             )
             continue
-        breakdowns = episode_rewards(feats, actions, score_means, probs, config.alpha)
+        rewards = episode_rewards(feats, actions, score_means, probs, config.alpha)
         baseline = baselines.get(video.video_id, 0.0)
-        dscores = np.zeros_like(wfwd.scores)
-        for row, bd in zip(actions, breakdowns):
-            weight = (bd.r - baseline) / config.episodes
-            dscores += weight * log_prob_score_grad(wfwd.scores, row)
+        weights = (rewards.r - baseline) / config.episodes
+        dscores = weights @ log_prob_score_grad(wfwd.scores, actions)
         dscores += (1.0 - config.alpha) * sub_reward_score_grad(score_means, probs, wfwd.bounds)
         # the optimizer minimizes, the policy gradient ascends: negate
         worker_backward(store, wfwd, -dscores)
         optimizer.step(names)
-        mean_r = float(np.mean([bd.r for bd in breakdowns]))
-        baselines[video.video_id] = (
-            config.baseline_momentum * baseline
-            + (1.0 - config.baseline_momentum) * mean_r
-        )
+        mean_r = float(np.mean(rewards.r))
+        momentum = config.baseline_momentum
+        baselines[video.video_id] = momentum * baseline + (1.0 - momentum) * mean_r
         totals["reward"].append(mean_r)
-        totals["R_d"].append(float(np.mean([bd.r_d for bd in breakdowns])))
-        totals["R_rep"].append(float(np.mean([bd.r_rep for bd in breakdowns])))
-        totals["R_sub"].append(float(np.mean([bd.r_sub for bd in breakdowns])))
+        totals["R_d"].append(float(np.mean(rewards.r_d)))
+        totals["R_rep"].append(float(np.mean(rewards.r_rep)))
+        totals["R_sub"].append(rewards.r_sub)
     return {key: float(np.mean(vals)) if vals else 0.0 for key, vals in totals.items()}
 
 

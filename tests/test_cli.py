@@ -169,14 +169,15 @@ def test_train_zero_epochs_equals_fresh_init(cli_dataset, tmp_path):
     assert meta["epochs"] == 0
 
 
-def test_cli_import_leaves_scipy_stats_out():
+def test_package_and_cli_import_no_scipy():
     env = dict(os.environ)
     src = Path(__file__).resolve().parent.parent / "src"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    code = "import sys, hiersum.cli; print('scipy.stats' in sys.modules)"
+    count = "sum(name.split('.')[0] == 'scipy' for name in sys.modules)"
+    code = f"import sys, hiersum; print({count}); import hiersum.cli; print({count})"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["0", "0"]
 
 
 @pytest.mark.parametrize("level", [None, "INFO"])
@@ -505,6 +506,22 @@ def test_evaluate_one_frame_video(cli_run, cli_dataset, tmp_path, capsys, metric
     else:
         assert captured.err.startswith("error:") and "Traceback" not in captured.err
         assert "video 'video002' has 1 frame" in captured.err
+
+
+def test_evaluate_rejects_user_summaries_that_are_not_0_or_1(
+    cli_run, cli_dataset, tmp_path, capsys
+):
+    data = tmp_path / "data"
+    shutil.copytree(cli_dataset.parent, data)
+    path = data / json.loads((data / "manifest.json").read_text())["videos"][2]["annotations"]
+    doc = json.loads(path.read_text())
+    doc["user_summaries"][0][:3] = [0.5, float("nan"), -3]
+    path.write_text(json.dumps(doc))
+    argv = ["evaluate", "--run", str(cli_run), "--dataset", str(data / "manifest.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "video 'video002'" in err and "user_summaries" in err
 
 
 def test_evaluate_missing_run_exit_1(cli_dataset, tmp_path, capsys):

@@ -294,13 +294,29 @@ def test_video_checks_scores_against_frames():
     # the frame count mismatch is reported before the faults of either array
     with pytest.raises(ValidationError, match="video 'v': 2 feature rows"):
         Video("v", np.array([[1.0, np.nan], [1.0, 1.0]]), [[np.nan]])
-    video = Video("v", np.ones((3, 2), dtype=np.float32), [[0.5, 0.5, 0.5]], [[2, 0, 1]])
+    video = Video("v", np.ones((3, 2), dtype=np.float32), [[0.5, 0.5, 0.5]], [[True, False, True]])
     # float32 features are held as given; anything else is widened to float64
     assert video.features.dtype == np.float32 and video.per_user_scores.dtype == np.float64
     assert Video("v", [[1, 2]] * 3, [[0.5] * 3]).features.dtype == np.float64
     assert Video("v", np.ones((3, 2), dtype=np.float16), [[0.5] * 3]).features.dtype == np.float64
     assert video.user_summaries.dtype == np.uint8 and video.user_summaries.tolist() == [[1, 0, 1]]
     assert video.num_frames == 3
+
+
+@pytest.mark.parametrize(
+    "summaries", [[[0.5, np.nan, -3.0]], [[1, 0, 2]], [[1.0, 0.0, np.inf]], [[1.0, -0.0, 1e-9]]]
+)
+def test_video_rejects_user_summaries_that_are_not_0_or_1(summaries):
+    with pytest.raises(ValidationError, match="video 'v': user_summaries must hold only 0 and 1"):
+        Video("v", np.ones((3, 2)), [[0.5] * 3], summaries)
+
+
+def test_json_booleans_load_as_user_summaries(tmp_path):
+    path = tmp_path / "annotations.json"
+    doc = {"per_user_scores": [[0.5] * 3], "user_summaries": [[True, False, True]]}
+    path.write_text(json.dumps(doc))
+    video = Video("v", np.ones((3, 2)), *read_annotations(path))
+    assert video.user_summaries.tolist() == [[1, 0, 1]]
 
 
 def test_manifest_roundtrip_and_errors(tmp_path):

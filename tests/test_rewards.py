@@ -212,20 +212,51 @@ def test_episode_rewards_rows_match_per_episode_rewards_bit_for_bit(t, d):
     actions[1, t // 2] = 1  # one frame: no pairs, so R_div is 0
     actions[2] = 1  # every frame
     rows = episode_rewards(feats, actions, score_means, probs, alpha=0.3)
-    assert len(rows) == len(actions)
+    assert rows.r_d.shape == rows.r_rep.shape == rows.r.shape == (len(actions),)
     r_sub = sub_reward(score_means, probs)
-    for row, bd in zip(actions, rows):
+    assert rows.r_sub == r_sub
+    for e, row in enumerate(actions):
         selected = np.flatnonzero(row)
-        assert bd == episode_reward(feats, selected, score_means, probs, alpha=0.3)
+        bd = episode_reward(feats, selected, score_means, probs, alpha=0.3)
+        assert (bd.r_d, bd.r_rep, bd.r_sub, bd.r) == (rows.r_d[e], rows.r_rep[e], r_sub, rows.r[e])
         # the per-episode formulas, with distances to the selected frames only
         if selected.size:
             want_rep = float(np.exp(-cdist(feats, feats[selected]).min(axis=1).mean()))
         else:
             want_rep = float(np.exp(-cdist(feats, feats).max()))
-        assert bd.r_rep == want_rep == representativeness_reward(feats, selected)
+        assert abs(bd.r_rep - want_rep) <= 1e-12
+        assert bd.r_rep == representativeness_reward(feats, selected)
         assert bd.r_d == diversity_reward(feats, selected)
-        assert bd.r_sub == r_sub
         assert bd.r == combine((bd.r_d + bd.r_rep) / 2.0, r_sub, alpha=0.3)
-    assert rows[1].r_d == 0.0
-    assert rows[2].r_rep == 1.0
-    assert rows[0].r_rep < min(bd.r_rep for bd in rows[1:])
+    assert rows.r_d[1] == 0.0
+    assert rows.r_rep[2] == 1.0
+    assert rows.r_rep[0] < rows.r_rep[1:].min()
+
+
+def test_representativeness_of_near_duplicate_frames_matches_cdist():
+    # pool5-like float32 features: non-negative with an offset, in groups of ten
+    # frames that differ from their group's base by at most 0.1 per dimension
+    # (about 3% of the norm); the first five groups are exact repeats. The Gram
+    # form's error on a distance d grows like eps |x|^2 / d as frames get closer.
+    rng = substream(50, "r")
+    base = np.abs(rng.normal(size=(30, 1024))) + 0.5
+    noise = 0.1 * rng.random((300, 1024))
+    noise[:50] = 0.0
+    feats = (np.repeat(base, 10, axis=0) + noise).astype(np.float32)
+    dist = cdist(feats.astype(np.float64), feats.astype(np.float64))
+    actions = (rng.random((20, 300)) < 0.2).astype(np.uint8)
+    rows = episode_rewards(feats, actions, [0.5], [0.5])
+    for row, got in zip(actions, rows.r_rep):
+        want = np.exp(-dist[:, np.flatnonzero(row)].min(axis=1).mean())
+        assert abs(got - want) <= 1e-12
+
+
+def test_diversity_zero_vector_rule():
+    feats = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+    # a zero frame alone, or left out, has no pair to be undefined for
+    assert diversity_reward(feats, [0]) == 0.0
+    assert diversity_reward(feats, [1, 2]) == 1.0
+    rows = episode_rewards(feats, np.array([[1, 0, 0], [0, 1, 1]]), [0.5], [0.5])
+    assert rows.r_d.tolist() == [0.0, 1.0]
+    with pytest.raises(ValueError, match="zero feature vector"):
+        episode_rewards(feats, np.array([[0, 1, 1], [1, 1, 0]]), [0.5], [0.5])

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hiersum import nn, policy, rewards
+from hiersum import nn, policy, rewards, training
 from hiersum.data import ConfigurationError, derive_task_labels, generate_synthetic, load_dataset
 from hiersum.nn import Adam, load_checkpoint
 from hiersum.policy import (
@@ -16,7 +16,7 @@ from hiersum.policy import (
     worker_param_names,
 )
 from hiersum.data import block_means
-from hiersum.rewards import episode_reward
+from hiersum.rewards import episode_reward, sub_reward_score_grad
 from hiersum.seeding import substream
 from hiersum.training import (
     TrainConfig,
@@ -108,31 +108,69 @@ def test_worker_epoch_touches_only_worker_params(tiny_dataset):
     assert 0.0 < stats["reward"] <= 1.0
 
 
-def test_worker_epoch_runs_one_manager_pass_per_batch_and_one_cdist_per_video(
+def test_worker_epoch_runs_one_manager_pass_per_batch_and_one_gram_per_video(
     tiny_dataset, monkeypatch
 ):
-    calls = {"manager": 0, "cdist": 0}
-    real_lstm, real_cdist = nn.lstm_forward_batch, rewards.cdist
+    calls = {"manager": 0, "gram": 0}
+    real_lstm, real_rewards = nn.lstm_forward_batch, rewards._action_rewards
 
     def counting_lstm(store, prefix, seqs):
         calls["manager"] += prefix == "manager.lstm"
         return real_lstm(store, prefix, seqs)
 
-    def counting_cdist(*args, **kwargs):
-        calls["cdist"] += 1
-        return real_cdist(*args, **kwargs)
+    def counting_rewards(*args, **kwargs):
+        calls["gram"] += 1
+        return real_rewards(*args, **kwargs)
 
     # policy calls the batched recurrence directly, and manager_forward through nn.lstm_forward
     monkeypatch.setattr(nn, "lstm_forward_batch", counting_lstm)
     monkeypatch.setattr(policy, "lstm_forward_batch", counting_lstm)
-    monkeypatch.setattr(rewards, "cdist", counting_cdist)
+    monkeypatch.setattr(rewards, "_action_rewards", counting_rewards)
     videos = tiny_dataset.videos
     assert len(videos) > policy.SCORE_BATCH
     config = small_config()
     store = new_policy(6, config)
     train_worker_epoch(store, Adam(store, lr=1e-3), videos, config, {}, 0)
     assert calls["manager"] == math.ceil(len(videos) / policy.SCORE_BATCH)
-    assert calls["cdist"] == len(videos)
+    assert calls["gram"] == len(videos)
+
+
+def test_worker_epoch_dscores_match_per_episode_loop(tiny_dataset, monkeypatch):
+    config = small_config(episodes=6, alpha=0.4)
+    videos = tiny_dataset.videos[:3]
+    store = new_policy(6, config)
+    baselines = {video.video_id: 0.1 * k for k, video in enumerate(videos)}
+    all_subgoals = policy.manager_subgoals_batch(
+        store, [video.features for video in videos], config.subtask_size
+    )
+    worst = []
+    real_backward = training.worker_backward
+
+    def checking_backward(store, wfwd, dscores):
+        # the per-episode loop this epoch replaced, run on the same state
+        k = len(worst)
+        video = videos[k]
+        probs = policy.manager_head(store, all_subgoals[k])[1]
+        score_means = block_means(wfwd.scores, wfwd.bounds)
+        rng = substream(config.seed, "worker", video.video_id, 0)
+        actions = policy.sample_episodes(wfwd.scores, rng, config.episodes)
+        baseline = baselines[video.video_id]
+        want = np.zeros_like(wfwd.scores)
+        for row in actions:
+            bd = episode_reward(
+                video.features, np.flatnonzero(row), score_means, probs, config.alpha
+            )
+            want += (bd.r - baseline) / config.episodes * policy.log_prob_score_grad(
+                wfwd.scores, row
+            )
+        want += (1.0 - config.alpha) * sub_reward_score_grad(score_means, probs, wfwd.bounds)
+        worst.append(np.abs(-dscores - want).max() / np.abs(want).max())
+        return real_backward(store, wfwd, dscores)
+
+    monkeypatch.setattr(training, "worker_backward", checking_backward)
+    train_worker_epoch(store, Adam(store, lr=1e-3), videos, config, baselines, 0)
+    assert len(worst) == len(videos)
+    assert max(worst) <= 1e-12
 
 
 # --- worker update structure ----------------------------------------------------------
