@@ -19,8 +19,9 @@ import numpy as np
 
 from .data import ConfigurationError
 
-# KTS inputs whose matrices would need more than this are rejected up front
-_MEMORY_LIMIT = 2 * 1024**3  # bytes
+# KTS inputs, and Worker steps (training.check_worker_memory), whose matrices
+# would need more than this are rejected up front
+MEMORY_LIMIT = 2 * 1024**3  # bytes
 # ends per block of the DP: it sizes both the block's cost rows and the candidate
 # buffer, (64, T+1) each, 2 x 820 KB at T=1600, inside a 2 MB L2 cache
 _DP_BLOCK_ROWS = 64
@@ -132,7 +133,7 @@ def _shot_cap(num_frames, max_shots):
 
 
 def check_memory(num_frames, max_shots, where):
-    """Raise ConfigurationError naming `where` if KTS on num_frames would pass _MEMORY_LIMIT.
+    """Raise ConfigurationError naming `where` if KTS on num_frames would pass MEMORY_LIMIT.
 
     Commands call it once up front, naming their file or video; kts_segment
     and min_costs_per_shot_count call it again as the library's own guard.
@@ -145,10 +146,10 @@ def check_memory(num_frames, max_shots, where):
     rows = num_frames + 1
     cap = _shot_cap(num_frames, max_shots)
     need = 8 * rows * (rows + 2 * (cap + 1) + 3 * _DP_BLOCK_ROWS)
-    if need > _MEMORY_LIMIT:
+    if need > MEMORY_LIMIT:
         raise ConfigurationError(
             f"{where}: KTS over {num_frames} frames needs an estimated {need} bytes, "
-            f"over the {_MEMORY_LIMIT}-byte limit"
+            f"over the {MEMORY_LIMIT}-byte limit"
         )
 
 
@@ -205,7 +206,7 @@ def kts_segment(features, max_shots=None, penalty_weight=1.0):
     clamped to T) the DP finds the minimum total within-segment cost L_m;
     the returned partition minimizes L_m + penalty_weight * m * (log(T/m) + 1),
     with ties broken toward fewer shots. Raises ConfigurationError, before
-    allocating, when the matrices would pass _MEMORY_LIMIT (check_memory), and
+    allocating, when the matrices would pass MEMORY_LIMIT (check_memory), and
     ValueError on non-finite features.
     """
     if not (np.isfinite(penalty_weight) and penalty_weight >= 0):

@@ -7,12 +7,16 @@ a checkpoint format, and a central finite-difference gradient checker. The
 LSTM forward returns a cache of the whole sequence, and its backward
 propagates through every step with no truncation.
 
-The one LSTM recurrence, lstm_forward_batch, steps a batch of B sequences
-together, with one (B, H) @ (H, 4H) product per step. `evaluate` and
-`summarize` score through it directly (policy.greedy_scores_batch), as does
-the frozen Manager pass of each Worker epoch; lstm_forward, which the
-training forward passes use, is its batch of one. Its zero-padded gates
-take T_max * B * 4H * 8 bytes.
+The one LSTM recurrence, lstm_forward_batch, steps K stacks of weights,
+each over its own batch of B sequences, with one (K, B, H) @ (K, H, 4H)
+product per step; its zero-padded gates take T_max * K * B * 4H * 8 bytes.
+Training steps the K cross-validation folds together, one video each
+(lstm_forward_folds), and lstm_backward walks them back together. Inference
+is the K = 1 case: `evaluate` and `summarize` score through it
+(policy.greedy_scores_batch), as does the frozen Manager pass of each Worker
+epoch, and lstm_forward is the case of one fold and one sequence. The
+stacked product multiplies each fold's block on its own, so every fold and
+sequence gets the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -123,99 +127,146 @@ def init_lstm(store, prefix, input_dim, hidden, rng):
 def lstm_forward(store, prefix, xs):
     """Run the LSTM over a (T, D) sequence from a zero state; returns (hs, cache).
 
-    hs is (T, H). This is lstm_forward_batch on a batch of one: the input
+    hs is (T, H). This is lstm_forward_folds with one fold: the input
     projection xs @ Wx + b is one matrix product over the whole sequence, and
     only h @ Wh stays inside the recurrence.
     """
-    hs, cs, gates = lstm_forward_batch(store, prefix, [xs])
-    hs, cs, gates = hs[:, 0], cs[:, 0], gates[:, 0]
-    return hs, (xs, hs, cs, gates)
+    hs, cache = lstm_forward_folds([store], prefix, [xs])
+    return hs[0], cache
 
 
-def lstm_forward_batch(store, prefix, seqs):
-    """Run the LSTM over B sequences of any lengths at once, each from a zero state.
+def lstm_forward_folds(stores, prefix, seqs):
+    """Run fold k's LSTM, stores[k], over its one sequence seqs[k], all K in one recurrence.
 
-    Returns (hs, cs, gates), shaped (T_max, B, H), (T_max, B, H) and
-    (T_max, B, 4H), where T_max is the longest length; gates holds the gate
-    activations. Column v is sequence v up to its own length; the rows after
-    it run on from a zero input and must be ignored. Each sequence's input
-    projection xs @ Wx + b is one matrix product written into the zero-padded
-    gates, so the inputs themselves are never padded or copied; each step
-    then does one (B, H) @ (H, 4H) product. The gates take T_max * B * 4H * 8
-    bytes, so callers bound B.
+    Returns (hs, cache): hs[k] is fold k's (T_k, H) hidden states, the bits
+    it would get alone, and cache = (seqs, hs, cs, gates) holds the stacked
+    (T_max, K, H) hs and cs and (T_max, 4, K, H) gates lstm_backward takes.
+    """
+    hs, cs, gates = lstm_forward_batch(stores, prefix, [[xs] for xs in seqs])
+    hs, cs, gates = hs[:, :, 0], cs[:, :, 0], gates[..., 0, :]
+    return [hs[: xs.shape[0], k] for k, xs in enumerate(seqs)], (seqs, hs, cs, gates)
+
+
+def lstm_forward_batch(stores, prefix, seqs):
+    """Run K LSTMs in one recurrence: stores[k]'s weights over its B sequences seqs[k].
+
+    Every sequence starts from a zero state. Returns (hs, cs, gates), shaped
+    (T_max, K, B, H), (T_max, K, B, H) and (T_max, 4, K, B, H), where T_max
+    is the longest length and B the longest list; gates holds the gate
+    activations, gate-major so that each step's elementwise work runs on
+    contiguous blocks. Entry [:, k, v] is sequence v of fold k up to its own
+    length; the rows after it, and the columns of a fold with fewer than B
+    sequences, run on from a zero input and must be ignored. Each
+    sequence's input projection xs @ Wx + b is one matrix product written
+    into the zero-padded gates, so the inputs themselves are never padded or
+    copied; each step then does one np.matmul of h (K, B, H) with the
+    stacked Wh (K, H, 4H), which multiplies each fold's block on its own, so
+    a fold's values do not depend on the others. The gates take
+    T_max * K * B * 4H * 8 bytes, so callers bound K * B.
 
     Sequences may be float32 (data.Video holds features as read): the product
     with the float64 Wx widens one sequence at a time, exactly, so the result
     is the same as for the sequence's float64 copy.
     """
-    wx, wh = store[f"{prefix}.Wx"], store[f"{prefix}.Wh"]
-    for xs in seqs:
-        if xs.shape[1] != wx.shape[0]:
-            raise ValueError(
-                f"lstm '{prefix}': input dim {xs.shape[1]} does not match weights {wx.shape[0]}"
-            )
-    steps, hidden = max(xs.shape[0] for xs in seqs), wh.shape[0]
-    gates = np.zeros((steps, len(seqs), 4 * hidden))  # pre-activations, turned into gates in place
-    for v, xs in enumerate(seqs):
-        gates[: xs.shape[0], v] = xs @ wx + store[f"{prefix}.b"]
+    hidden = stores[0][f"{prefix}.Wh"].shape[0]
+    steps = max(xs.shape[0] for fold_seqs in seqs for xs in fold_seqs)
+    folds, batch = len(seqs), max(map(len, seqs))
+    # pre-activations, turned into gates in place
+    gates = np.zeros((steps, 4, folds, batch, hidden))
+    for k, (store, fold_seqs) in enumerate(zip(stores, seqs)):
+        wx = store[f"{prefix}.Wx"]
+        for v, xs in enumerate(fold_seqs):
+            if xs.shape[1] != wx.shape[0]:
+                raise ValueError(
+                    f"lstm '{prefix}': input dim {xs.shape[1]} does not match weights {wx.shape[0]}"
+                )
+            gates[: xs.shape[0], :, k, v] = (xs @ wx + store[f"{prefix}.b"]).reshape(-1, 4, hidden)
     # sigmoid(z) = 0.5 * (1 + tanh(z / 2)): halving the i/f/o pre-activations and
     # their Wh columns up front is exact, so each step takes one tanh over all 4H
-    gates[:, :, : 3 * hidden] *= 0.5
-    wh = wh.copy()
-    wh[:, : 3 * hidden] *= 0.5
-    hs = np.empty((steps, len(seqs), hidden))
-    cs = np.empty((steps, len(seqs), hidden))
-    h = np.zeros((len(seqs), hidden))
-    c = np.zeros((len(seqs), hidden))
+    gates[:, :3] *= 0.5
+    wh = np.stack([store[f"{prefix}.Wh"] for store in stores])
+    wh[..., : 3 * hidden] *= 0.5
+    hs = np.empty((steps, folds, batch, hidden))
+    cs = np.empty_like(hs)
+    h = np.zeros(hs.shape[1:])
+    c = np.zeros(hs.shape[1:])
     for t in range(steps):
         z = gates[t]
-        z += h @ wh
+        z += (h @ wh).reshape(folds, batch, 4, hidden).transpose(2, 0, 1, 3)
         np.tanh(z, out=z)
-        ifo = z[:, : 3 * hidden]
+        ifo = z[:3]
         ifo += 1.0
         ifo *= 0.5
-        c = z[:, hidden : 2 * hidden] * c + z[:, :hidden] * z[:, 3 * hidden :]
-        h = z[:, 2 * hidden : 3 * hidden] * np.tanh(c)
-        hs[t] = h
-        cs[t] = c
+        # c = f * c + i * g and h = o * tanh(c), written straight into this step's rows
+        c = np.multiply(z[1], c, out=cs[t])
+        c += z[0] * z[3]
+        h = np.tanh(c, out=hs[t])
+        h *= z[2]
     return hs, cs, gates
 
 
-def lstm_backward(store, prefix, cache, dhs):
-    """Backpropagate through a whole sequence, with no truncation.
+def lstm_backward(stores, prefix, cache, dhs):
+    """Backpropagate every fold of a stacked cache in one walk, with no truncation.
 
-    dhs[t] is the loss gradient on hs[t]; the recurrent gradient is carried
-    backward internally. Parameter gradients are accumulated once per
-    sequence from the stacked pre-activation gradients.
+    cache comes from lstm_forward or lstm_forward_folds, dhs is the
+    (T_max, K, H) loss gradient on its stacked hs, zero past each fold's own
+    length, and stores[k] gets fold k's gradients. The recurrent gradient is
+    carried backward internally, one np.matmul of the stacked Wh (K, H, 4H)
+    with the K pre-activation gradients per step. A shorter sequence's
+    gradient is zero until its own last step, and stays exactly zero through
+    its padded steps, whose gates are finite. A fold's parameter gradients
+    come from its own T_k rows of the stacked pre-activation gradients, so
+    they are the bits it would get alone; a fold whose dhs are all zero adds
+    exact zeros to its gradients.
+
+    The walk consumes the cache: the gates are turned into the
+    pre-activation gradients in place and cs into d(h)/d(c), so a forward
+    pass serves one backward pass, and the walk holds one (T_max, K, H)
+    array beyond the forward's own and dhs.
     """
-    xs, hs, cs, gates = cache
-    wh = store[f"{prefix}.Wh"]
-    steps, hidden = hs.shape
-    gi, gf, go, gg = np.moveaxis(gates.reshape(steps, 4, hidden), 1, 0)
-    h_prev = np.vstack([np.zeros((1, hidden)), hs[:-1]])
-    c_prev = np.vstack([np.zeros((1, hidden)), cs[:-1]])
+    seqs, hs, cs, gates = cache
+    steps, folds, hidden = hs.shape
+    gi, gf, go, gg = gates.transpose(1, 0, 2, 3)
+    forget = gf.copy()
+    # each gate's rows become d(pre-activation)/dc for the i, f and g gates, and
+    # d(pre-activation)/dh for the o gate
+    gf *= np.concatenate([np.zeros((1, folds, hidden)), cs[:-1]])
+    gf *= 1.0 - forget
     tanh_c = np.tanh(cs)
-    dc_dh = go * (1.0 - tanh_c * tanh_c)
-    # d(pre-activation) / dc for the i, f and g gates; the o slot is filled from dh
-    dz_dc = np.stack(
-        [gg * gi * (1.0 - gi), c_prev * gf * (1.0 - gf), np.zeros_like(go), gi * (1.0 - gg * gg)],
-        axis=1,
-    )
-    dz_dh_o = tanh_c * go * (1.0 - go)
-    dz = np.empty((steps, 4, hidden))
-    dh = np.zeros(hidden)
-    dc = np.zeros(hidden)
+    dc_dh = np.multiply(tanh_c, tanh_c, out=cs)  # 1 - tanh(c)^2 times o, in cs's place
+    np.subtract(1.0, dc_dh, out=dc_dh)
+    dc_dh *= go
+    tanh_c *= go
+    tanh_c *= 1.0 - go
+    go[...] = tanh_c
+    del tanh_c
+    dz_dc_i = gg * gi * (1.0 - gi)
+    gg *= gg
+    np.subtract(1.0, gg, out=gg)
+    gg *= gi
+    gi[...] = dz_dc_i
+    del dz_dc_i
+    wh = np.stack([store[f"{prefix}.Wh"] for store in stores])
+    dz_rows = np.empty((folds, 4, hidden))  # one step's gradients, fold-major for the product
+    dh = np.zeros((folds, hidden))
+    dc = np.zeros((folds, hidden))
     for t in range(steps - 1, -1, -1):
-        dh = dh + dhs[t]
-        dc = dc + dh * dc_dh[t]
-        dz[t] = dc * dz_dc[t]
-        dz[t, 2] = dh * dz_dh_o[t]
-        dh = wh @ dz[t].reshape(-1)
-        dc = dc * gf[t]
-    dz = dz.reshape(steps, 4 * hidden)
-    store.grads[f"{prefix}.Wx"] += xs.T @ dz
-    store.grads[f"{prefix}.Wh"] += h_prev.T @ dz
-    store.grads[f"{prefix}.b"] += dz.sum(axis=0)
+        dh += dhs[t]
+        dc += dh * dc_dh[t]
+        dz = gates[t]
+        dz[2] *= dh
+        dz[:2] *= dc
+        dz[3] *= dc
+        dz_rows[...] = dz.transpose(1, 0, 2)
+        dh = (wh @ dz_rows.reshape(folds, 4 * hidden, 1))[..., 0]
+        dc *= forget[t]
+    for k, (store, xs) in enumerate(zip(stores, seqs)):
+        n = xs.shape[0]
+        fold_dz = gates[:n, :, k].reshape(n, 4 * hidden)  # a copy, gate-major like Wx's columns
+        h_prev = np.vstack([np.zeros((1, hidden)), hs[: n - 1, k]])
+        store.grads[f"{prefix}.Wx"] += xs.T @ fold_dz
+        store.grads[f"{prefix}.Wh"] += h_prev.T @ fold_dz
+        store.grads[f"{prefix}.b"] += fold_dz.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +296,9 @@ class Adam:
     """Adam at a given learning rate, with the usual constant beta1, beta2 and eps.
 
     Step counts are per parameter, so disjoint groups update independently.
+    A step holds one temporary the size of a parameter: it works in that
+    and, once the moments are updated, in the gradient itself, with the
+    operations of the textbook update in the same order.
     """
 
     beta1 = 0.9
@@ -268,13 +322,17 @@ class Adam:
             t = self.t[name]
             m = self.m[name]
             v = self.v[name]
+            scratch = np.empty_like(grad)
             m *= self.beta1
-            m += (1.0 - self.beta1) * grad
+            m += np.multiply(grad, 1.0 - self.beta1, out=scratch)  # (1 - beta1) * grad
             v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            m_hat = m / (1.0 - self.beta1**t)
-            v_hat = v / (1.0 - self.beta2**t)
-            self.store.params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            v += np.multiply(np.multiply(grad, 1.0 - self.beta2, out=scratch), grad, out=scratch)
+            # lr * m_hat / (sqrt(v_hat) + eps), the step built in the gradient's buffer
+            denom = np.sqrt(np.divide(v, 1.0 - self.beta2**t, out=scratch), out=scratch)
+            denom += self.eps
+            step = np.multiply(np.divide(m, 1.0 - self.beta1**t, out=grad), self.lr, out=grad)
+            step /= denom
+            self.store.params[name] -= step
             grad.fill(0.0)
 
 

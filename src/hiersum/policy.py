@@ -12,12 +12,19 @@ mix into a per-frame importance score. Actions are Bernoulli draws from the
 scores.
 
 At inference, greedy_scores_batch runs each network's LSTM over a batch of
-videos in one recurrence (nn.lstm_forward_batch), so `evaluate` scores a
-fold's held-out videos together; the padded gates take T_max * B * 4H * 8
-bytes for a batch of B videos whose longest has T_max frames, and B is at
-most SCORE_BATCH. manager_subgoals_batch is the Manager half of that pass;
-a Worker epoch, during which the Manager is frozen, takes every video's
-subgoals from it.
+videos in one recurrence (nn.lstm_forward_batch with one fold), so
+`evaluate` scores a fold's held-out videos together; the padded gates take
+T_max * B * 4H * 8 bytes for a batch of B videos whose longest has T_max
+frames, and B is at most SCORE_BATCH. manager_subgoals_batch is the Manager
+half of that pass; a Worker epoch, during which the Manager is frozen, takes
+every video's subgoals from it, one fold at a time.
+
+In training, the *_folds functions run K folds' networks, each on its own
+video, through one stacked recurrence forward and one stacked walk
+backward (nn.lstm_forward_folds, nn.lstm_backward), with T_max * K * 4H * 8
+bytes of gates; the heads and their gradients stay per fold.
+manager_forward, manager_loss_backward, worker_forward and worker_backward
+are their one-fold case.
 
 The Worker treats subgoals as constants: gradients from Worker objectives
 never reach Manager parameters, which train only on their own loss.
@@ -40,15 +47,16 @@ from .nn import (
     init_affine,
     init_lstm,
     lstm_backward,
-    lstm_forward,
     lstm_forward_batch,
+    lstm_forward_folds,
     sigmoid,
 )
 
 DEFAULT_HIDDEN = 64
-# videos per batched recurrence in greedy_scores_batch; bounds the padded gates
-# at T_max * SCORE_BATCH * 4H * 8 bytes. At D = 1024 and H = 64 the gates of 4
-# videos are no larger than a float64 copy of the longest one's features.
+# videos per batched recurrence in greedy_scores_batch and manager_subgoals_batch,
+# which run one fold; bounds the padded gates at T_max * SCORE_BATCH * 4H * 8
+# bytes. At D = 1024 and H = 64 the gates of 4 videos are no larger than a
+# float64 copy of the longest one's features.
 # Batches of 10 were about 10% faster at scoring, but freeing their 8 MB gates
 # raised glibc's mmap threshold, and evaluate's peak RSS with it, by about 2%.
 SCORE_BATCH = 4
@@ -124,23 +132,24 @@ class ManagerForward:
     raw: np.ndarray  # (N,) sigmoid outputs before clamping
     probs: np.ndarray  # (N,) clamped subtask probabilities
     clamp_mask: np.ndarray
-    cache: tuple  # lstm_forward cache for the backward pass
+    cache: tuple  # stacked LSTM cache, shared by the folds of one forward call
 
 
 def manager_forward(store, features, subtask_size):
-    feats = np.asarray(features, dtype=np.float64)
-    bounds = subtask_bounds(feats.shape[0], subtask_size)
-    hs, cache = lstm_forward(store, "manager.lstm", feats)
-    subgoals = hs[bounds[1:] - 1]
-    raw, probs, clamp_mask = manager_head(store, subgoals)
-    return ManagerForward(
-        bounds=bounds,
-        subgoals=subgoals,
-        raw=raw,
-        probs=probs,
-        clamp_mask=clamp_mask,
-        cache=cache,
-    )
+    return manager_forward_folds([store], [features], subtask_size)[0]
+
+
+def manager_forward_folds(stores, features, subtask_size):
+    """Fold k's ManagerForward of stores[k] on features[k], from one stacked recurrence."""
+    feats = [np.asarray(f, dtype=np.float64) for f in features]
+    hs, cache = lstm_forward_folds(stores, "manager.lstm", feats)
+    fwds = []
+    for store, fold_hs in zip(stores, hs):
+        bounds = subtask_bounds(fold_hs.shape[0], subtask_size)
+        subgoals = fold_hs[bounds[1:] - 1]
+        raw, probs, clamp_mask = manager_head(store, subgoals)
+        fwds.append(ManagerForward(bounds, subgoals, raw, probs, clamp_mask, cache))
+    return fwds
 
 
 def manager_head(store, subgoals):
@@ -160,18 +169,23 @@ def manager_subgoals_batch(store, features_list, subtask_size):
     subgoals = []
     for first in range(0, len(features_list), SCORE_BATCH):
         batch = features_list[first : first + SCORE_BATCH]
-        hs = lstm_forward_batch(store, "manager.lstm", batch)[0]
+        hs = lstm_forward_batch([store], "manager.lstm", [batch])[0][:, 0]
         for v, feats in enumerate(batch):
             subgoals.append(hs[subtask_bounds(feats.shape[0], subtask_size)[1:] - 1, v])
     return subgoals
 
 
-def manager_backward(store, fwd, dlogits):
-    """Accumulate gradients given d(loss)/d(subtask logits)."""
-    dhs = np.zeros((fwd.bounds[-1], fwd.subgoals.shape[1]))
-    dsubgoals = affine_backward(store, "manager.head", fwd.subgoals, dlogits[:, None])
-    dhs[fwd.bounds[1:] - 1] = dsubgoals
-    lstm_backward(store, "manager.lstm", fwd.cache, dhs)
+def manager_backward(stores, fwds, dlogits):
+    """Accumulate each fold's gradients given d(loss)/d(subtask logits), one stacked LSTM walk.
+
+    stores, fwds and dlogits hold one entry per fold: fwds is the whole list
+    one manager_forward_folds call gave, whose cache the walk consumes.
+    """
+    dhs = np.zeros_like(fwds[0].cache[1])  # on the stacked hidden states
+    for k, (store, fwd, d) in enumerate(zip(stores, fwds, dlogits)):
+        dsubgoals = affine_backward(store, "manager.head", fwd.subgoals, d[:, None])
+        dhs[fwd.bounds[1:] - 1, k] = dsubgoals
+    lstm_backward(stores, "manager.lstm", fwds[0].cache, dhs)
 
 
 def manager_loss(fwd, task_labels):
@@ -184,13 +198,19 @@ def manager_loss(fwd, task_labels):
 
 def manager_loss_backward(store, fwd, task_labels):
     """Backward pass for the Manager loss; returns the loss value."""
-    labels = np.asarray(task_labels, dtype=np.float64)
-    loss = manager_loss(fwd, labels)
-    n = fwd.probs.shape[0]
-    dprobs = bce_grad(fwd.probs, labels) / n
-    dlogits = dprobs * fwd.clamp_mask * fwd.raw * (1.0 - fwd.raw)
-    manager_backward(store, fwd, dlogits)
-    return loss
+    return manager_loss_backward_folds([store], [fwd], [task_labels])[0]
+
+
+def manager_loss_backward_folds(stores, fwds, task_labels):
+    """Backward pass for each fold's Manager loss in one stacked walk; returns the losses."""
+    losses, dlogits = [], []
+    for fwd, labels in zip(fwds, task_labels):
+        labels = np.asarray(labels, dtype=np.float64)
+        losses.append(manager_loss(fwd, labels))
+        dprobs = bce_grad(fwd.probs, labels) / fwd.probs.shape[0]
+        dlogits.append(dprobs * fwd.clamp_mask * fwd.raw * (1.0 - fwd.raw))
+    manager_backward(stores, fwds, dlogits)
+    return losses
 
 
 @dataclass
@@ -200,35 +220,45 @@ class WorkerForward:
     raw: np.ndarray  # (T,) sigmoid outputs before clamping
     clamp_mask: np.ndarray
     mixed: np.ndarray  # (T, H) affine mix of [subgoal ; hidden]
-    concat: np.ndarray  # (T, 2H) mix-layer inputs, subgoal first
-    cache: tuple  # lstm_forward cache for the backward pass
+    subgoals: np.ndarray  # (N, H), constants to the Worker
+    hs: np.ndarray  # (T, H) Worker hidden states, a view of the stacked cache
+    cache: tuple  # stacked LSTM cache, shared by the folds of one forward call
+
+    @property
+    def concat(self):
+        """(T, 2H) mix-layer inputs, subgoal first; built when asked for, not held."""
+        return _mix_inputs(self.hs, self.subgoals, self.bounds)
 
 
 def worker_forward(store, features, subgoals, subtask_size):
-    feats = np.asarray(features, dtype=np.float64)
-    bounds = subtask_bounds(feats.shape[0], subtask_size)
-    if bounds.size - 1 != subgoals.shape[0]:
-        raise ValueError(f"{subgoals.shape[0]} subgoals for {bounds.size - 1} subtasks")
-    hs, cache = lstm_forward(store, "worker.lstm", feats)
-    concat, mixed, raw = _worker_head(store, hs, subgoals, bounds)
-    scores, clamp_mask = clamp_prob(raw)
-    return WorkerForward(
-        bounds=bounds,
-        scores=scores,
-        raw=raw,
-        clamp_mask=clamp_mask,
-        mixed=mixed,
-        concat=concat,
-        cache=cache,
-    )
+    return worker_forward_folds([store], [features], [subgoals], subtask_size)[0]
+
+
+def worker_forward_folds(stores, features, subgoals, subtask_size):
+    """Fold k's WorkerForward of stores[k] on features[k] and subgoals[k], stacked."""
+    feats = [np.asarray(f, dtype=np.float64) for f in features]
+    bounds = [subtask_bounds(f.shape[0], subtask_size) for f in feats]
+    for b, goals in zip(bounds, subgoals):
+        if b.size - 1 != goals.shape[0]:
+            raise ValueError(f"{goals.shape[0]} subgoals for {b.size - 1} subtasks")
+    hs, cache = lstm_forward_folds(stores, "worker.lstm", feats)
+    fwds = []
+    for store, fold_hs, goals, b in zip(stores, hs, subgoals, bounds):
+        mixed, raw = _worker_head(store, fold_hs, goals, b)
+        scores, clamp_mask = clamp_prob(raw)
+        fwds.append(WorkerForward(b, scores, raw, clamp_mask, mixed, goals, fold_hs, cache))
+    return fwds
+
+
+def _mix_inputs(hs, subgoals, bounds):
+    return np.hstack([np.repeat(subgoals, np.diff(bounds), axis=0), hs])
 
 
 def _worker_head(store, hs, subgoals, bounds):
-    """Mix each Worker hidden state with its subtask's subgoal; returns (concat, mixed, raw)."""
-    concat = np.hstack([np.repeat(subgoals, np.diff(bounds), axis=0), hs])
-    mixed = affine(store, "worker.mix", concat)
+    """Mix each Worker hidden state with its subtask's subgoal; returns (mixed, raw)."""
+    mixed = affine(store, "worker.mix", _mix_inputs(hs, subgoals, bounds))
     raw = sigmoid(affine(store, "worker.head", mixed)[:, 0])
-    return concat, mixed, raw
+    return mixed, raw
 
 
 def worker_backward(store, fwd, dscores):
@@ -237,11 +267,24 @@ def worker_backward(store, fwd, dscores):
     Subgoals are constants to the Worker, so no gradient flows back to them:
     the Manager is updated only by its own loss.
     """
-    hidden = fwd.mixed.shape[1]
-    dlogits = dscores * fwd.clamp_mask * fwd.raw * (1.0 - fwd.raw)
-    dmixed = affine_backward(store, "worker.head", fwd.mixed, dlogits[:, None])
-    dconcat = affine_backward(store, "worker.mix", fwd.concat, dmixed)
-    lstm_backward(store, "worker.lstm", fwd.cache, dconcat[:, hidden:])
+    worker_backward_folds([store], [fwd], [dscores])
+
+
+def worker_backward_folds(stores, fwds, dscores):
+    """worker_backward of each fold's dscores[k] into stores[k], in one stacked LSTM walk.
+
+    fwds is the whole list one worker_forward_folds call gave, whose cache
+    the walk consumes; a None dscores[k] leaves fold k's parameters alone.
+    """
+    dhs = np.zeros_like(fwds[0].cache[1])  # on the stacked hidden states
+    for k, (store, fwd, d) in enumerate(zip(stores, fwds, dscores)):
+        if d is None:
+            continue
+        steps, hidden = fwd.mixed.shape
+        dlogits = d * fwd.clamp_mask * fwd.raw * (1.0 - fwd.raw)
+        dmixed = affine_backward(store, "worker.head", fwd.mixed, dlogits[:, None])
+        dhs[:steps, k] = affine_backward(store, "worker.mix", fwd.concat, dmixed)[:, hidden:]
+    lstm_backward(stores, "worker.lstm", fwds[0].cache, dhs)
 
 
 @dataclass
@@ -296,9 +339,9 @@ def greedy_scores_batch(store, features_list, subtask_size):
         batch = features_list[first : first + SCORE_BATCH]
         # the Manager's padded states are freed before the Worker's gates are allocated
         subgoals = manager_subgoals_batch(store, batch, subtask_size)
-        hs = lstm_forward_batch(store, "worker.lstm", batch)[0]
+        hs = lstm_forward_batch([store], "worker.lstm", [batch])[0][:, 0]
         for v, feats in enumerate(batch):
             bounds = subtask_bounds(feats.shape[0], subtask_size)
-            raw = _worker_head(store, hs[: feats.shape[0], v], subgoals[v], bounds)[2]
+            raw = _worker_head(store, hs[: feats.shape[0], v], subgoals[v], bounds)[1]
             scores.append(clamp_prob(raw)[0])
     return scores

@@ -1,4 +1,4 @@
-"""Alternating optimization of the Manager and the Worker.
+"""Alternating optimization of the Manager and the Worker, several folds at once.
 
 Each round runs one Manager epoch (binary cross-entropy against the weak
 subtask labels) and one Worker epoch (REINFORCE on episode rewards with a
@@ -7,7 +7,17 @@ subgoal-agreement reward, which depends on the scores rather than the
 actions). Every video gets exactly one optimizer step per epoch, Manager
 epochs touch only Manager parameters and Worker epochs only Worker
 parameters, and all randomness comes from named substreams of the master
-seed, so runs are bit-reproducible.
+seed, keyed by video and epoch and never by fold, so runs are
+bit-reproducible.
+
+The folds of a run train in lockstep groups, as many as LOCKSTEP_BYTES of
+parameter state allows: at step j of each epoch phase every fold of a group
+takes its own j-th training video, a fold with fewer videos drops out of
+the later steps, and the folds of a step share one stacked LSTM recurrence forward and one
+stacked walk backward (nn.lstm_forward_batch, nn.lstm_backward). Heads,
+rewards, score gradients, Adam steps and baselines stay per fold, and the
+stacked recurrence multiplies each fold's block on its own, so each fold
+computes the same bits it would alone. `train` is the one-fold case.
 """
 
 from __future__ import annotations
@@ -17,26 +27,32 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass
+from contextlib import ExitStack
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .data import ConfigurationError, block_means, derive_task_labels
-from .nn import Adam, save_checkpoint
+from .kts import MEMORY_LIMIT
+from .nn import Adam, ParamStore, save_checkpoint
 from .policy import (
     DEFAULT_HIDDEN,
     init_policy,
-    manager_forward,
+    policy_shapes,
+    manager_forward,  # not called here; bench/tracing.py wraps this attribute
+    manager_forward_folds,
     manager_head,
-    manager_loss_backward,
+    manager_loss_backward_folds,
     manager_param_names,
     manager_subgoals_batch,
     log_prob_score_grad,
     sample_actions,  # not called here; bench/tracing.py wraps this attribute
     sample_episodes,
-    worker_backward,
-    worker_forward,
+    worker_backward,  # not called here; bench/tracing.py wraps this attribute
+    worker_backward_folds,
+    worker_forward,  # not called here; bench/tracing.py wraps this attribute
+    worker_forward_folds,
     worker_param_names,
 )
 from .rewards import (
@@ -48,6 +64,15 @@ from .rewards import (
 from .seeding import substream
 
 log = logging.getLogger("hiersum.training")
+
+# bytes of parameter state a lockstep group may hold: every fold of a group keeps
+# its parameters, gradients and two Adam moments, four float64 copies of the
+# parameters, for the whole run, so groups take as many folds as fit, and at least
+# one. D=16, H=64 folds (1.6 MB each) train 3 at a time, D=1024 ones (18 MB) one
+# at a time. All 5 folds of the train-cv benchmark at once took 9.5 MB more peak
+# RSS than one at a time, about 9% of its process; groups of 3 took 5% and gain
+# most of the speed.
+LOCKSTEP_BYTES = 5 * 2**20
 
 
 @dataclass
@@ -81,71 +106,161 @@ class TrainConfig:
         return self
 
 
+@dataclass
+class FoldState:
+    """One fold's parameters, optimizer and per-video Worker baselines."""
+
+    store: ParamStore
+    optimizer: Adam
+    baselines: dict = field(default_factory=dict)  # video id -> moving-average reward
+    label: int | None = None  # fold number in log lines; None for a lone train call
+
+
 def new_policy(feature_dim, config):
     return init_policy(feature_dim, config.hidden, substream(config.seed, "init"))
 
 
-def train_manager_epoch(store, optimizer, videos, subtask_size):
-    """One BCE step per video on the Manager parameters; returns mean loss."""
-    names = manager_param_names(store)
-    losses = []
-    for video in videos:
-        fwd = manager_forward(store, video.features, subtask_size)
-        labels = derive_task_labels(video.keyframes, subtask_size)
-        losses.append(manager_loss_backward(store, fwd, labels))
-        optimizer.step(names)
-    return float(np.mean(losses))
+def _lockstep(per_fold):
+    """The steps of a lockstep walk: step j pairs each fold k that has a j-th item with it."""
+    for j in range(max(map(len, per_fold))):
+        yield [(k, items[j]) for k, items in enumerate(per_fold) if j < len(items)]
 
 
-def train_worker_epoch(store, optimizer, videos, config, baselines, epoch):
-    """One policy-gradient step per video on the Worker parameters.
+def train_manager_epoch(folds, videos, subtask_size):
+    """One BCE step per video on each fold's Manager; returns each fold's mean loss.
 
-    The update combines two unbiased pieces of the objective's gradient:
-    the score-function term (1/E) * sum over episodes of (R - b) grad log-pi
-    for the action-dependent rewards, one (E,) @ (E, T) product, and the
-    closed-form gradient of the subgoal-agreement reward, which depends on
-    the scores directly and would average to zero through the score-function
-    estimator alone. Both are combined in score space before a single
-    backward pass. Returns the epoch means of the reward and its components.
-
-    The frozen Manager gives every video's subgoals in one batched pass at
-    the start; each video's E episodes are scored from one T x T Gram matrix
-    (T^2 * 8 bytes), reused in place as the distance matrix.
+    videos[k] is folds[k]'s training list. The folds of a lockstep step share
+    one stacked Manager recurrence forward and one stacked walk backward.
     """
-    names = worker_param_names(store)
-    totals = {"reward": [], "R_d": [], "R_rep": [], "R_sub": []}
-    all_subgoals = manager_subgoals_batch(
-        store, [video.features for video in videos], config.subtask_size
+    losses = [[] for _ in folds]
+    for step in _lockstep(videos):
+        for (k, _), loss in zip(step, _manager_step(folds, step, subtask_size)):
+            losses[k].append(loss)
+    return [float(np.mean(fold_losses)) for fold_losses in losses]
+
+
+def _manager_step(folds, step, subtask_size):
+    """One BCE step of each fold k on its video of a lockstep step; returns their losses.
+
+    The step's stacked arrays are freed on return, before the next step's.
+    """
+    stores = [folds[k].store for k, _ in step]
+    fwds = manager_forward_folds(stores, [video.features for _, video in step], subtask_size)
+    labels = [derive_task_labels(video.keyframes, subtask_size) for _, video in step]
+    losses = manager_loss_backward_folds(stores, fwds, labels)
+    names = manager_param_names(stores[0])
+    for k, _ in step:
+        folds[k].optimizer.step(names)
+    return losses
+
+
+def train_worker_epoch(folds, videos, config, epoch):
+    """One policy-gradient step per video on each fold's Worker; returns each fold's stats.
+
+    videos[k] is folds[k]'s training list. The update combines two unbiased
+    pieces of the objective's gradient: the score-function term (1/E) * sum
+    over episodes of (R - b) grad log-pi for the action-dependent rewards,
+    one (E,) @ (E, T) product, and the closed-form gradient of the
+    subgoal-agreement reward, which depends on the scores directly and would
+    average to zero through the score-function estimator alone. Both are
+    combined in score space before a single backward pass. A fold's stats
+    are the epoch means of the reward and its components.
+
+    Each fold's frozen Manager gives all its videos' subgoals in one batched
+    pass at the start. The folds of a lockstep step then share one stacked
+    Worker recurrence forward and one stacked walk backward, which adds
+    exact zeros to a fold whose video was skipped; each video's E episodes
+    are scored from one T x T Gram matrix (T^2 * 8 bytes), reused in place
+    as the distance matrix.
+    """
+    totals = [{"reward": [], "R_d": [], "R_rep": [], "R_sub": []} for _ in folds]
+    items = [
+        list(zip(fold_videos, manager_subgoals_batch(
+            fold.store, [video.features for video in fold_videos], config.subtask_size
+        )))
+        for fold, fold_videos in zip(folds, videos)
+    ]  # fmt: skip
+    for step in _lockstep(items):
+        _worker_step(folds, step, config, epoch, totals)
+    return [
+        {key: float(np.mean(vals)) if vals else 0.0 for key, vals in fold_totals.items()}
+        for fold_totals in totals
+    ]
+
+
+def _worker_step(folds, step, config, epoch, totals):
+    """One policy-gradient step of each fold k on its (video, subgoals) of a lockstep step.
+
+    A fold whose episodes all select no frames takes no step. The step's
+    stacked arrays are freed on return, before the next step's.
+    """
+    stores = [folds[k].store for k, _ in step]
+    fwds = worker_forward_folds(
+        stores,
+        [video.features for _, (video, _) in step],
+        [subgoals for _, (_, subgoals) in step],
+        config.subtask_size,
     )
-    for video, subgoals in zip(videos, all_subgoals):
-        feats = video.features
-        probs = manager_head(store, subgoals)[1]
-        wfwd = worker_forward(store, feats, subgoals, config.subtask_size)
-        score_means = block_means(wfwd.scores, wfwd.bounds)
-        rng = substream(config.seed, "worker", video.video_id, epoch)
-        actions = sample_episodes(wfwd.scores, rng, config.episodes)
-        if not actions.any():
-            log.warning(
-                "video %s: every episode selected no frames; skipped this epoch",
-                video.video_id,
-            )
-            continue
-        rewards = episode_rewards(feats, actions, score_means, probs, config.alpha)
-        baseline = baselines.get(video.video_id, 0.0)
-        weights = (rewards.r - baseline) / config.episodes
-        dscores = weights @ log_prob_score_grad(wfwd.scores, actions)
-        dscores += (1.0 - config.alpha) * sub_reward_score_grad(score_means, probs, wfwd.bounds)
-        # the optimizer minimizes, the policy gradient ascends: negate
-        worker_backward(store, wfwd, -dscores)
-        optimizer.step(names)
-        mean_r = float(np.mean(rewards.r))
-        momentum = config.baseline_momentum
-        baselines[video.video_id] = momentum * baseline + (1.0 - momentum) * mean_r
-        totals["reward"].append(mean_r)
-        totals["R_d"].append(float(np.mean(rewards.r_d)))
-        totals["R_rep"].append(float(np.mean(rewards.r_rep)))
-        totals["R_sub"].append(rewards.r_sub)
-    return {key: float(np.mean(vals)) if vals else 0.0 for key, vals in totals.items()}
+    dscores = [
+        _score_gradient(folds[k], video, subgoals, wfwd, config, epoch, totals[k])
+        for (k, (video, subgoals)), wfwd in zip(step, fwds)
+    ]
+    stepped = [folds[k] for (k, _), d in zip(step, dscores) if d is not None]
+    if not stepped:
+        return
+    # the optimizer minimizes, the policy gradient ascends: negate
+    worker_backward_folds(stores, fwds, [None if d is None else -d for d in dscores])
+    names = worker_param_names(stores[0])
+    for fold in stepped:
+        fold.optimizer.step(names)
+
+
+def _score_gradient(fold, video, subgoals, wfwd, config, epoch, totals):
+    """d(objective)/d(scores) of one video's episodes, or None if every episode is empty.
+
+    Records the video's rewards in totals and moves its baseline.
+    """
+    probs = manager_head(fold.store, subgoals)[1]
+    score_means = block_means(wfwd.scores, wfwd.bounds)
+    rng = substream(config.seed, "worker", video.video_id, epoch)
+    actions = sample_episodes(wfwd.scores, rng, config.episodes)
+    if not actions.any():
+        log.warning(
+            "%svideo %s: every episode selected no frames; skipped this epoch",
+            _fold_prefix(fold.label),
+            video.video_id,
+        )
+        return None
+    rewards = episode_rewards(video.features, actions, score_means, probs, config.alpha)
+    baseline = fold.baselines.get(video.video_id, 0.0)
+    weights = (rewards.r - baseline) / config.episodes
+    dscores = weights @ log_prob_score_grad(wfwd.scores, actions)
+    dscores += (1.0 - config.alpha) * sub_reward_score_grad(score_means, probs, wfwd.bounds)
+    mean_r = float(np.mean(rewards.r))
+    momentum = config.baseline_momentum
+    fold.baselines[video.video_id] = momentum * baseline + (1.0 - momentum) * mean_r
+    totals["reward"].append(mean_r)
+    totals["R_d"].append(float(np.mean(rewards.r_d)))
+    totals["R_rep"].append(float(np.mean(rewards.r_rep)))
+    totals["R_sub"].append(rewards.r_sub)
+    return dscores
+
+
+def check_worker_memory(fold_videos, episodes):
+    """Raise ConfigurationError if a Worker step on the longest video would pass MEMORY_LIMIT.
+
+    The estimate is a floor of one video's Worker working set: the (E, T)
+    float64 draws and score-function rows, and the T x T Gram matrix its
+    rewards are scored from. It is the limit kts.check_memory holds KTS to.
+    """
+    video = max((v for videos in fold_videos for v in videos), key=lambda v: v.num_frames)
+    need = 8 * video.num_frames * (2 * episodes + video.num_frames)
+    if need > MEMORY_LIMIT:
+        raise ConfigurationError(
+            f"--episodes {episodes}: a Worker step on video '{video.video_id}' "
+            f"({video.num_frames} frames) needs an estimated {need} bytes, "
+            f"over the {MEMORY_LIMIT}-byte limit"
+        )
 
 
 def checkpoint_meta(feature_dim, config):
@@ -155,55 +270,78 @@ def checkpoint_meta(feature_dim, config):
 
 
 def train(videos, feature_dim, config, checkpoint_path=None, log_path=None, fold=None):
-    """Alternate Manager and Worker epochs; returns (store, history).
+    """Train one fold, train_folds on one video list; returns (store, history)."""
+    return train_folds([videos], feature_dim, config, [checkpoint_path], [log_path], [fold])[0]
 
-    History holds one log entry per phase per round; the same entries go to
-    log_path as JSON lines when given, and to the log at INFO level, prefixed
-    with the fold number when given and followed by the phase's wall-clock
-    seconds, which stay out of the history and log_path.
+
+def train_folds(fold_videos, feature_dim, config, checkpoint_paths, log_paths, labels):
+    """Alternate Manager and Worker epochs for folds in lockstep; returns each (store, history).
+
+    fold_videos[k] is fold k's training list, and checkpoint_paths[k],
+    log_paths[k] and labels[k] its outputs, each None to skip it. A fold's
+    history holds one log entry per phase per round; the same entries go to
+    its log path as JSON lines when given, and to the log at INFO level,
+    prefixed with its label when given and followed by the phase's
+    wall-clock seconds, which the folds share and which stay out of the
+    history and the log path. Checkpoints are written once every fold has
+    finished.
     """
     config.validate()
-    if not videos:
+    if not all(fold_videos):
         raise ConfigurationError("cannot train on an empty video list")
-    store = new_policy(feature_dim, config)
-    optimizer = Adam(store, lr=config.learning_rate)
-    baselines = {}
-    history = []
-    log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
-    try:
+    if config.epochs:
+        check_worker_memory(fold_videos, config.episodes)
+    folds = []
+    for label in labels:
+        store = new_policy(feature_dim, config)
+        folds.append(FoldState(store, Adam(store, lr=config.learning_rate), label=label))
+    histories = [[] for _ in folds]
+    with ExitStack() as stack:
+        logs = [p and stack.enter_context(open(p, "w", encoding="utf-8")) for p in log_paths]
         for epoch in range(config.epochs):
             start = time.perf_counter()
-            loss = train_manager_epoch(store, optimizer, videos, config.subtask_size)
-            entry = {"epoch": epoch, "phase": "manager", "L_m": loss}
-            _emit(history, log_fh, fold, entry, time.perf_counter() - start)
+            losses = train_manager_epoch(folds, fold_videos, config.subtask_size)
+            entries = [{"epoch": epoch, "phase": "manager", "L_m": loss} for loss in losses]
+            _emit(folds, histories, logs, entries, time.perf_counter() - start)
             start = time.perf_counter()
-            stats = train_worker_epoch(store, optimizer, videos, config, baselines, epoch)
-            entry = {"epoch": epoch, "phase": "worker", **stats}
-            _emit(history, log_fh, fold, entry, time.perf_counter() - start)
-    finally:
+            stats = train_worker_epoch(folds, fold_videos, config, epoch)
+            entries = [{"epoch": epoch, "phase": "worker", **fold_stats} for fold_stats in stats]
+            _emit(folds, histories, logs, entries, time.perf_counter() - start)
+    for fold in folds:
+        fold.store.check_finite()
+    for fold, path in zip(folds, checkpoint_paths):
+        if path:
+            save_checkpoint(path, fold.store, checkpoint_meta(feature_dim, config))
+    return [(fold.store, history) for fold, history in zip(folds, histories)]
+
+
+def lockstep_group_size(feature_dim, hidden):
+    """Folds per lockstep group: as many as LOCKSTEP_BYTES of parameter state holds, at least 1."""
+    params = sum(math.prod(shape) for shape in policy_shapes(feature_dim, hidden).values())
+    return max(1, LOCKSTEP_BYTES // (32 * params))
+
+
+def _fold_prefix(label):
+    return "" if label is None else f"fold {label} "
+
+
+def _emit(folds, histories, logs, entries, seconds):
+    """Record one phase's entry per fold; every fold's INFO line gives the shared seconds."""
+    for fold, history, log_fh, entry in zip(folds, histories, logs, entries):
+        history.append(entry)
+        values = [f"{k}={entry[k]:.6g}" for k in sorted(entry) if k not in ("epoch", "phase")]
+        log.info(
+            "%sepoch %d %s: %s (%.3f s)",
+            _fold_prefix(fold.label),
+            entry["epoch"],
+            entry["phase"],
+            ", ".join(values),
+            seconds,
+        )
         if log_fh:
-            log_fh.close()
-    store.check_finite()
-    if checkpoint_path:
-        save_checkpoint(checkpoint_path, store, checkpoint_meta(feature_dim, config))
-    return store, history
-
-
-def _emit(history, log_fh, fold, entry, seconds):
-    history.append(entry)
-    values = [f"{key}={entry[key]:.6g}" for key in sorted(entry) if key not in ("epoch", "phase")]
-    log.info(
-        "%sepoch %d %s: %s (%.3f s)",
-        "" if fold is None else f"fold {fold} ",
-        entry["epoch"],
-        entry["phase"],
-        ", ".join(values),
-        seconds,
-    )
-    if log_fh:
-        log_fh.write(json.dumps(entry, sort_keys=True))
-        log_fh.write("\n")
-        log_fh.flush()
+            log_fh.write(json.dumps(entry, sort_keys=True))
+            log_fh.write("\n")
+            log_fh.flush()
 
 
 def crossval_split(video_ids, folds, seed):
@@ -224,18 +362,23 @@ def train_run(dataset, config, out_dir, folds=5, no_cv=False, extra_config=None)
 
     folds.json lists each fold's held-out test videos; fold k trains on all
     the others (with --no-cv there is a single fold trained and tested on
-    everything).
+    everything). The folds train in lockstep groups of lockstep_group_size
+    (train_folds), one group after another.
     """
     config.validate()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     ids = dataset.video_ids
     if no_cv:
         fold_lists = [list(ids)]
+        fold_videos = [list(dataset.videos)]
         setting = "single"
     else:
         fold_lists = crossval_split(ids, folds, config.seed)
+        fold_videos = [[v for v in dataset.videos if v.video_id not in held] for held in fold_lists]
         setting = "canonical"
+    if config.epochs:
+        check_worker_memory(fold_videos, config.episodes)  # before the run directory is written
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     echo = dataclasses.asdict(config)
     echo.update(
@@ -255,17 +398,15 @@ def train_run(dataset, config, out_dir, folds=5, no_cv=False, extra_config=None)
         json.dump({"setting": setting, "folds": fold_lists}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    for k, test_ids in enumerate(fold_lists):
-        if no_cv:
-            train_videos = list(dataset.videos)
-        else:
-            train_videos = [v for v in dataset.videos if v.video_id not in test_ids]
-        train(
-            train_videos,
+    size = lockstep_group_size(dataset.manifest.feature_dim, config.hidden)
+    for first in range(0, len(fold_videos), size):
+        labels = list(range(first, min(first + size, len(fold_videos))))
+        train_folds(
+            fold_videos[first : first + size],
             dataset.manifest.feature_dim,
             config,
-            checkpoint_path=out / f"fold{k}.ckpt",
-            log_path=out / f"train_fold{k}.jsonl",
-            fold=k,
+            [out / f"fold{k}.ckpt" for k in labels],
+            [out / f"train_fold{k}.jsonl" for k in labels],
+            labels,
         )
     return out

@@ -5,6 +5,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +218,34 @@ def test_train_missing_dataset_exit_1(tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_train_too_many_episodes_for_memory_exit_1(cli_dataset, tmp_path, capsys):
+    # 10^12 episodes of a 30-frame video would draw 240 TB of (E, T) floats in the
+    # first Worker epoch; the estimate rejects the run before any epoch allocates
+    argv = [
+        "train",
+        "--dataset", str(cli_dataset),
+        "--out", str(tmp_path / "run"),
+        "--subtask-size", "10",
+        "--hidden", "6",
+        "--epochs", "1",
+        "--episodes", "1000000000000",
+        "--no-cv",
+    ]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "--episodes 1000000000000" in err and "video 'video000' (30 frames)" in err
+    assert "bytes" in err
+    assert peak < 2**20
+    assert not (tmp_path / "run").exists()
 
 
 def zero_frame(data):

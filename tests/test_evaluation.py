@@ -403,9 +403,11 @@ def test_info_log_has_one_line_per_phase_and_fold(tiny_dataset, tmp_path, caplog
     for path in sorted(quiet.iterdir()):
         assert (loud / path.name).read_bytes() == path.read_bytes(), path.name
 
+    logs = [(quiet / f"train_fold{k}.jsonl").read_text().splitlines() for k in range(2)]
     want = []
-    for k in range(2):
-        for line in (quiet / f"train_fold{k}.jsonl").read_text().splitlines():
+    # the folds train in lockstep, so each epoch phase logs one line per fold, in fold order
+    for lines in zip(*logs):
+        for k, line in enumerate(lines):
             entry = json.loads(line)
             if entry["phase"] == "manager":
                 values = f"L_m={entry['L_m']:.6g}"

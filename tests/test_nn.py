@@ -20,6 +20,7 @@ from hiersum.nn import (
     lstm_backward,
     lstm_forward,
     lstm_forward_batch,
+    lstm_forward_folds,
     save_checkpoint,
     sigmoid,
     uniform_init,
@@ -143,16 +144,62 @@ def test_lstm_forward_batch_columns_match_single_sequences():
     init_lstm(store, "m", 3, 4, substream(9, "t"))
     rng = substream(9, "d")
     seqs = [rng.normal(size=(t, 3)) * 3.0 for t in (5, 1, 12, 7)]
-    hs, cs, gates = lstm_forward_batch(store, "m", seqs)
-    assert hs.shape == cs.shape == (12, 4, 4) and gates.shape == (12, 4, 16)
+    hs, cs, gates = lstm_forward_batch([store], "m", [seqs])
+    assert hs.shape == cs.shape == (12, 1, 4, 4) and gates.shape == (12, 4, 1, 4, 4)
     for v, xs in enumerate(seqs):
         one_hs, (_, _, one_cs, one_gates) = lstm_forward(store, "m", xs)
         steps = xs.shape[0]
-        assert np.max(np.abs(hs[:steps, v] - one_hs)) < 1e-12
-        assert np.max(np.abs(cs[:steps, v] - one_cs)) < 1e-12
-        assert np.max(np.abs(gates[:steps, v] - one_gates)) < 1e-12
+        assert np.max(np.abs(hs[:steps, 0, v] - one_hs)) < 1e-12
+        assert np.max(np.abs(cs[:steps, 0, v] - one_cs[:, 0])) < 1e-12
+        assert np.max(np.abs(gates[:steps, :, 0, v] - one_gates[:steps, :, 0])) < 1e-12
     with pytest.raises(ValueError, match="input dim"):
-        lstm_forward_batch(store, "m", [seqs[0], np.zeros((2, 5))])
+        lstm_forward_batch([store], "m", [[seqs[0], np.zeros((2, 5))]])
+
+
+def test_stacked_folds_match_one_fold_at_a_time_bit_for_bit():
+    # two folds with their own weights; the shorter sequence is padded in the
+    # stacked forward and carries zeros in the stacked backward until its last step
+    stores, seqs, dhs = [], [], []
+    for k, steps in enumerate((17, 9)):
+        store = ParamStore()
+        init_lstm(store, "m", 3, 4, substream(12, "t", k))
+        rng = substream(12, "d", k)
+        stores.append(store)
+        seqs.append(rng.normal(size=(steps, 3)))
+        dhs.append(rng.normal(size=(steps, 4)))
+    alone = [ParamStore() for _ in stores]
+    for one, store in zip(alone, stores):
+        for name in store.names():
+            one.add(name, store[name])
+
+    def stacked_grads(which):
+        padded = np.zeros((17, 2, 4))
+        for k in which:
+            padded[: len(dhs[k]), k] = dhs[k]
+        return padded
+
+    hs, (_, stacked_hs, cs, gates) = lstm_forward_folds(stores, "m", seqs)
+    assert stacked_hs.shape == cs.shape == (17, 2, 4) and gates.shape == (17, 4, 2, 4)
+    forward = [
+        (hs[k], cs[: len(xs), k].copy(), gates[: len(xs), :, k].copy()) for k, xs in enumerate(seqs)
+    ]
+    lstm_backward(stores, "m", (seqs, stacked_hs, cs, gates), stacked_grads([0, 1]))
+    for k, xs in enumerate(seqs):
+        one_hs, one_cache = lstm_forward(alone[k], "m", xs)
+        assert forward[k][0].tobytes() == one_hs.tobytes()
+        assert forward[k][1].tobytes() == one_cache[2][:, 0].tobytes()
+        assert forward[k][2].tobytes() == one_cache[3][:, :, 0].tobytes()
+        lstm_backward([alone[k]], "m", one_cache, dhs[k][:, None])
+        for name in stores[k].names():
+            assert stores[k].grads[name].tobytes() == alone[k].grads[name].tobytes(), name
+    # a fold with zero gradient on its states gets exact zeros, and the other its own bits
+    for store in stores + alone:
+        store.zero_grads()
+    lstm_backward(stores, "m", lstm_forward_folds(stores, "m", seqs)[1], stacked_grads([1]))
+    lstm_backward([alone[1]], "m", lstm_forward(alone[1], "m", seqs[1])[1], dhs[1][:, None])
+    assert all(not stores[0].grads[name].any() for name in stores[0].names())
+    for name in stores[1].names():
+        assert stores[1].grads[name].tobytes() == alone[1].grads[name].tobytes(), name
 
 
 def test_lstm_gradients_match_finite_differences():
@@ -164,7 +211,7 @@ def test_lstm_gradients_match_finite_differences():
 
     def loss_fn():
         hs, cache = lstm_forward(store, "m", xs)
-        lstm_backward(store, "m", cache, weights)
+        lstm_backward([store], "m", cache, weights[:, None])
         return float(np.sum(weights * hs))
 
     report = grad_check(loss_fn, store, step=1e-5, tolerance=1e-5)

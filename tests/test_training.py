@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from hiersum import nn, policy, rewards, training
-from hiersum.data import ConfigurationError, derive_task_labels, generate_synthetic, load_dataset
+from hiersum.data import (
+    ConfigurationError,
+    Dataset,
+    DatasetManifest,
+    Video,
+    derive_task_labels,
+    generate_synthetic,
+    load_dataset,
+)
 from hiersum.nn import Adam, load_checkpoint
 from hiersum.policy import (
     manager_forward,
@@ -19,6 +27,7 @@ from hiersum.data import block_means
 from hiersum.rewards import episode_reward, sub_reward_score_grad
 from hiersum.seeding import substream
 from hiersum.training import (
+    FoldState,
     TrainConfig,
     checkpoint_meta,
     crossval_split,
@@ -44,6 +53,10 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def one_fold(store, baselines=None, lr=1e-3, label=None):
+    return FoldState(store, Adam(store, lr=lr), {} if baselines is None else baselines, label)
 
 
 def snapshot(store):
@@ -92,7 +105,7 @@ def test_manager_epoch_touches_only_manager_params(tiny_dataset):
     config = small_config()
     store = new_policy(6, config)
     before = snapshot(store)
-    train_manager_epoch(store, Adam(store, lr=1e-3), tiny_dataset.videos, 10)
+    train_manager_epoch([one_fold(store)], [tiny_dataset.videos], 10)
     assert unchanged(store, before, worker_param_names(store))
     assert not unchanged(store, before, manager_param_names(store))
 
@@ -101,7 +114,7 @@ def test_worker_epoch_touches_only_worker_params(tiny_dataset):
     config = small_config()
     store = new_policy(6, config)
     before = snapshot(store)
-    stats = train_worker_epoch(store, Adam(store, lr=1e-3), tiny_dataset.videos, config, {}, 0)
+    stats = train_worker_epoch([one_fold(store)], [tiny_dataset.videos], config, 0)[0]
     assert unchanged(store, before, manager_param_names(store))
     assert not unchanged(store, before, worker_param_names(store))
     assert set(stats) == {"reward", "R_d", "R_rep", "R_sub"}
@@ -114,15 +127,16 @@ def test_worker_epoch_runs_one_manager_pass_per_batch_and_one_gram_per_video(
     calls = {"manager": 0, "gram": 0}
     real_lstm, real_rewards = nn.lstm_forward_batch, rewards._action_rewards
 
-    def counting_lstm(store, prefix, seqs):
+    def counting_lstm(stores, prefix, seqs):
         calls["manager"] += prefix == "manager.lstm"
-        return real_lstm(store, prefix, seqs)
+        return real_lstm(stores, prefix, seqs)
 
     def counting_rewards(*args, **kwargs):
         calls["gram"] += 1
         return real_rewards(*args, **kwargs)
 
-    # policy calls the batched recurrence directly, and manager_forward through nn.lstm_forward
+    # policy calls the batched recurrence directly, and the stacked forwards through
+    # nn.lstm_forward_folds
     monkeypatch.setattr(nn, "lstm_forward_batch", counting_lstm)
     monkeypatch.setattr(policy, "lstm_forward_batch", counting_lstm)
     monkeypatch.setattr(rewards, "_action_rewards", counting_rewards)
@@ -130,7 +144,7 @@ def test_worker_epoch_runs_one_manager_pass_per_batch_and_one_gram_per_video(
     assert len(videos) > policy.SCORE_BATCH
     config = small_config()
     store = new_policy(6, config)
-    train_worker_epoch(store, Adam(store, lr=1e-3), videos, config, {}, 0)
+    train_worker_epoch([one_fold(store)], [videos], config, 0)
     assert calls["manager"] == math.ceil(len(videos) / policy.SCORE_BATCH)
     assert calls["gram"] == len(videos)
 
@@ -144,10 +158,11 @@ def test_worker_epoch_dscores_match_per_episode_loop(tiny_dataset, monkeypatch):
         store, [video.features for video in videos], config.subtask_size
     )
     worst = []
-    real_backward = training.worker_backward
+    real_backward = training.worker_backward_folds
 
-    def checking_backward(store, wfwd, dscores):
+    def checking_backward(stores, wfwds, dscores):
         # the per-episode loop this epoch replaced, run on the same state
+        (store,), (wfwd,), (dscores,) = stores, wfwds, dscores
         k = len(worst)
         video = videos[k]
         probs = policy.manager_head(store, all_subgoals[k])[1]
@@ -165,10 +180,10 @@ def test_worker_epoch_dscores_match_per_episode_loop(tiny_dataset, monkeypatch):
             )
         want += (1.0 - config.alpha) * sub_reward_score_grad(score_means, probs, wfwd.bounds)
         worst.append(np.abs(-dscores - want).max() / np.abs(want).max())
-        return real_backward(store, wfwd, dscores)
+        return real_backward(stores, wfwds, [dscores])
 
-    monkeypatch.setattr(training, "worker_backward", checking_backward)
-    train_worker_epoch(store, Adam(store, lr=1e-3), videos, config, baselines, 0)
+    monkeypatch.setattr(training, "worker_backward_folds", checking_backward)
+    train_worker_epoch([one_fold(store, dict(baselines))], [videos], config, 0)
     assert len(worst) == len(videos)
     assert max(worst) <= 1e-12
 
@@ -196,7 +211,7 @@ def test_matched_baseline_single_episode_is_a_fixed_point(tiny_dataset):
     )
     before = snapshot(store)
     baselines = {video.video_id: bd.r}
-    train_worker_epoch(store, Adam(store, lr=1e-3), [video], config, baselines, 0)
+    train_worker_epoch([one_fold(store, baselines)], [[video]], config, 0)
     assert unchanged(store, before, store.names())
 
 
@@ -218,7 +233,7 @@ def test_score_reward_term_updates_even_at_matched_baseline(tiny_dataset):
         config.alpha,
     )
     before = snapshot(store)
-    train_worker_epoch(store, Adam(store, lr=1e-3), [video], config, {video.video_id: bd.r}, 0)
+    train_worker_epoch([one_fold(store, {video.video_id: bd.r})], [[video]], config, 0)
     assert not unchanged(store, before, worker_param_names(store))
 
 
@@ -226,13 +241,13 @@ def test_baseline_moving_average_update(tiny_dataset):
     config = small_config()
     video = tiny_dataset.videos[0]
     store = new_policy(6, config)
-    optimizer = Adam(store, lr=config.learning_rate)
-    baselines = {}
-    stats0 = train_worker_epoch(store, optimizer, [video], config, baselines, 0)
+    fold = one_fold(store, lr=config.learning_rate)
+    baselines = fold.baselines
+    stats0 = train_worker_epoch([fold], [[video]], config, 0)[0]
     m = config.baseline_momentum
     want = m * 0.0 + (1.0 - m) * stats0["reward"]
     assert baselines[video.video_id] == want
-    stats1 = train_worker_epoch(store, optimizer, [video], config, baselines, 1)
+    stats1 = train_worker_epoch([fold], [[video]], config, 1)[0]
     assert baselines[video.video_id] == m * want + (1.0 - m) * stats1["reward"]
 
 
@@ -243,10 +258,28 @@ def test_all_empty_episodes_skip_video(tiny_dataset, caplog):
     store.params["worker.head.b"][0] = -50.0  # scores pinned to the low clamp
     before = snapshot(store)
     with caplog.at_level("WARNING", logger="hiersum.training"):
-        stats = train_worker_epoch(store, Adam(store, lr=1e-3), [video], config, {}, 0)
-    assert "selected no frames" in caplog.text
+        stats = train_worker_epoch([one_fold(store)], [[video]], config, 0)[0]
+    assert caplog.messages == [
+        f"video {video.video_id}: every episode selected no frames; skipped this epoch"
+    ]
     assert unchanged(store, before, store.names())
     assert stats == {"reward": 0.0, "R_d": 0.0, "R_rep": 0.0, "R_sub": 0.0}
+
+
+def test_skip_warning_names_the_fold(tiny_dataset, caplog):
+    # lines from folds trained in lockstep interleave, so the warning carries the
+    # same "fold k" prefix as the INFO phase lines; only the pinned fold skips
+    config = small_config()
+    videos = tiny_dataset.videos[:2]
+    pinned = zero_store(6, config.hidden)
+    pinned.params["worker.head.b"][0] = -50.0  # scores pinned to the low clamp
+    folds = [one_fold(new_policy(6, config), label=0), one_fold(pinned, label=1)]
+    with caplog.at_level("WARNING", logger="hiersum.training"):
+        train_worker_epoch(folds, [videos, videos], config, 0)
+    assert caplog.messages == [
+        f"fold 1 video {video.video_id}: every episode selected no frames; skipped this epoch"
+        for video in videos
+    ]
 
 
 # --- learning on easy data --------------------------------------------------------------
@@ -255,9 +288,9 @@ def test_all_empty_episodes_skip_video(tiny_dataset, caplog):
 def test_manager_loss_decreases(tiny_dataset):
     config = small_config()
     store = new_policy(6, config)
-    optimizer = Adam(store, lr=1e-2)
+    fold = one_fold(store, lr=1e-2)
     losses = [
-        train_manager_epoch(store, optimizer, tiny_dataset.videos, config.subtask_size)
+        train_manager_epoch([fold], [tiny_dataset.videos], config.subtask_size)[0]
         for _ in range(30)
     ]
     assert losses[-1] < losses[0] * 0.7
@@ -385,3 +418,54 @@ def test_train_run_no_cv(tiny_dataset, tmp_path):
     assert folds_doc["folds"] == [list(tiny_dataset.video_ids)]
     assert (out / "fold0.ckpt").exists()
     assert not (out / "fold1.ckpt").exists()
+
+
+def lockstep_dataset(seed):
+    """Seven videos of unequal lengths; the 2-frame v2 often draws an all-empty episode."""
+    rng = substream(seed, "lockstep")
+    videos = [
+        Video(f"v{i}", rng.normal(size=(t, 5)).astype(np.float32), rng.uniform(size=(2, t)))
+        for i, t in enumerate([40, 23, 2, 31, 57, 12, 35])
+    ]
+    return Dataset(DatasetManifest("lockstep", 5, []), videos)
+
+
+def test_lockstep_folds_match_training_each_fold_alone(tmp_path, caplog):
+    # 7 videos in 3 folds train on 4, 5 and 5 videos of 2 to 57 frames, so the
+    # stacked recurrence pads both across folds and, at the last step, drops a fold
+    config = small_config(epochs=3, episodes=1, hidden=4, seed=3)
+    dataset = lockstep_dataset(3)
+    with caplog.at_level("WARNING", logger="hiersum.training"):
+        out = train_run(dataset, config, tmp_path / "run", folds=3)
+    held_out = json.loads((out / "folds.json").read_text())["folds"]
+    fold_videos = [[v for v in dataset.videos if v.video_id not in ids] for ids in held_out]
+    assert sorted(len(videos) for videos in fold_videos) == [4, 5, 5]
+    # v2 is skipped in some but not all of the folds that train on it
+    skipped = {int(m.split()[1]) for m in caplog.messages if " video v2: " in m}
+    training_on_v2 = {k for k, ids in enumerate(held_out) if "v2" not in ids}
+    assert skipped and skipped < training_on_v2, (skipped, training_on_v2)
+    for k, videos in enumerate(fold_videos):
+        train(
+            videos, 5, config, checkpoint_path=tmp_path / f"alone{k}.ckpt",
+            log_path=tmp_path / f"alone{k}.jsonl", fold=k,
+        )  # fmt: skip
+        alone = (tmp_path / f"alone{k}.ckpt", tmp_path / f"alone{k}.jsonl")
+        assert (out / f"fold{k}.ckpt").read_bytes() == alone[0].read_bytes()
+        assert (out / f"train_fold{k}.jsonl").read_bytes() == alone[1].read_bytes()
+
+
+def test_worker_memory_estimate_rejects_before_training(tiny_dataset, monkeypatch):
+    # the first Manager epoch would run before a (E, T) draw failed; nothing trains now
+    monkeypatch.setattr(training, "train_manager_epoch", None)
+    config = small_config(episodes=10**12)
+    with pytest.raises(ConfigurationError, match=r"--episodes 10+: .*'video000' \(40 frames\)"):
+        train(tiny_dataset.videos, 6, config)
+    # 2 * 10 * 40 + 40 * 40 floats fit easily, and zero epochs never reach a Worker step
+    training.check_worker_memory([tiny_dataset.videos], 10)
+    train(tiny_dataset.videos, 6, small_config(epochs=0, episodes=10**12))
+
+
+def test_lockstep_groups_are_sized_by_parameter_state():
+    # four float64 copies of a fold's parameters: 1.6 MB at D=16, H=64, 18 MB at D=1024
+    assert training.lockstep_group_size(16, 64) == 3
+    assert training.lockstep_group_size(1024, 64) == 1
