@@ -14,9 +14,12 @@ row-major order. Annotation files store per-user importance scores (and
 optionally per-user binary summaries); keyframes and task-level labels are
 derived, never stored, the labels at train time from the run's subtask size.
 
-A loaded video holds its features as the float32 their file stores, 4*T*D
-bytes. All arithmetic is float64: every computation that reads the features
-widens them first, one video at a time, and the widening is exact.
+load_dataset reads and checks every feature file once, then keeps each
+video's path and shape but not its payload: a computation reads the file
+again, with the same checks, when it uses the features, and holds the float32
+matrix the file stores, 4*T*D bytes, only while it does. All arithmetic is
+float64: every computation that reads the features widens them first, one
+video at a time, and the widening is exact.
 """
 
 from __future__ import annotations
@@ -266,111 +269,143 @@ def load_manifest(path):
     )
 
 
-@dataclass
 class Video:
     """One video's frame features and multi-user importance scores, checked together.
 
     The checks name the video and raise ValidationError. mean_scores and the
     keyframes are derived from the scores; user_summaries, when given, must
     hold only 0 and 1 (or booleans) and are kept as uint8 masks.
+
+    features is a (T, D) matrix, one row per (already subsampled) frame:
+    float32 is kept as given (as a feature file stores it) and anything else
+    becomes float64; computations widen it to float64. Given the path of the
+    feature file it was read from, a video keeps that path and the shape but
+    not the matrix, and each access to `features` reads the file again
+    (with_features).
     """
 
-    video_id: str
-    # (T, D), one row per (already subsampled) frame: float32 is kept as read from a
-    # feature file, anything else becomes float64; computations widen it to float64
-    features: np.ndarray
-    per_user_scores: np.ndarray  # (U, T) float64 in [0, 1]
-    user_summaries: np.ndarray | None = None  # (U, T) uint8
-    mean_scores: np.ndarray = field(init=False)  # (T,)
-    keyframes: np.ndarray = field(init=False)  # (T,) uint8
-
-    def __post_init__(self):
-        feats = self.features
+    def __init__(self, video_id, features, per_user_scores, user_summaries=None, path=None):
+        feats = features
         if not (isinstance(feats, np.ndarray) and feats.dtype == np.float32):
             feats = np.asarray(feats, dtype=np.float64)
-        scores = np.asarray(self.per_user_scores, dtype=np.float64)
+        scores = np.asarray(per_user_scores, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
-            raise ValidationError(
-                f"video '{self.video_id}': features must be a non-empty 2-D matrix"
-            )
+            raise ValidationError(f"video '{video_id}': features must be a non-empty 2-D matrix")
         if scores.ndim != 2 or scores.shape[1] != feats.shape[0]:
             raise ValidationError(
-                f"video '{self.video_id}': {feats.shape[0]} feature rows but "
+                f"video '{video_id}': {feats.shape[0]} feature rows but "
                 f"annotation scores have shape {scores.shape}"
             )
-        check_finite_features(feats, f"video '{self.video_id}'")
+        check_finite_features(feats, f"video '{video_id}'")
         zero_frames = np.flatnonzero(~feats.any(axis=1))
         if zero_frames.size:
             # cosine dissimilarity in the diversity reward is undefined for them
             raise ValidationError(
-                f"video '{self.video_id}': frame {zero_frames[0]} has all-zero features"
+                f"video '{video_id}': frame {zero_frames[0]} has all-zero features"
             )
         if scores.shape[0] < 1:
             raise ValidationError(
-                f"video '{self.video_id}': per_user_scores must be a non-empty U x T matrix"
+                f"video '{video_id}': per_user_scores must be a non-empty U x T matrix"
             )
         if not np.all(np.isfinite(scores)):
-            raise ValidationError(
-                f"video '{self.video_id}': per_user_scores contain non-finite values"
-            )
+            raise ValidationError(f"video '{video_id}': per_user_scores contain non-finite values")
         if scores.min() < 0.0 or scores.max() > 1.0:
-            raise ValidationError(
-                f"video '{self.video_id}': per_user_scores must lie in [0, 1]"
-            )
-        if self.user_summaries is not None:
-            summaries = np.asarray(self.user_summaries)
+            raise ValidationError(f"video '{video_id}': per_user_scores must lie in [0, 1]")
+        if user_summaries is not None:
+            summaries = np.asarray(user_summaries)
             if summaries.shape != scores.shape:
                 raise ValidationError(
-                    f"video '{self.video_id}': user_summaries shape {summaries.shape} "
+                    f"video '{video_id}': user_summaries shape {summaries.shape} "
                     f"does not match per_user_scores shape {scores.shape}"
                 )
             bad = np.argwhere(~np.isin(summaries, (0, 1)))
             if bad.size:
                 user, frame = bad[0]
                 raise ValidationError(
-                    f"video '{self.video_id}': user_summaries must hold only 0 and 1, "
+                    f"video '{video_id}': user_summaries must hold only 0 and 1, "
                     f"but user {user} frame {frame} is {summaries[user, frame]}"
                 )
-            self.user_summaries = summaries.astype(np.uint8)
-        self.features = feats
-        self.per_user_scores = scores
-        self.mean_scores = scores.mean(axis=0)
-        self.keyframes = derive_keyframes(self.mean_scores)
+            user_summaries = summaries.astype(np.uint8)
+        self.video_id = video_id
+        self.per_user_scores = scores  # (U, T) float64 in [0, 1]
+        self.user_summaries = user_summaries  # (U, T) uint8, or None
+        self.mean_scores = scores.mean(axis=0)  # (T,)
+        self.keyframes = derive_keyframes(self.mean_scores)  # (T,) uint8
+        self.shape = feats.shape
+        self.path = None if path is None else Path(path)
+        self._features = feats if path is None else None
+
+    @property
+    def features(self):
+        return self.with_features()._features
 
     @property
     def num_frames(self):
-        return self.features.shape[0]
+        return self.shape[0]
+
+    def with_features(self):
+        """This video holding its features matrix: itself if it holds one, else a copy read now.
+
+        The copy comes from the same reader and the same checks as the first
+        read, and must have the shape recorded then; a file that changed
+        since raises ValidationError naming it. Code that uses a video's
+        features more than once in one computation holds this copy.
+        """
+        if self._features is not None:
+            return self
+        try:
+            video = Video(
+                self.video_id, read_features(self.path), self.per_user_scores, self.user_summaries
+            )
+            if video.shape != self.shape:
+                raise ValidationError(
+                    f"{video.shape[0]}x{video.shape[1]} features, "
+                    f"but {self.shape[0]}x{self.shape[1]} when loaded"
+                )
+        except ValidationError as exc:
+            raise ValidationError(f"{self.path}: changed since it was loaded: {exc}") from None
+        return video
 
 
 @dataclass
 class Dataset:
     manifest: DatasetManifest
     videos: list[Video]
+    _by_id: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._by_id = {video.video_id: video for video in self.videos}
 
     @property
     def video_ids(self):
         return [v.video_id for v in self.videos]
 
     def by_id(self, video_id):
-        for video in self.videos:
-            if video.video_id == video_id:
-                return video
-        raise KeyError(f"no video '{video_id}' in dataset '{self.manifest.name}'")
+        try:
+            return self._by_id[video_id]
+        except KeyError:
+            raise KeyError(f"no video '{video_id}' in dataset '{self.manifest.name}'") from None
 
 
 def load_dataset(manifest_path):
-    """Load and validate every video referenced by a manifest."""
+    """Load and check every video a manifest lists, keeping no feature payload.
+
+    Each feature file is read and checked once here, before the dataset is
+    returned; the loaded Video keeps its path and shape, and reads the file
+    again when its features are used.
+    """
     manifest = load_manifest(manifest_path)
     videos = []
     for entry in manifest.videos:
-        feats = read_features(manifest.root / entry.features)
+        path = manifest.root / entry.features
+        feats = read_features(path)
         scores, summaries = read_annotations(manifest.root / entry.annotations)
         if feats.shape[1] != manifest.feature_dim:
             raise ValidationError(
                 f"video '{entry.video_id}': feature dim {feats.shape[1]} "
                 f"does not match manifest feature_dim {manifest.feature_dim}"
             )
-        videos.append(Video(entry.video_id, feats, scores, user_summaries=summaries))
+        videos.append(Video(entry.video_id, feats, scores, user_summaries=summaries, path=path))
     return Dataset(manifest=manifest, videos=videos)
 
 

@@ -5,6 +5,10 @@ Precision here is overlap / |ground truth| and recall is overlap /
 kept deliberately; the F score is invariant under the swap. Kendall's tau
 uses the tie-corrected tau-b form with exact integer pair counts; Spearman's
 rho is the Pearson correlation of average ranks.
+
+evaluate_run reads a fold's held-out videos from their feature files when it
+scores that fold, and drops them before the next, so a run holds one fold's
+features at a time.
 """
 
 from __future__ import annotations
@@ -221,7 +225,9 @@ def evaluate_run(
 
     Each fold's videos are scored together (policy.greedy_scores_batch);
     the metrics METRIC_KEYS[metric] names then run per video, and only those
-    (evaluate_video). Every held-out video is checked before the first fold:
+    (evaluate_video). A fold reads its videos' features when it starts and
+    drops them before the next fold, so the dataset holds none of them
+    (data.load_dataset). Every held-out video is checked before the first fold:
     against kts.check_memory when F is wanted, and for the 2 frames tau and
     rho need when either is wanted.
     """
@@ -230,22 +236,21 @@ def evaluate_run(
     keys = METRIC_KEYS[metric]
     run_dir = Path(run_dir)
     folds, setting = load_run_folds(run_dir)
-    known = set(dataset.video_ids)
     for video_ids in folds:
         for video_id in video_ids:
-            if video_id not in known:
+            try:
+                num_frames = dataset.by_id(video_id).num_frames
+            except KeyError:
                 raise ConfigurationError(
                     f"{run_dir / 'folds.json'}: video '{video_id}' is not in "
                     f"dataset '{dataset.manifest.name}'"
-                )
-            num_frames = dataset.by_id(video_id).num_frames
+                ) from None
             if "F" in keys:
                 check_memory(num_frames, max_shots, f"video '{video_id}'")
             if num_frames < 2 and ("tau" in keys or "rho" in keys):
                 raise ConfigurationError(
                     f"video '{video_id}' has {num_frames} frame, but tau and rho need at least 2"
                 )
-    f_mode = dataset.manifest.f_aggregate
     source = f"dataset '{dataset.manifest.name}'"
     subtask_size = None
     per_fold = []
@@ -257,29 +262,24 @@ def evaluate_run(
         store, meta = load_checkpoint(ckpt_path)
         check_checkpoint(ckpt_path, store, meta, dataset.manifest.feature_dim, source)
         subtask_size = meta["subtask_size"]
-        videos = [dataset.by_id(video_id) for video_id in video_ids]
-        scores = greedy_scores_batch(store, [v.features for v in videos], subtask_size)
-        results = [
-            evaluate_video(
-                video,
-                video_scores,
-                keys,
-                f_mode,
-                budget_fraction=budget_fraction,
-                max_shots=max_shots,
-                penalty_weight=penalty_weight,
-            )
-            for video, video_scores in zip(videos, scores)
-        ]
-
-        entry = {"fold": k, "num_videos": len(videos)}
+        results = _evaluate_fold(
+            store,
+            [dataset.by_id(video_id) for video_id in video_ids],
+            subtask_size,
+            keys,
+            dataset.manifest.f_aggregate,
+            budget_fraction=budget_fraction,
+            max_shots=max_shots,
+            penalty_weight=penalty_weight,
+        )
+        entry = {"fold": k, "num_videos": len(results)}
         for key in keys:
             entry[key] = float(np.mean([r[key] for r in results]))
         per_fold.append(entry)
         log.info(
             "fold %d: %d videos%s (%.3f s)",
             k,
-            len(videos),
+            len(results),
             "".join(f", {key}={entry[key]:.4f}" for key in keys),
             time.perf_counter() - start,
         )
@@ -295,6 +295,21 @@ def evaluate_run(
     for key in keys:
         report[f"mean_{key}"] = float(np.mean([entry[key] for entry in per_fold]))
     return report
+
+
+def _evaluate_fold(store, videos, subtask_size, keys, f_mode, **summary_options):
+    """evaluate_video of each of a fold's videos under its checkpoint's store.
+
+    The videos' features are read once here (Video.with_features), for both
+    the scores and the segmentation, and freed on return, before the next
+    fold reads its own.
+    """
+    videos = [video.with_features() for video in videos]
+    scores = greedy_scores_batch(store, [v.features for v in videos], subtask_size)
+    return [
+        evaluate_video(video, video_scores, keys, f_mode, **summary_options)
+        for video, video_scores in zip(videos, scores)
+    ]
 
 
 def save_report(path, report):

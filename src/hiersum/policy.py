@@ -301,12 +301,14 @@ def action_log_prob(scores, actions):
 
 
 def sample_episodes(scores, rng, count):
-    """(count, T) 0/1 actions, one Bernoulli draw per frame per episode.
+    """(count, T) 0/1 uint8 actions, one Bernoulli draw per frame per episode.
 
     One rng.random((count, T)) call takes the same stream values, in the same
-    order, as count calls of sample_actions.
+    order, as count calls of sample_actions. The actions are a view of the
+    comparison's booleans, so the float64 draw is the only (count, T)
+    temporary.
     """
-    return (rng.random((count, scores.shape[0])) < scores).astype(np.uint8)
+    return (rng.random((count, scores.shape[0])) < scores).view(np.uint8)
 
 
 def sample_actions(scores, rng):
@@ -316,9 +318,17 @@ def sample_actions(scores, rng):
 
 
 def log_prob_score_grad(scores, actions):
-    """d log-prob / d scores for a fixed action sequence."""
-    actions = np.asarray(actions, dtype=np.float64)
-    return actions / scores - (1.0 - actions) / (1.0 - scores)
+    """d log-prob / d scores for fixed actions, one row per action sequence.
+
+    Built in place: beside the actions it holds the float64 result and one
+    temporary of the same shape.
+    """
+    actions = np.asarray(actions)
+    grad = actions / scores
+    rest = 1.0 - actions
+    rest /= 1.0 - scores
+    grad -= rest
+    return grad
 
 
 def greedy_scores(store, features, subtask_size):

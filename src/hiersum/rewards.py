@@ -63,23 +63,22 @@ def _one_episode(features, selected):
 def _action_rewards(features, actions):
     """(R_div, R_rep) arrays for the rows of an (E, T) 0/1 action matrix, from one Gram matrix.
 
-    With the actions scaled by 1/|x|, the row sums of (w @ G) * w add the
-    cosines of all ordered pairs of selected frames, self pairs included.
-    einsum sums each row of that product in the same order whatever E is
-    (BLAS does not), so a row scores the same bits alone or among others.
-    G then becomes the distances sqrt(max(|x|^2 + |y|^2 - 2 x.y, 0)) in place.
+    Once it has given every episode's cosine sums (_cos_sums), the Gram
+    matrix G becomes the distances sqrt(max(|x|^2 + |y|^2 - 2 x.y, 0)) in
+    place. Beside the actions, G and a float64 copy of the features, the
+    step holds two float64 (E, T) arrays at its peak (_cos_sums), then one
+    T x |selected| column block per episode (_representativeness).
     """
     feats = np.asarray(features, dtype=np.float64)
-    actions = np.asarray(actions, dtype=np.float64)
+    actions = np.asarray(actions)
     # the copy makes numpy call gemm: its syrk for X @ X.T is threaded even at
     # T=200, D=16, where it was 2-3x slower and at times took 8 ms on 2 cores
     gram = feats @ feats.T.copy()
     sq_norms = gram.diagonal().copy()
-    counts = actions.sum(axis=1)
+    counts = actions.sum(axis=1, dtype=np.float64)
     if np.any((counts >= 2) & actions[:, sq_norms == 0.0].any(axis=1)):
         raise ValueError("cosine dissimilarity is undefined for a zero feature vector")
-    weights = actions / np.sqrt(np.where(sq_norms == 0.0, 1.0, sq_norms))
-    cos_sums = (np.einsum("et,ts->es", weights, gram) * weights).sum(axis=1)
+    cos_sums = _cos_sums(actions, gram, sq_norms)
     pairs = counts * (counts - 1.0)
     r_div = np.where(pairs > 0, 1.0 - (cos_sums - counts) / np.maximum(pairs, 1.0), 0.0)
     dist = np.multiply(gram, -2.0, out=gram)
@@ -88,6 +87,21 @@ def _action_rewards(features, actions):
     np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
     np.fill_diagonal(dist, 0.0)
     return r_div, np.array([_representativeness(dist, np.flatnonzero(row)) for row in actions])
+
+
+def _cos_sums(actions, gram, sq_norms):
+    """Per episode, the sum of cos(x, y) over ordered pairs of selected frames, self pairs included.
+
+    With the actions scaled by 1/|x| into w, these are the row sums of
+    (w @ G) * w. einsum sums each row of that product in the same order
+    whatever E is (BLAS does not), so a row scores the same bits alone or
+    among others. w and the product are the step's two (E, T) float64
+    arrays, freed on return.
+    """
+    weights = actions / np.sqrt(np.where(sq_norms == 0.0, 1.0, sq_norms))
+    product = np.einsum("et,ts->es", weights, gram)
+    product *= weights
+    return product.sum(axis=1)
 
 
 def _representativeness(dist, selected):

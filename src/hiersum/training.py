@@ -18,6 +18,8 @@ stacked walk backward (nn.lstm_forward_batch, nn.lstm_backward). Heads,
 rewards, score gradients, Adam steps and baselines stay per fold, and the
 stacked recurrence multiplies each fold's block on its own, so each fold
 computes the same bits it would alone. `train` is the one-fold case.
+A group reads each distinct training video's features from its file once,
+when it starts, and its folds share that array until the group ends.
 """
 
 from __future__ import annotations
@@ -246,15 +248,30 @@ def _score_gradient(fold, video, subgoals, wfwd, config, epoch, totals):
     return dscores
 
 
+def worker_step_bytes(num_frames, feature_dim, episodes):
+    """Bytes a Worker step on one video holds at most, beyond its parameters and LSTM gates.
+
+    With T frames, D features and E episodes: the (E, T) uint8 actions; two
+    (E, T) float64 arrays, which the cosine sums of the rewards
+    (rewards._cos_sums) and the score-function rows
+    (policy.log_prob_score_grad) each need, and which the draw in
+    policy.sample_episodes stays under; five float64 values per episode;
+    the T x T Gram matrix and one episode's T x |selected| block of it; and
+    three float64 copies of the features, one in the stacked recurrence's
+    cache and two while the Gram matrix is formed.
+    """
+    t, d, e = num_frames, feature_dim, episodes
+    return e * t + 8 * (2 * e * t + 5 * e + 2 * t * t + 3 * t * d)
+
+
 def check_worker_memory(fold_videos, episodes):
     """Raise ConfigurationError if a Worker step on the longest video would pass MEMORY_LIMIT.
 
-    The estimate is a floor of one video's Worker working set: the (E, T)
-    float64 draws and score-function rows, and the T x T Gram matrix its
-    rewards are scored from. It is the limit kts.check_memory holds KTS to.
+    The estimate is worker_step_bytes, held to the limit kts.check_memory
+    holds KTS to.
     """
     video = max((v for videos in fold_videos for v in videos), key=lambda v: v.num_frames)
-    need = 8 * video.num_frames * (2 * episodes + video.num_frames)
+    need = worker_step_bytes(video.num_frames, video.shape[1], episodes)
     if need > MEMORY_LIMIT:
         raise ConfigurationError(
             f"--episodes {episodes}: a Worker step on video '{video.video_id}' "
@@ -284,13 +301,16 @@ def train_folds(fold_videos, feature_dim, config, checkpoint_paths, log_paths, l
     prefixed with its label when given and followed by the phase's
     wall-clock seconds, which the folds share and which stay out of the
     history and the log path. Checkpoints are written once every fold has
-    finished.
+    finished. Each distinct training video's features are read once, before
+    the first epoch, and held until the call returns; with no epochs
+    none are read.
     """
     config.validate()
     if not all(fold_videos):
         raise ConfigurationError("cannot train on an empty video list")
     if config.epochs:
         check_worker_memory(fold_videos, config.episodes)
+        fold_videos = _with_features(fold_videos)
     folds = []
     for label in labels:
         store = new_policy(feature_dim, config)
@@ -313,6 +333,14 @@ def train_folds(fold_videos, feature_dim, config, checkpoint_paths, log_paths, l
         if path:
             save_checkpoint(path, fold.store, checkpoint_meta(feature_dim, config))
     return [(fold.store, history) for fold, history in zip(folds, histories)]
+
+
+def _with_features(fold_videos):
+    """fold_videos with each distinct video read once (Video.with_features), its
+    array shared by every fold that trains on it."""
+    held = {id(video): video for videos in fold_videos for video in videos}
+    held = {key: video.with_features() for key, video in held.items()}
+    return [[held[id(video)] for video in videos] for videos in fold_videos]
 
 
 def lockstep_group_size(feature_dim, hidden):
@@ -363,7 +391,8 @@ def train_run(dataset, config, out_dir, folds=5, no_cv=False, extra_config=None)
     folds.json lists each fold's held-out test videos; fold k trains on all
     the others (with --no-cv there is a single fold trained and tested on
     everything). The folds train in lockstep groups of lockstep_group_size
-    (train_folds), one group after another.
+    (train_folds), one group after another, so only one group's training
+    videos hold their features at a time.
     """
     config.validate()
     ids = dataset.video_ids
@@ -373,7 +402,9 @@ def train_run(dataset, config, out_dir, folds=5, no_cv=False, extra_config=None)
         setting = "single"
     else:
         fold_lists = crossval_split(ids, folds, config.seed)
-        fold_videos = [[v for v in dataset.videos if v.video_id not in held] for held in fold_lists]
+        fold_videos = [
+            [v for v in dataset.videos if v.video_id not in held] for held in map(set, fold_lists)
+        ]
         setting = "canonical"
     if config.epochs:
         check_worker_memory(fold_videos, config.episodes)  # before the run directory is written

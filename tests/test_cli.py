@@ -291,6 +291,56 @@ def test_train_rejects_dataset_at_load_exit_1(cli_dataset, tmp_path, capsys, man
     assert all(part in err for part in named), err
 
 
+def nan_entry(path):
+    feats = read_features(path).copy()
+    feats[4, 1] = np.nan
+    write_features(path, feats)
+    return "features contain non-finite values"
+
+
+def fewer_frames(path):
+    write_features(path, read_features(path)[:-3])
+    return "27 feature rows but annotation scores have shape"
+
+
+def truncated_payload(path):
+    path.write_bytes(path.read_bytes()[:-4])
+    return "payload bytes"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "train"])
+@pytest.mark.parametrize("rewrite", [nan_entry, fewer_frames, truncated_payload])
+def test_feature_file_changed_after_load_exit_1(
+    cli_run, cli_dataset, tmp_path, capsys, monkeypatch, command, rewrite
+):
+    # the file passes the load-time checks, then changes before a computation reads it again
+    data = tmp_path / "data"
+    shutil.copytree(cli_dataset.parent, data)
+    path = video_file(data / "manifest.json", 1)
+    load_dataset = cli_module.load_dataset
+    named = []
+
+    def load_then_rewrite(manifest_path):
+        dataset = load_dataset(manifest_path)
+        named.append(rewrite(path))
+        return dataset
+
+    monkeypatch.setattr(cli_module, "load_dataset", load_then_rewrite)
+    out = tmp_path / "out"
+    argv = [command, "--dataset", str(data / "manifest.json"), "--out", str(out)]
+    if command == "evaluate":
+        argv += ["--run", str(cli_run)]
+    else:
+        argv += ["--subtask-size", "10", "--hidden", "6", "--epochs", "1", "--episodes", "2"]
+        argv += ["--folds", "2"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"{path}: changed since it was loaded: " in err and named[0] in err, err
+    # no report, and no checkpoint: every fold of the one lockstep group trains on the video
+    assert not out.exists() if command == "evaluate" else not list(out.glob("*.ckpt"))
+
+
 # --- summarize ----------------------------------------------------------------------------
 
 

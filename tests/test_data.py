@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -240,7 +241,7 @@ def test_feature_file_errors(tmp_path):
             read_features(empty)
 
 
-def test_loaded_dataset_holds_four_bytes_per_feature(tmp_path):
+def test_loaded_dataset_holds_no_feature_payload(tmp_path):
     manifest = generate_synthetic(tmp_path, 12, videos=4, frames=100, dims=256)
     tracemalloc.start()
     try:
@@ -248,9 +249,68 @@ def test_loaded_dataset_holds_four_bytes_per_feature(tmp_path):
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    feature_bytes = 4 * sum(v.num_frames for v in dataset.videos) * 256
-    # the slack covers the annotations (about 15 KB here) and the Python objects
-    assert held <= feature_bytes + 64 * 1024, (held, feature_bytes)
+    annotation_bytes = sum(
+        v.per_user_scores.nbytes + v.user_summaries.nbytes + v.mean_scores.nbytes + v.keyframes.nbytes
+        for v in dataset.videos
+    )
+    # the slack covers the Python objects; the 400 KB of float32 features are not held
+    assert held <= annotation_bytes + 64 * 1024, (held, annotation_bytes)
+    assert [v.shape for v in dataset.videos] == [(100, 256)] * 4
+
+
+def test_loaded_video_reads_its_file_when_its_features_are_used(tmp_path):
+    manifest = generate_synthetic(tmp_path, 12, videos=2, frames=30, dims=4)
+    video = load_dataset(manifest).videos[1]
+    assert video.path == tmp_path / "video001.vsf" and video.num_frames == 30
+    want = read_features(video.path)
+    assert video.features.dtype == np.float32 and np.array_equal(video.features, want)
+    held = video.with_features()
+    assert held is not video and held.with_features() is held and held.path is None
+    assert held.features is held.features and np.array_equal(held.features, want)
+    assert np.array_equal(held.keyframes, video.keyframes)
+    built = Video("v", want, video.per_user_scores)
+    assert built.with_features() is built and built.features is want
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ("nan", "features contain non-finite values"),
+        ("zero_frame", "frame 3 has all-zero features"),
+        ("fewer_frames", "29 feature rows but annotation scores have shape"),
+        ("wider", "30x5 features, but 30x4 when loaded"),
+        ("truncated", "expected 480 payload bytes for 30x4, got 476"),
+        ("bad_magic", "bad magic"),
+    ],
+)
+def test_feature_file_changed_after_load_is_rejected_when_read_again(tmp_path, change, message):
+    manifest = generate_synthetic(tmp_path, 12, videos=2, frames=30, dims=4)
+    video = load_dataset(manifest).videos[0]
+    path = tmp_path / "video000.vsf"
+    feats = read_features(path).copy()
+    if change == "nan":
+        feats[7, 2] = np.nan
+    elif change == "zero_frame":
+        feats[3] = 0.0
+    elif change == "fewer_frames":
+        feats = feats[:29]
+    elif change == "wider":
+        feats = np.hstack([feats, feats[:, :1]])
+    write_features(path, feats)
+    if change == "truncated":
+        path.write_bytes(path.read_bytes()[:-4])
+    elif change == "bad_magic":
+        path.write_bytes(b"XXXX" + path.read_bytes()[4:])
+    for use in (lambda: video.features, video.with_features):
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: changed since it was loaded: .*{message}"):
+            use()
+
+
+def test_dataset_by_id_finds_each_video_and_names_a_missing_one(tmp_path):
+    dataset = load_dataset(generate_synthetic(tmp_path, 12, videos=3, frames=20, dims=4))
+    assert [dataset.by_id(video_id) for video_id in dataset.video_ids] == dataset.videos
+    with pytest.raises(KeyError, match="no video 'ghost' in dataset 'synthetic'"):
+        dataset.by_id("ghost")
 
 
 # --- annotations and manifest -----------------------------------------------

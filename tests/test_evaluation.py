@@ -2,6 +2,7 @@ import json
 import logging
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -339,6 +340,26 @@ def test_evaluate_run_fold_of_mixed_lengths_matches_per_video_scoring(tmp_path):
         assert entry["num_videos"] == len(video_ids)
         for key in ("F", "tau", "rho"):
             assert abs(entry[key] - np.mean([r[key] for r in results])) <= 1e-12
+
+
+def test_evaluate_holds_one_folds_features_at_a_time(tmp_path):
+    # 16 videos of 246 KB of float32 features in 4 folds: a fold holds a quarter of
+    # them, plus one video's float64 widening at a time and its checkpoint (2.3 MB
+    # in all; the 16 payloads alone are 3.9 MB)
+    manifest = generate_synthetic(tmp_path / "data", 8, videos=16, frames=120, dims=512)
+    run = train_run(
+        load_dataset(manifest), TrainConfig(epochs=0, subtask_size=10, hidden=8), tmp_path / "run", folds=4
+    )
+    tracemalloc.start()
+    try:
+        dataset = load_dataset(manifest)
+        report = evaluate_run(run, dataset)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    payload = sum(4 * math.prod(v.shape) for v in dataset.videos)
+    assert [entry["num_videos"] for entry in report["per_fold"]] == [4] * 4
+    assert peak < payload, (peak, payload)
 
 
 def test_evaluate_run_metric_filtering(tiny_dataset, tmp_path, monkeypatch):

@@ -1,10 +1,13 @@
+import collections
 import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hiersum import nn, policy, rewards, training
+from hiersum import data, nn, policy, rewards, training
 from hiersum.data import (
     ConfigurationError,
     Dataset,
@@ -460,9 +463,58 @@ def test_worker_memory_estimate_rejects_before_training(tiny_dataset, monkeypatc
     config = small_config(episodes=10**12)
     with pytest.raises(ConfigurationError, match=r"--episodes 10+: .*'video000' \(40 frames\)"):
         train(tiny_dataset.videos, 6, config)
-    # 2 * 10 * 40 + 40 * 40 floats fit easily, and zero epochs never reach a Worker step
+    # worker_step_bytes(40, 6, 10) fits easily, and zero epochs never reach a Worker step
     training.check_worker_memory([tiny_dataset.videos], 10)
     train(tiny_dataset.videos, 6, small_config(epochs=0, episodes=10**12))
+
+
+@pytest.mark.parametrize(
+    "frames, dims, episodes",
+    [(200, 16, 4000), (300, 1024, 10)],
+    ids=["episodes_dominate", "features_dominate"],
+)
+def test_worker_memory_estimate_covers_the_peak_of_a_worker_epoch(frames, dims, episodes):
+    rng = substream(5, "worker-peak")
+    video = Video("v", rng.normal(size=(frames, dims)).astype(np.float32), rng.uniform(size=(2, frames)))
+    config = small_config(episodes=episodes)
+    fold = one_fold(new_policy(dims, config))
+    tracemalloc.start()
+    try:
+        train_worker_epoch([fold], [[video]], config, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    need = training.worker_step_bytes(frames, dims, episodes)
+    # the estimate is an upper bound, and not a loose one
+    assert peak <= need <= 1.25 * peak, (peak, need)
+
+
+def test_each_group_reads_each_training_video_once(tmp_path, monkeypatch):
+    manifest = generate_synthetic(tmp_path / "data", 3, videos=7, frames=30, dims=4)
+    reads = collections.Counter()
+    read_features = data.read_features
+
+    def counting_read(path):
+        reads[Path(path).name] += 1
+        return read_features(path)
+
+    monkeypatch.setattr(data, "read_features", counting_read)
+    dataset = load_dataset(manifest)
+    names = {v.video_id: v.path.name for v in dataset.videos}
+    assert reads == collections.Counter(names.values())  # the load-time checks
+    reads.clear()
+    train_run(dataset, small_config(epochs=0), tmp_path / "fresh", folds=5)
+    assert reads == {}
+    # groups of 2 folds: {0, 1}, {2, 3} and {4}, for two epochs each
+    monkeypatch.setattr(training, "lockstep_group_size", lambda feature_dim, hidden: 2)
+    train_run(dataset, small_config(epochs=2), tmp_path / "run", folds=5)
+    with open(tmp_path / "run" / "folds.json", encoding="utf-8") as fh:
+        held_out = json.load(fh)["folds"]
+    want = collections.Counter()
+    for group in ([0, 1], [2, 3], [4]):
+        trained = set(names) - set.intersection(*(set(held_out[k]) for k in group))
+        want.update(names[video_id] for video_id in trained)
+    assert reads == want
 
 
 def test_lockstep_groups_are_sized_by_parameter_state():
