@@ -150,7 +150,7 @@ def cmd_summarize(args):
     feats = read_features(args.video)
     check_finite_features(feats, args.video)
     check_checkpoint(args.model, store, meta, feats.shape[1], args.video)
-    check_memory(feats.shape[0], args.max_shots, args.video)
+    check_memory(*feats.shape, args.max_shots, args.video)
     scores = greedy_scores(store, feats, meta["subtask_size"])
     video_id = Path(args.video).stem
     summary = make_summary(

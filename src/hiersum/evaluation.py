@@ -246,7 +246,8 @@ def evaluate_run(
                     f"dataset '{dataset.manifest.name}'"
                 ) from None
             if "F" in keys:
-                check_memory(num_frames, max_shots, f"video '{video_id}'")
+                feature_dim = dataset.manifest.feature_dim
+                check_memory(num_frames, feature_dim, max_shots, f"video '{video_id}'")
             if num_frames < 2 and ("tau" in keys or "rho" in keys):
                 raise ConfigurationError(
                     f"video '{video_id}' has {num_frames} frame, but tau and rho need at least 2"

@@ -9,6 +9,18 @@ finds the cheapest partition into m segments for every m up to max_shots,
 and a penalized criterion picks m. The DP walks the ends in blocks: it
 builds one block's cost rows from the prefix table and runs every shot
 count on that block before the next, so no (T+1)^2 cost matrix is held.
+
+The DP also drops splits that can never again be a first minimum. Splitting
+a segment never raises its within-segment cost, C(s, e) >= C(s, t) + C(t, e),
+so once best[m-1, s] + C(s, t) exceeds best[m-1, t] + margin, split t beats
+split s at every end after t, and s leaves layer m's scan for good (the
+inequality pruning of PELT and SNIP). The margin is a forward error bound on
+the computed costs, so a split that ties, or nearly ties, is never dropped
+and the outputs are bit for bit those of the full scan. The dropped splits
+are kept as a prefix, one first live split per layer, so every scan stays a
+contiguous slice; in the worst case nothing is dropped and the DP scans
+what the full scan does. (Monge/SMAWK speed-ups do not apply: these costs
+break the quadrangle inequality.)
 """
 
 from __future__ import annotations
@@ -132,20 +144,42 @@ def _shot_cap(num_frames, max_shots):
     return max(1, min(int(max_shots), num_frames))
 
 
-def check_memory(num_frames, max_shots, where):
-    """Raise ConfigurationError naming `where` if KTS on num_frames would pass MEMORY_LIMIT.
+def kts_bytes(num_frames, feature_dim, max_shots):
+    """Bytes KTS on (T, D) features holds at most, beyond the caller's features.
 
-    Commands call it once up front, naming their file or video; kts_segment
-    and min_costs_per_shot_count call it again as the library's own guard.
-
-    At its peak KTS holds one (T+1)^2 float64 matrix, the prefix table, plus
-    the (max_shots+1, T+1) best and split_at tables and the DP's block
-    scratch: the cost rows of one block of _DP_BLOCK_ROWS ends, the candidate
-    buffer and one block-sized temporary while the cost rows are built.
+    It holds the 8·T·D-byte float64 widening of the features while it builds
+    the (T+1)^2 float64 prefix table, then the (max_shots+1, T+1) best and
+    split_at tables and the DP's scratch:
+    - the cost rows of one block of _DP_BLOCK_ROWS ends, the candidate buffer
+      (which the pruning step reuses) and one block-sized float temporary
+      while the cost rows are built
+    - two block-sized boolean temporaries, the cost rows' masks or the
+      pruning step's
+    - five (T+1) vectors: diag_prefix, the two-sided lengths range, the
+      layers' first live splits and the pruning step's split indices
+    - numpy's iteration buffers for strided operands, up to three of
+      np.getbufsize() float64 elements
+    The estimate adds them all, so it holds whether or not the widening is
+    freed before the tables exist.
     """
     rows = num_frames + 1
     cap = _shot_cap(num_frames, max_shots)
-    need = 8 * rows * (rows + 2 * (cap + 1) + 3 * _DP_BLOCK_ROWS)
+    return (
+        8 * num_frames * feature_dim
+        + 8 * rows * (rows + 2 * (cap + 1) + 3 * _DP_BLOCK_ROWS + 5)
+        + 2 * rows * _DP_BLOCK_ROWS
+        + 3 * 8 * np.getbufsize()
+    )
+
+
+def check_memory(num_frames, feature_dim, max_shots, where):
+    """Raise ConfigurationError naming `where` if KTS on (T, D) features would pass MEMORY_LIMIT.
+
+    Commands call it once up front, naming their file or video; kts_segment
+    and min_costs_per_shot_count call it again as the library's own guard.
+    The estimate is kts_bytes.
+    """
+    need = kts_bytes(num_frames, feature_dim, max_shots)
     if need > MEMORY_LIMIT:
         raise ConfigurationError(
             f"{where}: KTS over {num_frames} frames needs an estimated {need} bytes, "
@@ -153,7 +187,56 @@ def check_memory(num_frames, max_shots, where):
         )
 
 
-def _kts_dp(prefix, diag_prefix, max_shots):
+def _prune_margin(diag_prefix, feature_dim):
+    """Forward error bound on any difference of two DP candidates that the pruning rule compares.
+
+    Every computed cost is within about 4(D+2T)·u·T·sum|x_i|^2 of its exact
+    value, u = eps/2 being the unit roundoff: the Gram entries carry a D-term
+    dot product's rounding, the prefix sums up to 2T additions, a cost four
+    prefix entries, and by Cauchy-Schwarz sum|gram| <= T·sum|x_i|^2, which
+    is diag_prefix[T]. The rule compares sums built from three costs, so
+    16(D+2T)·eps·T·diag_prefix[T] covers them with room. The second term is an absolute floor: a product that underflows
+    loses up to one smallest normal number whatever its relative error, so
+    the bound also holds for features whose products are subnormal. Where
+    the bound is as large as the cost differences, nothing is pruned.
+    """
+    t = diag_prefix.shape[0] - 1
+    info = np.finfo(np.float64)
+    return 16.0 * (feature_dim + 2 * t) * t * (
+        float(info.eps) * float(diag_prefix[t]) + t * float(info.tiny)
+    )
+
+
+def _advance_starts(starts, prev_best, costs_to_t, t, margin, scratch):
+    """Move each layer's first live split past the splits that split t beats at every later end.
+
+    Row i of prev_best is best[m-1] for the layer m whose first live split is
+    starts[i], and costs_to_t[s] is the cost of [s, t). A split s < t is
+    dominated when prev_best[i, s] + C(s, t) > prev_best[i, t] + margin: for
+    every end e > t, C(s, e) >= C(s, t) + C(t, e), since splitting a segment
+    never raises its within-segment cost, so s costs more than t at e by more
+    than any rounding of the computed costs (_prune_margin). A split that
+    ties, or is within the margin, stays live, which keeps the earliest-split
+    tie-break. starts moves in place to the first live split at or after it,
+    or to t when every split before t is dominated; the dominated splits
+    past a live one stay in the scan. The sums go through the flat float
+    scratch, a few layers at a time.
+    """
+    lo = int(starts.min())
+    width = t - lo
+    step = scratch.shape[0] // width  # the scratch holds at least one row
+    splits = np.arange(lo, t)
+    for i0 in range(0, starts.shape[0], step):
+        i1 = min(i0 + step, starts.shape[0])
+        sums = scratch[: (i1 - i0) * width].reshape(i1 - i0, width)
+        np.add(prev_best[i0:i1, lo:t], costs_to_t[lo:t], out=sums)
+        dead = sums > (prev_best[i0:i1, t] + margin)[:, None]
+        dead |= splits < starts[i0:i1, None]  # dropped before
+        first = np.argmin(dead, axis=1)  # the first live split
+        starts[i0:i1] = np.where(dead[np.arange(i1 - i0), first], t, lo + first)
+
+
+def _kts_dp(prefix, diag_prefix, max_shots, margin):
     """best[m, e] = min cost of [0, e) in exactly m shots, split_at[m, e] its last start.
 
     The outer loop walks the ends in blocks of _DP_BLOCK_ROWS: it builds the
@@ -161,12 +244,23 @@ def _kts_dp(prefix, diag_prefix, max_shots):
     then runs every shot count m on the block before moving on. Layer m of a
     block of ends [e0, e1) needs best[m-1] only before e1-1, which earlier
     blocks and layer m-1 of this one have filled. It scans the splits
-    m-1 <= s < e1-1, so the +inf cells with s >= e are mostly skipped, and the
-    cost rows and the candidate buffer stay cache-sized.
+    start[m] <= s < e1-1, so the +inf cells with s >= e are mostly skipped,
+    and the cost rows and the candidate buffer stay cache-sized.
+
+    start[m], layer m's first live split, begins at m-1. After each block,
+    _advance_starts moves it past the splits that the block's last end beats
+    at every later end by more than margin, the rounding bound of
+    _prune_margin; a dropped split could never be the first minimum again, so
+    best and split_at are bit for bit those of the full scan. On
+    two-cluster features at T=1600 with 160 shot counts this scans about a
+    third of the cells. Where no split is dominated (a margin as large as the
+    cost differences, or features whose every split stays competitive) the
+    starts stay put and the DP scans what the full scan does.
     """
     t = prefix.shape[0] - 1
     best = np.full((max_shots + 1, t + 1), np.inf)
     split_at = np.zeros((max_shots + 1, t + 1), dtype=np.int64)
+    start = np.maximum(np.arange(-1, max_shots), 0)
     block = np.empty(_DP_BLOCK_ROWS * (t + 1))
     buffer = np.empty(_DP_BLOCK_ROWS * (t + 1))
     for e0 in range(0, t + 1, _DP_BLOCK_ROWS):
@@ -174,16 +268,19 @@ def _kts_dp(prefix, diag_prefix, max_shots):
         costs = block[: (e1 - e0) * e1].reshape(e1 - e0, e1)
         _cost_rows(prefix, diag_prefix, e0, e1, out=costs)
         best[1, e0:e1] = costs[:, 0]
-        for m in range(2, min(max_shots, e1 - 1) + 1):
+        top = min(max_shots, e1 - 1)
+        for m in range(2, top + 1):
             # ends below m hold fewer than m frames; m-1 shots on [0, s) plus [s, e),
             # and splits at or past e cost +inf
-            lo = max(e0, m)
-            rows, width = e1 - lo, e1 - m
+            lo, s0 = max(e0, m), int(start[m])
+            rows, width = e1 - lo, e1 - 1 - s0
             candidate = buffer[: rows * width].reshape(rows, width)
-            np.add(costs[lo - e0 :, m - 1 : e1 - 1], best[m - 1, m - 1 : e1 - 1], out=candidate)
+            np.add(costs[lo - e0 :, s0 : e1 - 1], best[m - 1, s0 : e1 - 1], out=candidate)
             first = np.argmin(candidate, axis=1)  # the first minimum: the earliest split
-            split_at[m, lo:e1] = first + (m - 1)
+            split_at[m, lo:e1] = first + s0
             best[m, lo:e1] = candidate[np.arange(rows), first]
+        if top >= 2 and e1 <= t:
+            _advance_starts(start[2 : top + 1], best[1:top], costs[-1], e1 - 1, margin, buffer)
     return best, split_at
 
 
@@ -192,11 +289,12 @@ def _dp_tables(features, max_shots):
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] < 1:
         raise ValueError("features must be a non-empty (T, D) matrix")
-    t = feats.shape[0]
-    check_memory(t, max_shots, "features")
+    t, d = feats.shape
+    check_memory(t, d, max_shots, "features")
     prefix, diag_prefix = _prefix_tables(feats)
     del feats  # a float64 copy of float32 features is freed before the DP's tables exist
-    return _kts_dp(prefix, diag_prefix, _shot_cap(t, max_shots))
+    margin = _prune_margin(diag_prefix, d)
+    return _kts_dp(prefix, diag_prefix, _shot_cap(t, max_shots), margin)
 
 
 def kts_segment(features, max_shots=None, penalty_weight=1.0):

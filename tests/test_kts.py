@@ -9,7 +9,12 @@ from hiersum.data import ConfigurationError, block_means
 from hiersum.kts import (
     _DP_BLOCK_ROWS,
     ShotPartition,
+    _advance_starts,
+    _dp_tables,
+    _prefix_tables,
+    _prune_margin,
     check_memory,
+    kts_bytes,
     kts_segment,
     min_costs_per_shot_count,
     partition_from_change_points,
@@ -212,6 +217,124 @@ def test_blocked_dp_matches_full_matrix_reference_at_block_edges(t):
                 assert part.change_points == want_points, (t, max_shots, weight)
 
 
+def two_cluster_features(rng, t, dims):
+    """Bench-shaped features: three contiguous runs of one Gaussian cluster in another."""
+    centers = rng.normal(size=(2, dims))
+    centers[1] = centers[0] + 6.0 * centers[1] / np.linalg.norm(centers[1])
+    labels = np.zeros(t, dtype=int)
+    for start in rng.choice(t - t // 20, size=3, replace=False):
+        labels[start : start + t // 20] = 1
+    feats = centers[labels] + rng.normal(size=(t, dims))
+    return feats.astype(np.float32).astype(np.float64)
+
+
+def assert_matches_full_matrix_kts(feats, max_shots_values, weights=(0.0, 1.0)):
+    costs = segment_costs(feats)
+    for max_shots in max_shots_values:
+        want_costs, _ = full_matrix_kts(costs, max_shots, 0.0)
+        got = min_costs_per_shot_count(feats, max_shots)
+        assert got.tobytes() == want_costs.tobytes(), max_shots
+        for weight in weights:
+            _, want_points = full_matrix_kts(costs, max_shots, weight)
+            part = kts_segment(feats, max_shots=max_shots, penalty_weight=weight)
+            assert part.change_points == want_points, (max_shots, weight)
+
+
+def test_pruned_dp_matches_full_matrix_reference_on_two_cluster_features():
+    # 300 frames are five blocks of ends; the pruning drops splits from the second on
+    rng = substream(44, "kts")
+    for dims in (8, 64):
+        feats = two_cluster_features(rng, 300, dims)
+        assert_matches_full_matrix_kts(feats, (30, 100))
+
+
+def test_pruned_dp_matches_full_matrix_reference_when_the_margin_stops_pruning():
+    # a common offset leaves the exact costs alone but raises sum|x|^2, and the margin with
+    # it, past the whole video's cost, which bounds every difference the rule compares
+    feats = two_cluster_features(substream(45, "kts"), 200, 8) + 1e6
+    _, diag_prefix = _prefix_tables(feats)
+    assert _prune_margin(diag_prefix, 8) > segment_costs(feats)[0, 200]
+    assert_matches_full_matrix_kts(feats, (20, 66))
+
+
+def test_pruned_dp_matches_full_matrix_reference_on_tied_splits():
+    rng = substream(46, "kts")
+    t = 200
+    cases = [np.ones((t, 4)), np.zeros((t, 3))]
+    for run in (7, 40):
+        cases.append(np.repeat(rng.normal(size=(t // run + 1, 4)), run, axis=0)[:t])
+    for feats in cases:
+        assert_matches_full_matrix_kts(feats, (20, 66))
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e140])
+def test_pruned_dp_matches_full_matrix_reference_at_extreme_scales(scale):
+    # 1e-160 squares to subnormals; 1e140 squares to 1e280, its Gram sums still finite
+    feats = two_cluster_features(substream(47, "kts"), 200, 8) * scale
+    assert_matches_full_matrix_kts(feats, (20, 66))
+
+
+def test_advance_starts_drops_a_strictly_dominated_split():
+    # best[m-1] over ends 0..3 and the costs C(s, 3): split 1 loses to split 3 by 5 > 0.5
+    prev_best = np.array([[np.inf, 0.0, 0.0, 0.0]])
+    costs_to_t = np.array([np.inf, 5.0, 0.0, np.inf])
+    starts = np.array([1])
+    _advance_starts(starts, prev_best, costs_to_t, 3, 0.5, np.empty(16))
+    assert starts.tolist() == [2]
+    # every split before t dominated: the scan starts at t itself
+    starts = np.array([1])
+    _advance_starts(starts, prev_best, np.array([np.inf, 5.0, 5.0, np.inf]), 3, 0.5, np.empty(16))
+    assert starts.tolist() == [3]
+
+
+def test_advance_starts_keeps_tied_splits_and_splits_within_the_margin():
+    prev_best = np.array([[np.inf, 0.0, 0.0, 1.0]])
+    starts = np.array([1])
+    # 0 + 1 == 1 + 0: an exact tie stays live, so the earliest split still wins ties
+    _advance_starts(starts, prev_best, np.array([np.inf, 1.0, 5.0, np.inf]), 3, 0.0, np.empty(16))
+    assert starts.tolist() == [1]
+    # 0 + 1.25 is above 1 but within the margin of 0.5
+    _advance_starts(starts, prev_best, np.array([np.inf, 1.25, 5.0, np.inf]), 3, 0.5, np.empty(16))
+    assert starts.tolist() == [1]
+
+
+def test_advance_starts_never_moves_a_start_back_and_chunks_alike():
+    # layer rows with starts 1 and 2: split 1 is live for both at t, split 2 only for neither
+    prev_best = np.array([[np.inf, 0.0, 9.0, 0.0, 0.0], [np.inf, 0.0, 9.0, 0.0, 0.0]])
+    costs_to_t = np.array([np.inf, 0.0, 0.0, 0.0, np.inf])
+    for scratch in (np.empty(3), np.empty(64)):  # one layer of 3 splits per chunk, then all
+        starts = np.array([1, 2])
+        _advance_starts(starts, prev_best, costs_to_t, 4, 0.0, scratch)
+        assert starts.tolist() == [1, 3]
+
+
+def test_first_live_splits_move_past_m_minus_one_on_two_cluster_features():
+    t, dims, max_shots = 640, 64, 64
+    feats = two_cluster_features(substream(48, "kts"), t, dims)
+    best, _ = _dp_tables(feats, max_shots)
+    _, diag_prefix = _prefix_tables(feats)
+    starts = np.arange(1, max_shots)  # layers m = 2..max_shots start at m - 1
+    initial = starts.copy()
+    costs_to_t = segment_costs(feats)[:, t]
+    margin = _prune_margin(diag_prefix, dims)
+    _advance_starts(starts, best[1:max_shots], costs_to_t, t, margin, np.empty(64 * (t + 1)))
+    assert np.all(starts >= initial)
+    assert np.count_nonzero(starts > initial) > 0.75 * len(starts)
+
+
+@pytest.mark.parametrize("t, dims", [(1000, 8), (200, 4096)])
+def test_kts_bytes_covers_the_traced_peak(t, dims):
+    # float32 features, as read_features returns them; KTS widens them to float64
+    feats = substream(49, "kts", dims).normal(size=(t, dims)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        kts_segment(feats)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kts_bytes(t, dims, None) >= peak
+
+
 def test_kts_segment_peak_below_one_and_a_half_prefix_tables():
     # one (T+1)^2 prefix table; the cost rows exist only one block of ends at a time
     t = 1000
@@ -319,10 +442,11 @@ def test_min_costs_memory_bound_raises_before_allocating():
 
 
 def test_default_max_shots_frame_limit():
-    # one (T+1)^2 prefix table, two (T // 10 + 1, T+1) DP tables and three blocks of 64 rows
-    check_memory(14875, None, "features")
-    with pytest.raises(ConfigurationError, match="features: KTS over 14876 frames"):
-        check_memory(14876, None, "features")
+    # at D=1024: the float64 features, one (T+1)^2 prefix table, two (T // 10 + 1, T+1)
+    # DP tables, three float and two boolean blocks of 64 rows, and numpy's buffers
+    check_memory(14448, 1024, None, "features")
+    with pytest.raises(ConfigurationError, match="features: KTS over 14449 frames"):
+        check_memory(14449, 1024, None, "features")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
