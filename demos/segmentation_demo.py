@@ -11,7 +11,6 @@ Run:  python3 demos/segmentation_demo.py
 import numpy as np
 
 from hiersum import kts_segment, substream
-from hiersum.kts import min_costs_per_shot_count
 
 rng = substream(7, "demo")
 
@@ -26,12 +25,6 @@ centers = 4.0 * np.eye(4)
 noisy = np.repeat(centers, 15, axis=0) + 0.3 * rng.normal(size=(60, 4))
 part = kts_segment(noisy, max_shots=6)
 print(f"\nfour noisy blocks of 15 -> {part.num_shots} shots at {part.change_points}")
-
-costs = min_costs_per_shot_count(noisy, 6)
-print("best total within-shot cost by shot count (should drop sharply at 4):")
-for m, cost in enumerate(costs, start=1):
-    bar = "#" * int(cost / costs[0] * 40)
-    print(f"  m={m}  {cost:8.2f}  {bar}")
 
 # the penalty weight trades boundary recall against over-segmentation
 print("\npenalty sweep on the same signal:")

@@ -27,14 +27,8 @@ from .data import (
 from .evaluation import evaluate_run, f_score, f_score_multi, kendall_tau, spearman_rho
 from .kts import ShotPartition, kts_segment
 from .nn import Adam, ParamStore, grad_check, load_checkpoint, save_checkpoint
-from .policy import greedy_scores, init_policy, manager_forward, sample_actions, worker_forward
-from .rewards import (
-    RewardBreakdown,
-    diversity_reward,
-    episode_reward,
-    representativeness_reward,
-    sub_reward,
-)
+from .policy import greedy_scores, init_policy
+from .rewards import RewardBreakdown, sub_reward
 from .seeding import substream
 from .summarize import Summary, knapsack_select, make_summary
 from .training import TrainConfig, crossval_split, train, train_run

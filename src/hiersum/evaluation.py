@@ -229,7 +229,9 @@ def evaluate_run(
     drops them before the next fold, so the dataset holds none of them
     (data.load_dataset). Every held-out video is checked before the first fold:
     against kts.check_memory when F is wanted, and for the 2 frames tau and
-    rho need when either is wanted.
+    rho need when either is wanted. The report's labels_per_video is the mean
+    count of weak labels over the evaluated videos, each at the subtask size
+    of its own fold's checkpoint.
     """
     if metric not in METRIC_KEYS:
         raise ValueError(f"metric must be one of {METRIC_CHOICES}, got {metric!r}")
@@ -253,7 +255,7 @@ def evaluate_run(
                     f"video '{video_id}' has {num_frames} frame, but tau and rho need at least 2"
                 )
     source = f"dataset '{dataset.manifest.name}'"
-    subtask_size = None
+    labels = []
     per_fold = []
     for k, video_ids in enumerate(folds):
         start = time.perf_counter()
@@ -262,11 +264,12 @@ def evaluate_run(
             raise ConfigurationError(f"missing fold checkpoint {ckpt_path}")
         store, meta = load_checkpoint(ckpt_path)
         check_checkpoint(ckpt_path, store, meta, dataset.manifest.feature_dim, source)
-        subtask_size = meta["subtask_size"]
+        videos = [dataset.by_id(video_id) for video_id in video_ids]
+        labels.extend(num_subtasks(v.num_frames, meta["subtask_size"]) for v in videos)
         results = _evaluate_fold(
             store,
-            [dataset.by_id(video_id) for video_id in video_ids],
-            subtask_size,
+            videos,
+            meta["subtask_size"],
             keys,
             dataset.manifest.f_aggregate,
             budget_fraction=budget_fraction,
@@ -289,9 +292,7 @@ def evaluate_run(
         "dataset": dataset.manifest.name,
         "setting": setting,
         "per_fold": per_fold,
-        "labels_per_video": float(
-            np.mean([num_subtasks(v.num_frames, subtask_size) for v in dataset.videos])
-        ),
+        "labels_per_video": float(np.mean(labels)),
     }
     for key in keys:
         report[f"mean_{key}"] = float(np.mean([entry[key] for entry in per_fold]))

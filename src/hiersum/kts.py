@@ -176,7 +176,7 @@ def check_memory(num_frames, feature_dim, max_shots, where):
     """Raise ConfigurationError naming `where` if KTS on (T, D) features would pass MEMORY_LIMIT.
 
     Commands call it once up front, naming their file or video; kts_segment
-    and min_costs_per_shot_count call it again as the library's own guard.
+    calls it again, through _dp_tables, as the library's own guard.
     The estimate is kts_bytes.
     """
     need = kts_bytes(num_frames, feature_dim, max_shots)
@@ -324,9 +324,3 @@ def kts_segment(features, max_shots=None, penalty_weight=1.0):
         boundaries.append(end)
     boundaries.reverse()
     return partition_from_change_points(boundaries, t)
-
-
-def min_costs_per_shot_count(features, max_shots):
-    """L_m for m = 1..max_shots over the whole sequence; support for verification."""
-    best, _ = _dp_tables(features, max_shots)
-    return best[1:, -1]

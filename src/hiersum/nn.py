@@ -14,9 +14,11 @@ Training steps the K cross-validation folds together, one video each
 (lstm_forward_folds), and lstm_backward walks them back together. Inference
 is the K = 1 case: `evaluate` and `summarize` score through it
 (policy.greedy_scores_batch), as does the frozen Manager pass of each Worker
-epoch, and lstm_forward is the case of one fold and one sequence. The
-stacked product multiplies each fold's block on its own, so every fold and
-sequence gets the bits it would get alone.
+epoch. The stacked product multiplies each fold's block on its own, so every
+fold and sequence gets the bits it would get alone.
+
+Sequences may be float32, as data.Video holds features: they widen exactly
+inside the LSTM's products, so no caller keeps a float64 copy for it.
 """
 
 from __future__ import annotations
@@ -124,17 +126,6 @@ def init_lstm(store, prefix, input_dim, hidden, rng):
     store.add(f"{prefix}.b", b)
 
 
-def lstm_forward(store, prefix, xs):
-    """Run the LSTM over a (T, D) sequence from a zero state; returns (hs, cache).
-
-    hs is (T, H). This is lstm_forward_folds with one fold: the input
-    projection xs @ Wx + b is one matrix product over the whole sequence, and
-    only h @ Wh stays inside the recurrence.
-    """
-    hs, cache = lstm_forward_folds([store], prefix, [xs])
-    return hs[0], cache
-
-
 def lstm_forward_folds(stores, prefix, seqs):
     """Run fold k's LSTM, stores[k], over its one sequence seqs[k], all K in one recurrence.
 
@@ -208,7 +199,7 @@ def lstm_forward_batch(stores, prefix, seqs):
 def lstm_backward(stores, prefix, cache, dhs):
     """Backpropagate every fold of a stacked cache in one walk, with no truncation.
 
-    cache comes from lstm_forward or lstm_forward_folds, dhs is the
+    cache comes from lstm_forward_folds, dhs is the
     (T_max, K, H) loss gradient on its stacked hs, zero past each fold's own
     length, and stores[k] gets fold k's gradients. The recurrent gradient is
     carried backward internally, one np.matmul of the stacked Wh (K, H, 4H)
@@ -217,7 +208,8 @@ def lstm_backward(stores, prefix, cache, dhs):
     its padded steps, whose gates are finite. A fold's parameter gradients
     come from its own T_k rows of the stacked pre-activation gradients, so
     they are the bits it would get alone; a fold whose dhs are all zero adds
-    exact zeros to its gradients.
+    exact zeros to its gradients. A float32 sequence widens exactly inside
+    its product with those rows, as in the forward's input projection.
 
     The walk consumes the cache: the gates are turned into the
     pre-activation gradients in place and cs into d(h)/d(c), so a forward

@@ -22,9 +22,9 @@ every video's subgoals from it, one fold at a time.
 In training, the *_folds functions run K folds' networks, each on its own
 video, through one stacked recurrence forward and one stacked walk
 backward (nn.lstm_forward_folds, nn.lstm_backward), with T_max * K * 4H * 8
-bytes of gates; the heads and their gradients stay per fold.
-manager_forward, manager_loss_backward, worker_forward and worker_backward
-are their one-fold case.
+bytes of gates; the heads and their gradients stay per fold. Features go
+to the LSTM as the caller holds them, float32 included (nn widens them).
+manager_forward, worker_forward and worker_backward are their one-fold case.
 
 The Worker treats subgoals as constants: gradients from Worker objectives
 never reach Manager parameters, which train only on their own loss.
@@ -141,8 +141,7 @@ def manager_forward(store, features, subtask_size):
 
 def manager_forward_folds(stores, features, subtask_size):
     """Fold k's ManagerForward of stores[k] on features[k], from one stacked recurrence."""
-    feats = [np.asarray(f, dtype=np.float64) for f in features]
-    hs, cache = lstm_forward_folds(stores, "manager.lstm", feats)
+    hs, cache = lstm_forward_folds(stores, "manager.lstm", features)
     fwds = []
     for store, fold_hs in zip(stores, hs):
         bounds = subtask_bounds(fold_hs.shape[0], subtask_size)
@@ -196,11 +195,6 @@ def manager_loss(fwd, task_labels):
     return float(bce(fwd.probs, labels).mean())
 
 
-def manager_loss_backward(store, fwd, task_labels):
-    """Backward pass for the Manager loss; returns the loss value."""
-    return manager_loss_backward_folds([store], [fwd], [task_labels])[0]
-
-
 def manager_loss_backward_folds(stores, fwds, task_labels):
     """Backward pass for each fold's Manager loss in one stacked walk; returns the losses."""
     losses, dlogits = [], []
@@ -236,12 +230,11 @@ def worker_forward(store, features, subgoals, subtask_size):
 
 def worker_forward_folds(stores, features, subgoals, subtask_size):
     """Fold k's WorkerForward of stores[k] on features[k] and subgoals[k], stacked."""
-    feats = [np.asarray(f, dtype=np.float64) for f in features]
-    bounds = [subtask_bounds(f.shape[0], subtask_size) for f in feats]
+    bounds = [subtask_bounds(f.shape[0], subtask_size) for f in features]
     for b, goals in zip(bounds, subgoals):
         if b.size - 1 != goals.shape[0]:
             raise ValueError(f"{goals.shape[0]} subgoals for {b.size - 1} subtasks")
-    hs, cache = lstm_forward_folds(stores, "worker.lstm", feats)
+    hs, cache = lstm_forward_folds(stores, "worker.lstm", features)
     fwds = []
     for store, fold_hs, goals, b in zip(stores, hs, subgoals, bounds):
         mixed, raw = _worker_head(store, fold_hs, goals, b)
@@ -291,13 +284,6 @@ def worker_backward_folds(stores, fwds, dscores):
 class Episode:
     actions: np.ndarray  # (T,) 0/1
     selected: np.ndarray  # indices where the action is 1
-
-
-def action_log_prob(scores, actions):
-    actions = np.asarray(actions, dtype=np.float64)
-    return float(
-        np.sum(actions * np.log(scores) + (1.0 - actions) * np.log1p(-scores))
-    )
 
 
 def sample_episodes(scores, rng, count):

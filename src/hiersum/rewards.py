@@ -11,8 +11,8 @@ term.
 
 All of a video's sampled episodes are scored from one T x T Gram matrix
 (T^2 * 8 bytes): one product with it gives every episode's diversity, and it
-is then reused in place as the euclidean distance matrix. The single-episode
-functions score a one-row action matrix the same way, bit for bit.
+is then reused in place as the euclidean distance matrix. A row scores the
+same bits alone or among others, so one episode is a one-row action matrix.
 """
 
 from __future__ import annotations
@@ -32,28 +32,6 @@ class RewardBreakdown:
     r: float
 
 
-def dissimilarity(x, x_other):
-    """Cosine dissimilarity 1 - <x, x'> / (|x| |x'|); zero vectors are rejected."""
-    x = np.asarray(x, dtype=np.float64)
-    x_other = np.asarray(x_other, dtype=np.float64)
-    nx = np.linalg.norm(x)
-    ny = np.linalg.norm(x_other)
-    if nx == 0.0 or ny == 0.0:
-        raise ValueError("cosine dissimilarity is undefined for a zero feature vector")
-    return 1.0 - float(x @ x_other) / (nx * ny)
-
-
-def diversity_reward(features, selected):
-    """Mean pairwise cosine dissimilarity within the selected frames; 0 if fewer than 2."""
-    return float(_action_rewards(features, _one_episode(features, selected))[0][0])
-
-
-def representativeness_reward(features, selected):
-    """exp(-mean distance from each frame to its nearest selected frame); an empty
-    selection is penalized with the worst case, exp(-max pairwise distance)."""
-    return float(_action_rewards(features, _one_episode(features, selected))[1][0])
-
-
 def _one_episode(features, selected):
     actions = np.zeros((1, np.shape(features)[0]))
     actions[0, np.asarray(selected, dtype=np.int64)] = 1.0
@@ -62,6 +40,13 @@ def _one_episode(features, selected):
 
 def _action_rewards(features, actions):
     """(R_div, R_rep) arrays for the rows of an (E, T) 0/1 action matrix, from one Gram matrix.
+
+    R_div of a row is the mean cosine dissimilarity 1 - <x, y> / (|x| |y|)
+    over its pairs of selected frames, 0 with fewer than 2; a row that
+    selects an all-zero frame among 2 or more raises ValueError, since the
+    cosine is undefined there. R_rep is exp(-mean distance from every frame
+    to its nearest selected frame), and exp(-max pairwise distance), the
+    worst case, for a row that selects nothing.
 
     Once it has given every episode's cosine sums (_cos_sums), the Gram
     matrix G becomes the distances sqrt(max(|x|^2 + |y|^2 - 2 x.y, 0)) in

@@ -257,11 +257,11 @@ def worker_step_bytes(num_frames, feature_dim, episodes):
     (policy.log_prob_score_grad) each need, and which the draw in
     policy.sample_episodes stays under; five float64 values per episode;
     the T x T Gram matrix and one episode's T x |selected| block of it; and
-    three float64 copies of the features, one in the stacked recurrence's
-    cache and two while the Gram matrix is formed.
+    two float64 copies of the features while the Gram matrix is formed. The
+    stacked recurrence's cache holds the features as read, not a copy.
     """
     t, d, e = num_frames, feature_dim, episodes
-    return e * t + 8 * (2 * e * t + 5 * e + 2 * t * t + 3 * t * d)
+    return e * t + 8 * (2 * e * t + 5 * e + 2 * t * t + 2 * t * d)
 
 
 def check_worker_memory(fold_videos, episodes):

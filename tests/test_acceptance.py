@@ -19,30 +19,32 @@ from hiersum.evaluation import (
     spearman_rho,
     video_f_for_mask,
 )
-from hiersum.kts import kts_segment, min_costs_per_shot_count, segment_costs
+from hiersum.kts import _dp_tables, kts_segment, segment_costs
 from hiersum.nn import grad_check
 from hiersum.policy import (
-    action_log_prob,
     greedy_scores,
     init_policy,
     log_prob_score_grad,
     manager_forward,
-    manager_loss_backward,
+    manager_loss_backward_folds,
     manager_param_names,
     worker_backward,
     worker_forward,
     worker_param_names,
 )
-from hiersum.rewards import (
-    dissimilarity,
-    diversity_reward,
-    episode_reward,
-    representativeness_reward,
-    sub_reward,
-)
+from hiersum.rewards import _action_rewards, episode_reward, sub_reward
 from hiersum.seeding import substream
 from hiersum.summarize import knapsack_select, make_summary
 from hiersum.training import TrainConfig, train, train_run
+from tests.oracles import (
+    all_selections,
+    bernoulli_log_prob,
+    brute_knapsack,
+    direct_segment_cost,
+    enumerate_min_costs,
+    loop_diversity,
+    loop_representativeness,
+)
 
 
 def report_line(capsys, number, ok, detail):
@@ -61,7 +63,7 @@ def test_criterion_1_gradient_exactness(capsys):
 
     def manager_loss_fn():
         fwd = manager_forward(store, feats, 2)
-        return manager_loss_backward(store, fwd, labels)
+        return manager_loss_backward_folds([store], [fwd], [labels])[0]
 
     manager_report = grad_check(
         manager_loss_fn, store, names=manager_param_names(store), step=1e-5, tolerance=1e-5
@@ -72,7 +74,7 @@ def test_criterion_1_gradient_exactness(capsys):
 
     def worker_loss_fn():
         wfwd = worker_forward(store, feats, subgoals, 2)
-        loss = action_log_prob(wfwd.scores, actions)
+        loss = bernoulli_log_prob(wfwd.scores, actions)
         worker_backward(store, wfwd, log_prob_score_grad(wfwd.scores, actions))
         return loss
 
@@ -122,7 +124,7 @@ def test_criterion_2_reinforce_unbiasedness(capsys):
         wfwd = worker_forward(store, feats, subgoals, subtask_size)
         dscores = np.zeros(6)
         for a, r in zip(actions_list, rewards):
-            p = math.exp(action_log_prob(wfwd.scores, a))
+            p = math.exp(bernoulli_log_prob(wfwd.scores, a))
             dscores += p * (r - baseline) * log_prob_score_grad(wfwd.scores, a)
         worker_backward(store, wfwd, dscores)
         return np.concatenate([store.grads[n].ravel() for n in names])
@@ -130,7 +132,7 @@ def test_criterion_2_reinforce_unbiasedness(capsys):
     def expected_reward():
         wfwd = worker_forward(store, feats, subgoals, subtask_size)
         return sum(
-            math.exp(action_log_prob(wfwd.scores, a)) * r
+            math.exp(bernoulli_log_prob(wfwd.scores, a)) * r
             for a, r in zip(actions_list, rewards)
         )
 
@@ -170,37 +172,15 @@ def test_criterion_2_reinforce_unbiasedness(capsys):
 
 
 def test_criterion_3_reward_oracles(capsys):
-    def loop_div(feats, selected):
-        if len(selected) < 2:
-            return 0.0
-        pairs = list(itertools.combinations(selected, 2))
-        total = 0.0
-        for i, j in pairs:
-            dot = sum(a * b for a, b in zip(feats[i], feats[j]))
-            ni = math.sqrt(sum(a * a for a in feats[i]))
-            nj = math.sqrt(sum(b * b for b in feats[j]))
-            total += 1.0 - dot / (ni * nj)
-        return total / len(pairs)
-
-    def loop_rep(feats, selected):
-        def dist(i, j):
-            return math.sqrt(sum((a - b) ** 2 for a, b in zip(feats[i], feats[j])))
-
-        t = len(feats)
-        if not selected:
-            return math.exp(-max(dist(i, j) for i in range(t) for j in range(t)))
-        return math.exp(-sum(min(dist(i, j) for j in selected) for i in range(t)) / t)
-
     worst = 0.0
     for t in (5, 8):
         feats = substream(203, "r", str(t)).normal(size=(t, 4))
-        for k in range(t + 1):
-            for selected in itertools.combinations(range(t), k):
-                sel = list(selected)
-                worst = max(worst, abs(diversity_reward(feats, sel) - loop_div(feats, sel)))
-                worst = max(
-                    worst, abs(representativeness_reward(feats, sel) - loop_rep(feats, sel))
-                )
+        # every subset of the frames, one episode per row
+        actions, subsets = all_selections(t)
+        r_div, r_rep = _action_rewards(feats, actions)
+        for sel, got_div, got_rep in zip(subsets, r_div, r_rep):
+            worst = max(worst, abs(got_div - loop_diversity(feats, sel)))
+            worst = max(worst, abs(got_rep - loop_representativeness(feats, sel)))
 
     rng = substream(203, "sub")
     for _ in range(200):
@@ -211,8 +191,9 @@ def test_criterion_3_reward_oracles(capsys):
         worst = max(worst, abs(sub_reward(means, probs) - direct))
 
     x = substream(203, "x").normal(size=6)
-    spot_self = abs(dissimilarity(x, x))
-    spot_orth = diversity_reward(np.eye(2), [0, 1])
+    both = np.ones((1, 2), dtype=np.uint8)
+    spot_self = abs(_action_rewards(np.stack([x, x]), both)[0][0])  # R_div of two copies of x
+    spot_orth = _action_rewards(np.eye(2), both)[0][0]
     spot_sub = sub_reward([1.0], [0.0])
     ok = (
         worst <= 1e-12
@@ -231,36 +212,6 @@ def test_criterion_3_reward_oracles(capsys):
 
 
 # --- 4: knapsack vs full enumeration -----------------------------------------------------
-
-
-def brute_knapsack(values, lengths, capacity):
-    """All feasible subsets by DFS from the highest index down, so including
-    item i computes values[i] + suffix total in the DP's association order.
-    Returns (best value, lexicographically smallest best set, #best sets)."""
-    best_val = -1.0
-    best_set = ()
-    best_count = 0
-    path = []
-
-    def go(i, value, weight):
-        nonlocal best_val, best_set, best_count
-        if i < 0:
-            if value > best_val:
-                best_val, best_set, best_count = value, tuple(reversed(path)), 1
-            elif value == best_val:
-                best_count += 1
-                cand = tuple(reversed(path))
-                if cand < best_set:
-                    best_set = cand
-            return
-        go(i - 1, value, weight)
-        if weight + lengths[i] <= capacity:
-            path.append(i)
-            go(i - 1, values[i] + value, weight + lengths[i])
-            path.pop()
-
-    go(len(values) - 1, 0.0, 0)
-    return best_val, best_set, best_count
 
 
 def test_criterion_4_knapsack_exactness(capsys):
@@ -303,12 +254,6 @@ def test_criterion_4_knapsack_exactness(capsys):
 
 def test_criterion_5_kts_correctness(capsys):
     started = time.perf_counter()
-
-    def direct_cost(feats, a, b):
-        seg = feats[a:b]
-        mean = seg.mean(axis=0)
-        return float(((seg - mean) ** 2).sum())
-
     worst = 0.0
     rng = substream(205, "kts")
     for _ in range(25):
@@ -316,19 +261,12 @@ def test_criterion_5_kts_correctness(capsys):
         feats = rng.normal(size=(t, int(rng.integers(2, 5))))
         max_shots = min(4, t)
         costs = segment_costs(feats)
-        dp = min_costs_per_shot_count(feats, max_shots)
+        dp = _dp_tables(feats, max_shots)[0][1:, -1]  # L_m for m = 1..max_shots
+        shared = enumerate_min_costs(feats, max_shots, lambda a, b: costs[a, b])
+        direct = enumerate_min_costs(feats, max_shots, lambda a, b: direct_segment_cost(feats, a, b))
         for m in range(1, max_shots + 1):
-            shared_best = math.inf
-            direct_best = math.inf
-            for cuts in itertools.combinations(range(1, t), m - 1):
-                bounds = (0, *cuts, t)
-                shared = 0.0
-                direct = 0.0
-                for a, b in zip(bounds, bounds[1:]):
-                    shared = shared + costs[a, b]
-                    direct = direct + direct_cost(feats, a, b)
-                shared_best = min(shared_best, shared)
-                direct_best = min(direct_best, direct)
+            shared_best = shared[m - 1]
+            direct_best = direct[m - 1]
             assert dp[m - 1] == shared_best  # same table, same accumulation
             scale = max(abs(direct_best), 1.0)
             worst = max(worst, abs(dp[m - 1] - direct_best) / scale)

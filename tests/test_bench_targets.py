@@ -4,7 +4,8 @@ bench/tracing.py replaces each TARGETS entry at its module attribute and
 binds the arguments its counter reads by name. A rename in the program
 otherwise shows up only inside the output of the traced smoke run.
 
-The same TARGETS are the only imports a program module may bind and not use.
+The same TARGETS are the only imports a program module may bind and not use,
+and, with a short allowlist, the only definitions no program code refers to.
 """
 
 import ast
@@ -82,3 +83,43 @@ def test_module_imports_are_used(path):
     traced = {attr for owner, attr, _, _ in TARGETS if owner == module}
     unused = sorted(set(module_imports(tree)) - used - traced)
     assert unused == [], f"{module} imports {unused} and never uses them"
+
+
+# definitions that stay although no program module refers to them
+UNREFERENCED_ALLOWED = {
+    ("training", "train"): "the one-fold library entry, train_folds on one video list",
+    ("nn", "grad_check"): "the finite-difference checker of criterion 1 and demos/gradient_checking.py",
+}
+
+
+def top_level_references(node):
+    """Names a module-level statement refers to: bare names and attribute names."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+
+
+def test_every_program_definition_is_used_by_the_program():
+    # a module-level def or class must be named by program code other than itself,
+    # imported by another program module, or wrapped by the tracer; docstrings do
+    # not count, and neither do the re-exports of hiersum/__init__.py
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in PROGRAM_MODULES}
+    referenced = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in trees:
+                referenced.update((node.module, alias.name) for alias in node.names)
+                continue
+            own = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+            referenced.update((module, name) for name in top_level_references(node) if name != own)
+    traced = {(owner.removeprefix("hiersum."), attr) for owner, attr, _, _ in TARGETS}
+    unused = sorted(
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and (module, node.name) not in referenced | traced | set(UNREFERENCED_ALLOWED)
+    )
+    assert unused == [], f"no program code uses {unused}"

@@ -20,7 +20,7 @@ from hiersum.data import (
     write_annotations,
     write_features,
 )
-from hiersum.nn import load_checkpoint
+from hiersum.nn import load_checkpoint, save_checkpoint
 from hiersum.evaluation import (
     _TAU_BLOCK_ROWS,
     _average_ranks,
@@ -37,7 +37,7 @@ from hiersum.evaluation import (
 )
 from hiersum.policy import greedy_scores
 from hiersum.seeding import substream
-from hiersum.training import TrainConfig, new_policy, train_run
+from hiersum.training import TrainConfig, checkpoint_meta, new_policy, train_run
 
 
 def loop_kendall_tau(pred, truth):
@@ -307,6 +307,28 @@ def test_evaluate_run_report(tiny_dataset, tmp_path):
     assert report["mean_F"] == np.mean([e["F"] for e in report["per_fold"]])
     assert report["mean_tau"] == np.mean([e["tau"] for e in report["per_fold"]])
     assert report["mean_rho"] == np.mean([e["rho"] for e in report["per_fold"]])
+
+
+def test_labels_per_video_counts_evaluated_videos_at_their_folds_subtask_size(tmp_path):
+    # four 40-frame videos held out two per fold, and one 100-frame video that
+    # folds.json does not list; fold 0's checkpoint has subtask size 10, fold 1's 8
+    rng = substream(13, "labels")
+    entries = []
+    for i, frames in enumerate([40, 40, 40, 40, 100]):
+        write_features(tmp_path / f"v{i}.vsf", rng.normal(size=(frames, 6)))
+        write_annotations(tmp_path / f"v{i}.json", rng.uniform(size=(2, frames)))
+        entries.append(VideoEntry(f"v{i}", f"v{i}.vsf", f"v{i}.json"))
+    save_manifest(tmp_path / "manifest.json", DatasetManifest("labels", 6, entries))
+    dataset = load_dataset(tmp_path / "manifest.json")
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "folds.json").write_text(json.dumps({"setting": "canonical", "folds": [["v0", "v1"], ["v2", "v3"]]}))
+    for k, subtask_size in enumerate([10, 8]):
+        config = TrainConfig(subtask_size=subtask_size, hidden=4)
+        save_checkpoint(run / f"fold{k}.ckpt", new_policy(6, config), checkpoint_meta(6, config))
+    report = evaluate_run(run, dataset, metric="tau")
+    assert [entry["num_videos"] for entry in report["per_fold"]] == [2, 2]
+    assert report["labels_per_video"] == 4.5  # (4 + 4 + 5 + 5) / 4
 
 
 @pytest.mark.filterwarnings("ignore:empty summary mask")  # no shot of a short video fits

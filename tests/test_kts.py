@@ -1,5 +1,3 @@
-import itertools
-import math
 import tracemalloc
 
 import numpy as np
@@ -16,34 +14,16 @@ from hiersum.kts import (
     check_memory,
     kts_bytes,
     kts_segment,
-    min_costs_per_shot_count,
     partition_from_change_points,
     segment_costs,
 )
 from hiersum.seeding import substream
+from tests.oracles import direct_segment_cost, enumerate_min_costs, full_matrix_kts
 
 
-def direct_segment_cost(feats, start, end):
-    """Within-segment cost computed the obvious way, no Gram shortcuts."""
-    seg = feats[start:end]
-    mean = seg.mean(axis=0)
-    return float(((seg - mean) ** 2).sum())
-
-
-def enumerate_min_costs(feats, max_shots, cost_of):
-    """Minimum m-shot cost over all boundary placements, m = 1..max_shots."""
-    t = len(feats)
-    out = []
-    for m in range(1, max_shots + 1):
-        best = math.inf
-        for cuts in itertools.combinations(range(1, t), m - 1):
-            bounds = (0, *cuts, t)
-            total = 0.0
-            for a, b in zip(bounds, bounds[1:]):
-                total = total + cost_of(a, b)
-            best = min(best, total)
-        out.append(best)
-    return np.array(out)
+def min_costs(feats, max_shots):
+    """L_m for m = 1..max_shots, the last column of the program's DP table."""
+    return _dp_tables(feats, max_shots)[0][1:, -1]
 
 
 # --- partitions ----------------------------------------------------------------
@@ -113,7 +93,7 @@ def test_dp_matches_enumeration_shared_costs_bitwise():
         max_shots = min(4, t)
         costs = segment_costs(feats)
         brute = enumerate_min_costs(feats, max_shots, lambda a, b: costs[a, b])
-        dp = min_costs_per_shot_count(feats, max_shots)
+        dp = min_costs(feats, max_shots)
         # same cost table, same left-to-right accumulation: identical floats
         assert np.array_equal(dp, brute)
 
@@ -127,7 +107,7 @@ def test_dp_matches_enumeration_independent_costs():
         brute = enumerate_min_costs(
             feats, max_shots, lambda a, b: direct_segment_cost(feats, a, b)
         )
-        dp = min_costs_per_shot_count(feats, max_shots)
+        dp = min_costs(feats, max_shots)
         assert np.allclose(dp, brute, rtol=1e-10, atol=1e-10)
 
 
@@ -152,30 +132,6 @@ def test_chosen_partition_optimal_under_penalty():
         assert total == brute[expected_m - 1]
 
 
-def full_matrix_kts(costs, max_shots, penalty_weight):
-    """Reference DP over the whole (T+1)^2 candidate matrix for every shot count.
-
-    Returns (L_m for m = 1..max_shots, change points of the chosen partition).
-    """
-    t = costs.shape[0] - 1
-    best = np.full((max_shots + 1, t + 1), np.inf)
-    split_at = np.zeros((max_shots + 1, t + 1), dtype=np.int64)
-    best[1] = costs[0]
-    for m in range(2, max_shots + 1):
-        candidate = best[m - 1][:, None] + costs
-        split_at[m] = np.argmin(candidate, axis=0)
-        best[m] = candidate[split_at[m], np.arange(t + 1)]
-    counts = np.arange(1, max_shots + 1)
-    penalty = penalty_weight * counts * (np.log(t / counts) + 1.0)
-    chosen = int(counts[np.argmin(best[1:, t] + penalty)])
-    boundaries = []
-    end = t
-    for m in range(chosen, 1, -1):
-        end = int(split_at[m][end])
-        boundaries.append(end)
-    return best[1:, t], tuple(reversed(boundaries))
-
-
 def test_dp_matches_full_matrix_reference_at_real_sizes():
     rng = substream(40, "kts")
     cases = []
@@ -189,7 +145,7 @@ def test_dp_matches_full_matrix_reference_at_real_sizes():
         costs = segment_costs(feats)
         for max_shots in sorted({t // 10, min(30, t)}):
             want_costs, _ = full_matrix_kts(costs, max_shots, 0.0)
-            assert np.array_equal(min_costs_per_shot_count(feats, max_shots), want_costs)
+            assert np.array_equal(min_costs(feats, max_shots), want_costs)
             for weight in (0.0, 1.0, 5.0):
                 _, want_points = full_matrix_kts(costs, max_shots, weight)
                 part = kts_segment(feats, max_shots=max_shots, penalty_weight=weight)
@@ -210,7 +166,7 @@ def test_blocked_dp_matches_full_matrix_reference_at_block_edges(t):
         # max_shots = t: the last layers are narrower than one block
         for max_shots in (t // 10, t):
             want_costs, _ = full_matrix_kts(costs, max_shots, 0.0)
-            assert np.array_equal(min_costs_per_shot_count(feats, max_shots), want_costs)
+            assert np.array_equal(min_costs(feats, max_shots), want_costs)
             for weight in (0.0, 1.0):
                 _, want_points = full_matrix_kts(costs, max_shots, weight)
                 part = kts_segment(feats, max_shots=max_shots, penalty_weight=weight)
@@ -232,7 +188,7 @@ def assert_matches_full_matrix_kts(feats, max_shots_values, weights=(0.0, 1.0)):
     costs = segment_costs(feats)
     for max_shots in max_shots_values:
         want_costs, _ = full_matrix_kts(costs, max_shots, 0.0)
-        got = min_costs_per_shot_count(feats, max_shots)
+        got = min_costs(feats, max_shots)
         assert got.tobytes() == want_costs.tobytes(), max_shots
         for weight in weights:
             _, want_points = full_matrix_kts(costs, max_shots, weight)
@@ -358,8 +314,8 @@ def test_float32_features_match_their_float64_widening():
             want = kts_segment(feats64, max_shots=t // 4, penalty_weight=weight)
             got = kts_segment(feats32, max_shots=t // 4, penalty_weight=weight)
             assert got.change_points == want.change_points
-        want_costs = min_costs_per_shot_count(feats64, t // 4)
-        assert min_costs_per_shot_count(feats32, t // 4).tobytes() == want_costs.tobytes()
+        want_costs = min_costs(feats64, t // 4)
+        assert min_costs(feats32, t // 4).tobytes() == want_costs.tobytes()
 
 
 def test_two_block_sequence_boundary_exact():
@@ -382,7 +338,7 @@ def test_constant_features_one_shot():
 
 def test_min_costs_non_increasing():
     feats = substream(36, "kts").normal(size=(12, 3))
-    dp = min_costs_per_shot_count(feats, 6)
+    dp = min_costs(feats, 6)
     assert np.all(np.diff(dp) <= 1e-12)
 
 
@@ -391,8 +347,8 @@ def test_frame_order_changes_costs():
     block_b = np.tile(np.array([0.0, 5.0]), (6, 1))
     ordered = np.vstack([block_a, block_b])
     interleaved = ordered[[0, 6, 1, 7, 2, 8, 3, 9, 4, 10, 5, 11]]
-    assert min_costs_per_shot_count(ordered, 2)[1] < 1e-9
-    assert min_costs_per_shot_count(interleaved, 2)[1] > 1.0
+    assert min_costs(ordered, 2)[1] < 1e-9
+    assert min_costs(interleaved, 2)[1] > 1.0
 
 
 # --- clamping -------------------------------------------------------------------
@@ -434,7 +390,7 @@ def test_min_costs_memory_bound_raises_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(ConfigurationError, match=r"20000 frames .* bytes, over the \d+-byte"):
-            min_costs_per_shot_count(feats, None)
+            min_costs(feats, None)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

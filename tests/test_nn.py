@@ -18,7 +18,6 @@ from hiersum.nn import (
     init_lstm,
     load_checkpoint,
     lstm_backward,
-    lstm_forward,
     lstm_forward_batch,
     lstm_forward_folds,
     save_checkpoint,
@@ -26,6 +25,7 @@ from hiersum.nn import (
     uniform_init,
 )
 from hiersum.seeding import substream
+from tests.oracles import replay_lstm
 
 
 # --- activations and losses --------------------------------------------------
@@ -102,7 +102,7 @@ def test_lstm_zero_params_zero_output():
     init_lstm(store, "m", 3, 4, substream(3, "t"))
     for name in store.names():
         store.params[name].fill(0.0)
-    hs, _ = lstm_forward(store, "m", np.array([[1.0, -2.0, 0.5], [0.3, 0.0, -1.0]]))
+    (hs,), _ = lstm_forward_folds([store], "m", [np.array([[1.0, -2.0, 0.5], [0.3, 0.0, -1.0]])])
     assert not hs.any()
 
 
@@ -110,7 +110,7 @@ def test_lstm_state_matters():
     store = ParamStore()
     init_lstm(store, "m", 3, 4, substream(4, "t"))
     x = np.array([0.3, -0.2, 0.9])
-    hs, _ = lstm_forward(store, "m", np.stack([x, x]))
+    (hs,), _ = lstm_forward_folds([store], "m", [np.stack([x, x])])
     assert not np.allclose(hs[0], hs[1])
 
 
@@ -118,25 +118,15 @@ def test_lstm_shape_error():
     store = ParamStore()
     init_lstm(store, "m", 3, 4, substream(5, "t"))
     with pytest.raises(ValueError, match="input dim"):
-        lstm_forward(store, "m", np.zeros((2, 5)))
+        lstm_forward_folds([store], "m", [np.zeros((2, 5))])
 
 
 def test_lstm_forward_matches_per_step_loop():
     store = ParamStore()
     init_lstm(store, "m", 3, 4, substream(7, "t"))
     xs = substream(7, "d").normal(size=(9, 3)) * 3.0
-    wx, wh, b = store["m.Wx"], store["m.Wh"], store["m.b"]
-    h = np.zeros(4)
-    c = np.zeros(4)
-    expected = []
-    for x in xs:
-        z = x @ wx + h @ wh + b
-        i, f, o = (1.0 / (1.0 + np.exp(-z[k * 4 : (k + 1) * 4])) for k in range(3))
-        c = f * c + i * np.tanh(z[12:])
-        h = o * np.tanh(c)
-        expected.append(h)
-    hs, _ = lstm_forward(store, "m", xs)
-    assert np.max(np.abs(hs - np.array(expected))) < 1e-12
+    (hs,), _ = lstm_forward_folds([store], "m", [xs])
+    assert np.max(np.abs(hs - replay_lstm(store, "m", xs))) < 1e-12
 
 
 def test_lstm_forward_batch_columns_match_single_sequences():
@@ -147,7 +137,7 @@ def test_lstm_forward_batch_columns_match_single_sequences():
     hs, cs, gates = lstm_forward_batch([store], "m", [seqs])
     assert hs.shape == cs.shape == (12, 1, 4, 4) and gates.shape == (12, 4, 1, 4, 4)
     for v, xs in enumerate(seqs):
-        one_hs, (_, _, one_cs, one_gates) = lstm_forward(store, "m", xs)
+        (one_hs,), (_, _, one_cs, one_gates) = lstm_forward_folds([store], "m", [xs])
         steps = xs.shape[0]
         assert np.max(np.abs(hs[:steps, 0, v] - one_hs)) < 1e-12
         assert np.max(np.abs(cs[:steps, 0, v] - one_cs[:, 0])) < 1e-12
@@ -185,7 +175,7 @@ def test_stacked_folds_match_one_fold_at_a_time_bit_for_bit():
     ]
     lstm_backward(stores, "m", (seqs, stacked_hs, cs, gates), stacked_grads([0, 1]))
     for k, xs in enumerate(seqs):
-        one_hs, one_cache = lstm_forward(alone[k], "m", xs)
+        (one_hs,), one_cache = lstm_forward_folds([alone[k]], "m", [xs])
         assert forward[k][0].tobytes() == one_hs.tobytes()
         assert forward[k][1].tobytes() == one_cache[2][:, 0].tobytes()
         assert forward[k][2].tobytes() == one_cache[3][:, :, 0].tobytes()
@@ -196,7 +186,7 @@ def test_stacked_folds_match_one_fold_at_a_time_bit_for_bit():
     for store in stores + alone:
         store.zero_grads()
     lstm_backward(stores, "m", lstm_forward_folds(stores, "m", seqs)[1], stacked_grads([1]))
-    lstm_backward([alone[1]], "m", lstm_forward(alone[1], "m", seqs[1])[1], dhs[1][:, None])
+    lstm_backward([alone[1]], "m", lstm_forward_folds([alone[1]], "m", [seqs[1]])[1], dhs[1][:, None])
     assert all(not stores[0].grads[name].any() for name in stores[0].names())
     for name in stores[1].names():
         assert stores[1].grads[name].tobytes() == alone[1].grads[name].tobytes(), name
@@ -210,7 +200,7 @@ def test_lstm_gradients_match_finite_differences():
     weights = rng.normal(size=(5, 4))  # random projection makes the loss scalar
 
     def loss_fn():
-        hs, cache = lstm_forward(store, "m", xs)
+        (hs,), cache = lstm_forward_folds([store], "m", [xs])
         lstm_backward([store], "m", cache, weights[:, None])
         return float(np.sum(weights * hs))
 

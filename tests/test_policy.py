@@ -9,7 +9,6 @@ from hiersum.data import ConfigurationError, subtask_bounds
 from hiersum.nn import grad_check
 from hiersum import policy
 from hiersum.policy import (
-    action_log_prob,
     check_checkpoint,
     greedy_scores,
     greedy_scores_batch,
@@ -18,7 +17,7 @@ from hiersum.policy import (
     manager_forward,
     manager_head,
     manager_loss,
-    manager_loss_backward,
+    manager_loss_backward_folds,
     manager_param_names,
     manager_subgoals_batch,
     policy_shapes,
@@ -30,27 +29,7 @@ from hiersum.policy import (
 )
 from hiersum.seeding import substream
 from tests.conftest import zero_store
-
-
-def replay_lstm(store, prefix, xs):
-    """Recompute hidden states straight from the stored matrices."""
-    wx = store[f"{prefix}.Wx"]
-    wh = store[f"{prefix}.Wh"]
-    b = store[f"{prefix}.b"]
-    hdim = wh.shape[0]
-    h = np.zeros(hdim)
-    c = np.zeros(hdim)
-    out = []
-    for x in xs:
-        z = x @ wx + h @ wh + b
-        gi = 1.0 / (1.0 + np.exp(-z[:hdim]))
-        gf = 1.0 / (1.0 + np.exp(-z[hdim : 2 * hdim]))
-        go = 1.0 / (1.0 + np.exp(-z[2 * hdim : 3 * hdim]))
-        gg = np.tanh(z[3 * hdim :])
-        c = gf * c + gi * gg
-        h = go * np.tanh(c)
-        out.append(h.copy())
-    return np.array(out)
+from tests.oracles import bernoulli_log_prob, replay_lstm
 
 
 def replay_affine(store, prefix, x):
@@ -264,14 +243,14 @@ def test_subgoal_reaches_only_its_subtask():
 def test_action_log_prob_uniform_scores():
     scores = np.full(4, 0.5)
     for actions in itertools.product([0, 1], repeat=4):
-        assert abs(action_log_prob(scores, np.array(actions)) - 4 * math.log(0.5)) < 1e-12
+        assert abs(bernoulli_log_prob(scores, np.array(actions)) - 4 * math.log(0.5)) < 1e-12
 
 
 def test_action_log_probs_normalize():
     scores = substream(59, "p").uniform(0.1, 0.9, size=8)
     total = 0.0
     for actions in itertools.product([0, 1], repeat=8):
-        total += math.exp(action_log_prob(scores, np.array(actions, dtype=np.float64)))
+        total += math.exp(bernoulli_log_prob(scores, np.array(actions, dtype=np.float64)))
     assert abs(total - 1.0) < 1e-9
 
 
@@ -284,7 +263,7 @@ def test_log_prob_score_grad_matches_finite_differences():
         bump = np.zeros(6)
         bump[t] = h
         fd = (
-            action_log_prob(scores + bump, actions) - action_log_prob(scores - bump, actions)
+            bernoulli_log_prob(scores + bump, actions) - bernoulli_log_prob(scores - bump, actions)
         ) / (2 * h)
         assert abs(grad[t] - fd) < 1e-5
 
@@ -329,7 +308,7 @@ def test_manager_loss_gradients():
 
     def loss_fn():
         fwd = manager_forward(store, feats, 2)
-        return manager_loss_backward(store, fwd, labels)
+        return manager_loss_backward_folds([store], [fwd], [labels])[0]
 
     report = grad_check(loss_fn, store, names=manager_param_names(store))
     assert report["ok"], report
@@ -350,7 +329,7 @@ def test_worker_log_prob_gradients():
     def loss_fn():
         mfwd = manager_forward(store, feats, 2)
         wfwd = worker_forward(store, feats, mfwd.subgoals, 2)
-        loss = action_log_prob(wfwd.scores, actions)
+        loss = bernoulli_log_prob(wfwd.scores, actions)
         worker_backward(store, wfwd, log_prob_score_grad(wfwd.scores, actions))
         return loss
 

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -8,66 +7,47 @@ from scipy.spatial.distance import cdist
 from hiersum.data import block_means, subtask_bounds
 from hiersum.rewards import (
     RewardBreakdown,
+    _action_rewards,
     combine,
-    dissimilarity,
-    diversity_reward,
     episode_reward,
     episode_rewards,
-    representativeness_reward,
     sub_reward,
     sub_reward_score_grad,
 )
 from hiersum.seeding import substream
+from tests.oracles import action_rows, all_selections, loop_diversity, loop_representativeness
 
 
-# plain-loop reference implementations, no shared code with the module
+def diversity(feats, *selections):
+    """The program's R_div of each selection of frames, one episode each."""
+    return _action_rewards(feats, action_rows(len(feats), selections))[0]
 
 
-def loop_dissimilarity(x, y):
-    dot = sum(a * b for a, b in zip(x, y))
-    nx = math.sqrt(sum(a * a for a in x))
-    ny = math.sqrt(sum(b * b for b in y))
-    return 1.0 - dot / (nx * ny)
+def representativeness(feats, *selections):
+    """The program's R_rep of each selection of frames, one episode each."""
+    return _action_rewards(feats, action_rows(len(feats), selections))[1]
 
 
-def loop_diversity(feats, selected):
-    if len(selected) < 2:
-        return 0.0
-    pairs = list(itertools.combinations(selected, 2))
-    return sum(loop_dissimilarity(feats[i], feats[j]) for i, j in pairs) / len(pairs)
-
-
-def loop_representativeness(feats, selected):
-    def dist(i, j):
-        return math.sqrt(sum((a - b) ** 2 for a, b in zip(feats[i], feats[j])))
-
-    t = len(feats)
-    if len(selected) == 0:
-        worst = max(dist(i, j) for i in range(t) for j in range(t))
-        return math.exp(-worst)
-    mean_min = sum(min(dist(i, j) for j in selected) for i in range(t)) / t
-    return math.exp(-mean_min)
-
-
-# --- pairwise dissimilarity ----------------------------------------------------
+# --- pairwise dissimilarity: R_div of two frames ----------------------------------
 
 
 def test_dissimilarity_self_is_zero():
     x = substream(41, "r").normal(size=6)
-    assert abs(dissimilarity(x, x)) <= 1e-12
+    assert abs(diversity(np.stack([x, x]), [0, 1])[0]) <= 1e-12
 
 
 def test_dissimilarity_orthogonal_and_known_angle():
-    assert dissimilarity([1.0, 0.0], [0.0, 1.0]) == 1.0
-    assert abs(dissimilarity([1.0, 0.0], [1.0, 1.0]) - (1.0 - 1.0 / math.sqrt(2.0))) < 1e-15
-    assert abs(dissimilarity([1.0, 0.0], [-1.0, 0.0]) - 2.0) < 1e-15
+    assert diversity(np.array([[1.0, 0.0], [0.0, 1.0]]), [0, 1])[0] == 1.0
+    assert abs(diversity(np.array([[1.0, 0.0], [1.0, 1.0]]), [0, 1])[0] - (1.0 - 1.0 / math.sqrt(2.0))) < 1e-15
+    assert abs(diversity(np.array([[1.0, 0.0], [-1.0, 0.0]]), [0, 1])[0] - 2.0) < 1e-15
 
 
 def test_dissimilarity_zero_vector_rejected():
-    with pytest.raises(ValueError, match="zero feature vector"):
-        dissimilarity([0.0, 0.0], [1.0, 0.0])
-    with pytest.raises(ValueError, match="zero feature vector"):
-        diversity_reward(np.array([[0.0, 0.0], [1.0, 0.0]]), [0, 1])
+    # two or more selected frames, one of them all zero: the cosine is undefined
+    feats = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+    for selected in ([0, 1], [0, 1, 2]):
+        with pytest.raises(ValueError, match="zero feature vector"):
+            episode_rewards(feats, action_rows(3, [selected]), [0.5], [0.5])
 
 
 # --- diversity over all subsets --------------------------------------------------
@@ -76,27 +56,19 @@ def test_dissimilarity_zero_vector_rejected():
 @pytest.mark.parametrize("t", [5, 8])
 def test_diversity_matches_loop_oracle_all_subsets(t):
     feats = substream(42, "r", str(t)).normal(size=(t, 4))
-    for k in range(t + 1):
-        for selected in itertools.combinations(range(t), k):
-            got = diversity_reward(feats, list(selected))
-            want = loop_diversity(feats, selected)
-            assert abs(got - want) <= 1e-12
+    actions, subsets = all_selections(t)
+    for selected, got in zip(subsets, _action_rewards(feats, actions)[0]):
+        want = loop_diversity(feats, selected)
+        assert abs(got - want) <= 1e-12
 
 
 def test_diversity_conventions_and_bounds():
     feats = substream(43, "r").normal(size=(6, 3))
-    assert diversity_reward(feats, []) == 0.0
-    assert diversity_reward(feats, [3]) == 0.0
-    full = diversity_reward(feats, list(range(6)))
+    assert diversity(feats, [])[0] == 0.0
+    assert diversity(feats, [3])[0] == 0.0
+    full = diversity(feats, range(6))[0]
     assert 0.0 <= full <= 2.0
-    assert diversity_reward(np.eye(4), [0, 1, 2, 3]) == 1.0  # orthogonal selection
-
-
-def test_diversity_selection_order_invariant():
-    feats = substream(44, "r").normal(size=(7, 3))
-    a = diversity_reward(feats, [0, 2, 5, 6])
-    b = diversity_reward(feats, [6, 0, 5, 2])
-    assert abs(a - b) <= 1e-12
+    assert diversity(np.eye(4), [0, 1, 2, 3])[0] == 1.0  # orthogonal selection
 
 
 # --- representativeness over all subsets ------------------------------------------
@@ -105,23 +77,18 @@ def test_diversity_selection_order_invariant():
 @pytest.mark.parametrize("t", [5, 8])
 def test_representativeness_matches_loop_oracle_all_subsets(t):
     feats = substream(45, "r", str(t)).normal(size=(t, 4))
-    for k in range(t + 1):
-        for selected in itertools.combinations(range(t), k):
-            got = representativeness_reward(feats, list(selected))
-            want = loop_representativeness(feats, selected)
-            assert abs(got - want) <= 1e-12
+    actions, subsets = all_selections(t)
+    for selected, got in zip(subsets, _action_rewards(feats, actions)[1]):
+        want = loop_representativeness(feats, selected)
+        assert abs(got - want) <= 1e-12
 
 
 def test_representativeness_properties():
     feats = substream(46, "r").normal(size=(10, 4))
-    all_sel = representativeness_reward(feats, list(range(10)))
+    all_sel = representativeness(feats, range(10))[0]
     assert all_sel == 1.0  # every frame is its own nearest selection
-    empty = representativeness_reward(feats, [])
-    some = representativeness_reward(feats, [0, 4, 9])
+    empty, some = representativeness(feats, [], [0, 4, 9])
     assert 0.0 < empty <= some <= 1.0
-    a = representativeness_reward(feats, [1, 5, 8])
-    b = representativeness_reward(feats, [8, 1, 5])
-    assert abs(a - b) <= 1e-12
 
 
 # --- subgoal agreement -------------------------------------------------------------
@@ -194,8 +161,8 @@ def test_episode_reward_composition():
     selected = np.array([1, 4, 6])
     bd = episode_reward(feats, selected, block_means(scores, bounds), probs, alpha=0.25)
     assert isinstance(bd, RewardBreakdown)
-    assert bd.r_d == diversity_reward(feats, selected)
-    assert bd.r_rep == representativeness_reward(feats, selected)
+    assert bd.r_d == diversity(feats, selected)[0]
+    assert bd.r_rep == representativeness(feats, selected)[0]
     assert bd.r_sub == sub_reward(block_means(scores, bounds), probs)
     assert bd.r == combine((bd.r_d + bd.r_rep) / 2.0, bd.r_sub, alpha=0.25)
 
@@ -225,8 +192,8 @@ def test_episode_rewards_rows_match_per_episode_rewards_bit_for_bit(t, d):
         else:
             want_rep = float(np.exp(-cdist(feats, feats).max()))
         assert abs(bd.r_rep - want_rep) <= 1e-12
-        assert bd.r_rep == representativeness_reward(feats, selected)
-        assert bd.r_d == diversity_reward(feats, selected)
+        assert bd.r_rep == representativeness(feats, selected)[0]
+        assert bd.r_d == diversity(feats, selected)[0]
         assert bd.r == combine((bd.r_d + bd.r_rep) / 2.0, r_sub, alpha=0.3)
     assert rows.r_d[1] == 0.0
     assert rows.r_rep[2] == 1.0
@@ -254,8 +221,8 @@ def test_representativeness_of_near_duplicate_frames_matches_cdist():
 def test_diversity_zero_vector_rule():
     feats = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
     # a zero frame alone, or left out, has no pair to be undefined for
-    assert diversity_reward(feats, [0]) == 0.0
-    assert diversity_reward(feats, [1, 2]) == 1.0
+    assert diversity(feats, [0])[0] == 0.0
+    assert diversity(feats, [1, 2])[0] == 1.0
     rows = episode_rewards(feats, np.array([[1, 0, 0], [0, 1, 1]]), [0.5], [0.5])
     assert rows.r_d.tolist() == [0.0, 1.0]
     with pytest.raises(ValueError, match="zero feature vector"):

@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 
@@ -14,25 +13,7 @@ from hiersum.summarize import (
     make_summary,
     summary_to_json,
 )
-
-
-def brute_force_knapsack(values, lengths, capacity):
-    """All 2^S subsets; value summed smallest index last to mirror the DP's
-    right-to-left accumulation, ties broken to the lexicographically smallest
-    index tuple."""
-    best_val = 0.0
-    best_set = ()
-    for k in range(len(values) + 1):
-        for sub in itertools.combinations(range(len(values)), k):
-            if sum(lengths[i] for i in sub) > capacity:
-                continue
-            total = 0.0
-            for i in reversed(sub):
-                total = values[i] + total
-            if total > best_val or (total == best_val and sub < best_set):
-                best_val = total
-                best_set = sub
-    return best_val, best_set
+from tests.oracles import brute_knapsack
 
 
 def dp_value(values, selected):
@@ -49,7 +30,7 @@ def test_knapsack_documented_tie():
     # 0.8 + 0.1 rounds to exactly 0.9, so {0} and {1, 2} tie; smallest wins
     assert 0.8 + 0.1 == 0.9
     assert knapsack_select([0.9, 0.8, 0.1], [5, 3, 2], 5) == [0]
-    _, brute = brute_force_knapsack([0.9, 0.8, 0.1], [5, 3, 2], 5)
+    _, brute, _ = brute_knapsack([0.9, 0.8, 0.1], [5, 3, 2], 5)
     assert brute == (0,)
 
 
@@ -78,7 +59,7 @@ def test_knapsack_matches_brute_force_random():
         lengths = rng.integers(1, 8, size=s)
         capacity = int(rng.integers(0, int(lengths.sum()) + 2))
         got = knapsack_select(values, lengths, capacity)
-        want_val, want_set = brute_force_knapsack(list(values), list(lengths), capacity)
+        want_val, want_set, _ = brute_knapsack(list(values), list(lengths), capacity)
         assert tuple(got) == want_set
         assert dp_value(values, got) == want_val
         assert sum(int(lengths[i]) for i in got) <= capacity
