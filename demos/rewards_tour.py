@@ -11,7 +11,7 @@ Run:  python3 demos/rewards_tour.py
 import numpy as np
 
 from hiersum import block_means, sub_reward, substream, subtask_bounds
-from hiersum.rewards import DEFAULT_ALPHA, combine, episode_rewards
+from hiersum.rewards import DEFAULT_ALPHA, combine, episode_reward
 
 rng = substream(3, "demo")
 
@@ -33,7 +33,7 @@ selections = {
 actions = np.zeros((len(selections), len(feats)), dtype=np.uint8)
 for row, selected in zip(actions, selections.values()):
     row[selected] = 1
-rows = episode_rewards(feats, actions, [0.5], [0.5])
+rows = episode_reward(feats, actions, [0.5], [0.5])
 print(f"{'selection':32s} {'R_d':>7s} {'R_rep':>7s}")
 for label, r_d, r_rep in zip(selections, rows.r_d, rows.r_rep):
     print(f"{label:32s} {r_d:7.4f} {r_rep:7.4f}")
@@ -55,7 +55,7 @@ scores = np.clip(rng.uniform(0.2, 0.8, size=20), 0.0, 1.0)
 score_means = block_means(scores, subtask_bounds(20, 10))
 episode = np.zeros((1, 20), dtype=np.uint8)
 episode[0, [0, 4, 10, 17]] = 1
-bd = episode_rewards(feats, episode, score_means, np.array([0.7, 0.6]), DEFAULT_ALPHA)
+bd = episode_reward(feats, episode, score_means, np.array([0.7, 0.6]), DEFAULT_ALPHA)
 r_d, r_rep, r = bd.r_d[0], bd.r_rep[0], bd.r[0]
 print(f"\nfull breakdown: R_d={r_d:.4f} R_rep={r_rep:.4f} "
       f"R_dr={(r_d + r_rep) / 2:.4f} R_sub={bd.r_sub:.4f} -> R={r:.4f} (alpha={DEFAULT_ALPHA})")

@@ -9,6 +9,7 @@ HIERSUM_LOG environment variable sets the logging level (DEBUG, INFO, ...).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import math
 import os
@@ -90,6 +91,8 @@ def _check_usage(parser, args):
             parser.error("--videos, --frames, --dim, --users must be >= 1")
         if not 0.0 < args.keyframe_fraction < 1.0:
             parser.error("--keyframe-fraction must be in (0, 1)")
+        if args.seed < 0:
+            parser.error("--seed must be >= 0")
     elif args.command == "train":
         args.config = TrainConfig(
             epochs=args.epochs,
@@ -162,17 +165,39 @@ def cmd_summarize(args):
     )
     # both documents are serialized before either file is opened
     text = json_text(summary_to_json(video_id, summary), args.out or "summary", sort_keys=True)
+    files = []
     if args.scores_out:
         scores_doc = {"video_id": video_id, "scores": [float(s) for s in scores]}
-        scores_text = json_text(scores_doc, args.scores_out)
-        with open(args.scores_out, "w", encoding="utf-8") as fh:
-            fh.write(scores_text)
+        files.append((args.scores_out, json_text(scores_doc, args.scores_out)))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+        files.append((args.out, text))
+    _write_together(files)
+    if not args.out:
         sys.stdout.write(text)
     return 0
+
+
+def _write_together(files):
+    """Write each (path, text) to <path>.tmp, then move them all into place.
+
+    No path is replaced before every file is written. On an error the
+    temporaries, and any file already moved into place, are removed.
+    """
+    written, placed = [], []
+    try:
+        for path, text in files:
+            tmp = f"{path}.tmp"
+            with open(tmp, "w", encoding="utf-8") as fh:
+                written.append(tmp)
+                fh.write(text)
+        for (path, _), tmp in zip(files, written):
+            os.replace(tmp, path)
+            placed.append(path)
+    except BaseException:
+        for leftover in written[len(placed) :] + placed:
+            with contextlib.suppress(OSError):
+                os.remove(leftover)
+        raise
 
 
 def cmd_evaluate(args):

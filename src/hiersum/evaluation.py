@@ -210,7 +210,12 @@ def load_run_folds(run_dir):
             if video_id in seen:
                 raise ConfigurationError(f"{folds_path}: video '{video_id}' is held out twice")
             seen.add(video_id)
-    return folds, doc.get("setting", "canonical")
+    setting = doc.get("setting", "canonical")
+    if setting not in ("canonical", "single"):
+        raise ConfigurationError(
+            f"{folds_path}: field 'setting' is {setting!r}, not 'canonical' or 'single'"
+        )
+    return folds, setting
 
 
 def evaluate_run(

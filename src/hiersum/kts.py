@@ -7,8 +7,9 @@ Every cost takes four lookups in one corner-padded (T+1)^2 prefix table of
 the Gram matrix and two in the prefix of its diagonal. Dynamic programming
 finds the cheapest partition into m segments for every m up to max_shots,
 and a penalized criterion picks m. The DP walks the ends in blocks: it
-builds one block's cost rows from the prefix table and runs every shot
-count on that block before the next, so no (T+1)^2 cost matrix is held.
+builds one block's cost rows from the prefix table (segment_costs) and runs
+every shot count on that block before the next, so no (T+1)^2 cost matrix
+is held.
 
 The DP also drops splits that can never again be a first minimum. Splitting
 a segment never raises its within-segment cost, C(s, e) >= C(s, t) + C(t, e),
@@ -103,11 +104,13 @@ def _prefix_tables(feats):
     return prefix, diag_prefix
 
 
-def _cost_rows(prefix, diag_prefix, e0, e1, out):
+def segment_costs(prefix, diag_prefix, e0, e1, out):
     """Write end-major costs[e, a] = cost of [a, e) into out, for e0 <= e < e1 and a < e1.
 
     Cells with e <= a are +inf. Every cell takes the same steps in the same
-    order whatever the block, so segment_costs and the DP read the same bits.
+    order whatever the block, so rows built one block at a time, as the DP
+    builds them, hold the same bits as the transposed (T+1)^2 cost matrix
+    that e0 = 0, e1 = T+1 gives.
     """
     t = prefix.shape[0] - 1
     corners = np.diagonal(prefix)
@@ -122,19 +125,6 @@ def _cost_rows(prefix, diag_prefix, e0, e1, out):
     np.subtract(diag_prefix[e0:e1, None] - diag_prefix[None, :e1], out, out=out)
     out[lengths <= 0] = np.inf
     return out
-
-
-def segment_costs(features):
-    """Cost matrix C[a, b] = within-segment cost of [a, b), +inf for b <= a.
-
-    The full (T+1)^2 matrix, for the tests' oracles and the benchmark's
-    tracer; it is off the program path, since kts_segment builds the same
-    rows block by block inside the DP and never holds the whole matrix.
-    """
-    feats = np.asarray(features, dtype=np.float64)
-    t = feats.shape[0]
-    prefix, diag_prefix = _prefix_tables(feats)
-    return _cost_rows(prefix, diag_prefix, 0, t + 1, np.empty((t + 1, t + 1))).T
 
 
 def _shot_cap(num_frames, max_shots):
@@ -266,7 +256,7 @@ def _kts_dp(prefix, diag_prefix, max_shots, margin):
     for e0 in range(0, t + 1, _DP_BLOCK_ROWS):
         e1 = min(e0 + _DP_BLOCK_ROWS, t + 1)
         costs = block[: (e1 - e0) * e1].reshape(e1 - e0, e1)
-        _cost_rows(prefix, diag_prefix, e0, e1, out=costs)
+        segment_costs(prefix, diag_prefix, e0, e1, out=costs)
         best[1, e0:e1] = costs[:, 0]
         top = min(max_shots, e1 - 1)
         for m in range(2, top + 1):

@@ -19,12 +19,13 @@ frames, and B is at most SCORE_BATCH. manager_subgoals_batch is the Manager
 half of that pass; a Worker epoch, during which the Manager is frozen, takes
 every video's subgoals from it, one fold at a time.
 
-In training, the *_folds functions run K folds' networks, each on its own
-video, through one stacked recurrence forward and one stacked walk
+In training, manager_forward, worker_forward and their backward passes
+take lists with one entry per fold and run K folds' networks, each on its
+own video, through one stacked recurrence forward and one stacked walk
 backward (nn.lstm_forward_folds, nn.lstm_backward), with T_max * K * 4H * 8
-bytes of gates; the heads and their gradients stay per fold. Features go
-to the LSTM as the caller holds them, float32 included (nn widens them).
-manager_forward, worker_forward and worker_backward are their one-fold case.
+bytes of gates; the heads and their gradients stay per fold. One fold is a
+list of one. Features go to the LSTM as the caller holds them, float32
+included (nn widens them).
 
 The Worker treats subgoals as constants: gradients from Worker objectives
 never reach Manager parameters, which train only on their own loss.
@@ -135,11 +136,7 @@ class ManagerForward:
     cache: tuple  # stacked LSTM cache, shared by the folds of one forward call
 
 
-def manager_forward(store, features, subtask_size):
-    return manager_forward_folds([store], [features], subtask_size)[0]
-
-
-def manager_forward_folds(stores, features, subtask_size):
+def manager_forward(stores, features, subtask_size):
     """Fold k's ManagerForward of stores[k] on features[k], from one stacked recurrence."""
     hs, cache = lstm_forward_folds(stores, "manager.lstm", features)
     fwds = []
@@ -161,7 +158,7 @@ def manager_head(store, subgoals):
 def manager_subgoals_batch(store, features_list, subtask_size):
     """Each video's (N_v, H) subgoals, from Manager recurrences over up to SCORE_BATCH videos.
 
-    Subgoals match manager_forward on each video alone to within rounding of
+    Subgoals match manager_forward of each video alone to within rounding of
     the batched recurrent product (about 1e-16); a batch of one is the same
     arithmetic. Only the subgoals outlive a batch's padded states.
     """
@@ -178,7 +175,7 @@ def manager_backward(stores, fwds, dlogits):
     """Accumulate each fold's gradients given d(loss)/d(subtask logits), one stacked LSTM walk.
 
     stores, fwds and dlogits hold one entry per fold: fwds is the whole list
-    one manager_forward_folds call gave, whose cache the walk consumes.
+    one manager_forward call gave, whose cache the walk consumes.
     """
     dhs = np.zeros_like(fwds[0].cache[1])  # on the stacked hidden states
     for k, (store, fwd, d) in enumerate(zip(stores, fwds, dlogits)):
@@ -195,7 +192,7 @@ def manager_loss(fwd, task_labels):
     return float(bce(fwd.probs, labels).mean())
 
 
-def manager_loss_backward_folds(stores, fwds, task_labels):
+def manager_loss_backward(stores, fwds, task_labels):
     """Backward pass for each fold's Manager loss in one stacked walk; returns the losses."""
     losses, dlogits = [], []
     for fwd, labels in zip(fwds, task_labels):
@@ -224,11 +221,7 @@ class WorkerForward:
         return _mix_inputs(self.hs, self.subgoals, self.bounds)
 
 
-def worker_forward(store, features, subgoals, subtask_size):
-    return worker_forward_folds([store], [features], [subgoals], subtask_size)[0]
-
-
-def worker_forward_folds(stores, features, subgoals, subtask_size):
+def worker_forward(stores, features, subgoals, subtask_size):
     """Fold k's WorkerForward of stores[k] on features[k] and subgoals[k], stacked."""
     bounds = [subtask_bounds(f.shape[0], subtask_size) for f in features]
     for b, goals in zip(bounds, subgoals):
@@ -254,20 +247,13 @@ def _worker_head(store, hs, subgoals, bounds):
     return mixed, raw
 
 
-def worker_backward(store, fwd, dscores):
-    """Accumulate Worker gradients given d(loss)/d(scores).
+def worker_backward(stores, fwds, dscores):
+    """Accumulate each fold's Worker gradients given d(loss)/d(scores), one stacked LSTM walk.
 
+    fwds is the whole list one worker_forward call gave, whose cache the
+    walk consumes; a None dscores[k] leaves fold k's parameters alone.
     Subgoals are constants to the Worker, so no gradient flows back to them:
     the Manager is updated only by its own loss.
-    """
-    worker_backward_folds([store], [fwd], [dscores])
-
-
-def worker_backward_folds(stores, fwds, dscores):
-    """worker_backward of each fold's dscores[k] into stores[k], in one stacked LSTM walk.
-
-    fwds is the whole list one worker_forward_folds call gave, whose cache
-    the walk consumes; a None dscores[k] leaves fold k's parameters alone.
     """
     dhs = np.zeros_like(fwds[0].cache[1])  # on the stacked hidden states
     for k, (store, fwd, d) in enumerate(zip(stores, fwds, dscores)):
@@ -280,27 +266,15 @@ def worker_backward_folds(stores, fwds, dscores):
     lstm_backward(stores, "worker.lstm", fwds[0].cache, dhs)
 
 
-@dataclass
-class Episode:
-    actions: np.ndarray  # (T,) 0/1
-    selected: np.ndarray  # indices where the action is 1
-
-
-def sample_episodes(scores, rng, count):
+def sample_actions(scores, rng, count):
     """(count, T) 0/1 uint8 actions, one Bernoulli draw per frame per episode.
 
-    One rng.random((count, T)) call takes the same stream values, in the same
-    order, as count calls of sample_actions. The actions are a view of the
-    comparison's booleans, so the float64 draw is the only (count, T)
-    temporary.
+    Episodes take the stream's values in row order, so count draws of one
+    episode each give the rows of one draw of count episodes. The actions
+    are a view of the comparison's booleans, so the float64 draw is the only
+    (count, T) temporary.
     """
     return (rng.random((count, scores.shape[0])) < scores).view(np.uint8)
-
-
-def sample_actions(scores, rng):
-    """Draw one Bernoulli action per frame from the given scores."""
-    actions = sample_episodes(scores, rng, 1)[0]
-    return Episode(actions=actions, selected=np.flatnonzero(actions))
 
 
 def log_prob_score_grad(scores, actions):

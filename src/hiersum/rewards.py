@@ -9,7 +9,8 @@ Worker's means come from data.block_means over them. The combined reward is
 a convex mix of the diversity / representativeness average and the subgoal
 term.
 
-All of a video's sampled episodes are scored from one T x T Gram matrix
+episode_reward scores all of a video's sampled episodes, the rows of an
+(E, T) action matrix, in one call and from one T x T Gram matrix
 (T^2 * 8 bytes): one product with it gives every episode's diversity, and it
 is then reused in place as the euclidean distance matrix. A row scores the
 same bits alone or among others, so one episode is a one-row action matrix.
@@ -26,16 +27,10 @@ DEFAULT_ALPHA = 0.5
 
 @dataclass(frozen=True)
 class RewardBreakdown:
-    r_d: float  # floats for one episode; (E,) arrays in r_d, r_rep, r from episode_rewards
-    r_rep: float
-    r_sub: float
-    r: float
-
-
-def _one_episode(features, selected):
-    actions = np.zeros((1, np.shape(features)[0]))
-    actions[0, np.asarray(selected, dtype=np.int64)] = 1.0
-    return actions
+    r_d: np.ndarray  # (E,) per episode
+    r_rep: np.ndarray  # (E,) per episode
+    r_sub: float  # the scores' subgoal agreement, shared by every episode
+    r: np.ndarray  # (E,) per episode
 
 
 def _action_rewards(features, actions):
@@ -131,15 +126,8 @@ def sub_reward_score_grad(score_means, subtask_probs, bounds):
     return np.repeat(-r * np.sign(score_means - subtask_probs) / (lengths.size * lengths), lengths)
 
 
-def episode_rewards(features, actions, score_means, subtask_probs, alpha=DEFAULT_ALPHA):
+def episode_reward(features, actions, score_means, subtask_probs, alpha=DEFAULT_ALPHA):
     """The rewards of each row of an (E, T) 0/1 action matrix; r_sub depends on the scores only."""
     r_d, r_rep = _action_rewards(features, actions)
     r_sub = sub_reward(score_means, subtask_probs)
     return RewardBreakdown(r_d, r_rep, r_sub, combine((r_d + r_rep) / 2.0, r_sub, alpha))
-
-
-def episode_reward(features, selected, score_means, subtask_probs, alpha=DEFAULT_ALPHA):
-    """episode_rewards of the one episode that selects the given set of frames, as floats."""
-    actions = _one_episode(features, selected)
-    one = episode_rewards(features, actions, score_means, subtask_probs, alpha)
-    return RewardBreakdown(float(one.r_d[0]), float(one.r_rep[0]), one.r_sub, float(one.r[0]))

@@ -13,11 +13,12 @@ bit-reproducible.
 The folds of a run train in lockstep groups, as many as LOCKSTEP_BYTES of
 parameter state allows: at step j of each epoch phase every fold of a group
 takes its own j-th training video, a fold with fewer videos drops out of
-the later steps, and the folds of a step share one stacked LSTM recurrence forward and one
-stacked walk backward (nn.lstm_forward_batch, nn.lstm_backward). Heads,
-rewards, score gradients, Adam steps and baselines stay per fold, and the
-stacked recurrence multiplies each fold's block on its own, so each fold
-computes the same bits it would alone. `train` is the one-fold case.
+the later steps, and the folds of a step share one stacked LSTM recurrence
+forward and one stacked walk backward (policy.manager_forward,
+policy.worker_forward and their backward passes). Heads, rewards, score
+gradients, Adam steps and baselines stay per fold, and the stacked
+recurrence multiplies each fold's block on its own, so each fold computes
+the same bits it would alone. `train` is the one-fold case.
 A group reads each distinct training video's features from its file once,
 when it starts, and its folds share that array until the group ends.
 """
@@ -42,27 +43,18 @@ from .policy import (
     DEFAULT_HIDDEN,
     init_policy,
     policy_shapes,
-    manager_forward,  # not called here; bench/tracing.py wraps this attribute
-    manager_forward_folds,
+    manager_forward,
     manager_head,
-    manager_loss_backward_folds,
+    manager_loss_backward,
     manager_param_names,
     manager_subgoals_batch,
     log_prob_score_grad,
-    sample_actions,  # not called here; bench/tracing.py wraps this attribute
-    sample_episodes,
-    worker_backward,  # not called here; bench/tracing.py wraps this attribute
-    worker_backward_folds,
-    worker_forward,  # not called here; bench/tracing.py wraps this attribute
-    worker_forward_folds,
+    sample_actions,
+    worker_backward,
+    worker_forward,
     worker_param_names,
 )
-from .rewards import (
-    DEFAULT_ALPHA,
-    episode_reward,  # not called here; bench/tracing.py wraps this attribute
-    episode_rewards,
-    sub_reward_score_grad,
-)
+from .rewards import DEFAULT_ALPHA, episode_reward, sub_reward_score_grad
 from .seeding import substream
 
 log = logging.getLogger("hiersum.training")
@@ -105,6 +97,8 @@ class TrainConfig:
             raise ValueError(
                 f"baseline_momentum must be in [0, 1), got {self.baseline_momentum}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         return self
 
 
@@ -147,9 +141,9 @@ def _manager_step(folds, step, subtask_size):
     The step's stacked arrays are freed on return, before the next step's.
     """
     stores = [folds[k].store for k, _ in step]
-    fwds = manager_forward_folds(stores, [video.features for _, video in step], subtask_size)
+    fwds = manager_forward(stores, [video.features for _, video in step], subtask_size)
     labels = [derive_task_labels(video.keyframes, subtask_size) for _, video in step]
-    losses = manager_loss_backward_folds(stores, fwds, labels)
+    losses = manager_loss_backward(stores, fwds, labels)
     names = manager_param_names(stores[0])
     for k, _ in step:
         folds[k].optimizer.step(names)
@@ -197,7 +191,7 @@ def _worker_step(folds, step, config, epoch, totals):
     stacked arrays are freed on return, before the next step's.
     """
     stores = [folds[k].store for k, _ in step]
-    fwds = worker_forward_folds(
+    fwds = worker_forward(
         stores,
         [video.features for _, (video, _) in step],
         [subgoals for _, (_, subgoals) in step],
@@ -211,7 +205,7 @@ def _worker_step(folds, step, config, epoch, totals):
     if not stepped:
         return
     # the optimizer minimizes, the policy gradient ascends: negate
-    worker_backward_folds(stores, fwds, [None if d is None else -d for d in dscores])
+    worker_backward(stores, fwds, [None if d is None else -d for d in dscores])
     names = worker_param_names(stores[0])
     for fold in stepped:
         fold.optimizer.step(names)
@@ -225,7 +219,7 @@ def _score_gradient(fold, video, subgoals, wfwd, config, epoch, totals):
     probs = manager_head(fold.store, subgoals)[1]
     score_means = block_means(wfwd.scores, wfwd.bounds)
     rng = substream(config.seed, "worker", video.video_id, epoch)
-    actions = sample_episodes(wfwd.scores, rng, config.episodes)
+    actions = sample_actions(wfwd.scores, rng, config.episodes)
     if not actions.any():
         log.warning(
             "%svideo %s: every episode selected no frames; skipped this epoch",
@@ -233,7 +227,7 @@ def _score_gradient(fold, video, subgoals, wfwd, config, epoch, totals):
             video.video_id,
         )
         return None
-    rewards = episode_rewards(video.features, actions, score_means, probs, config.alpha)
+    rewards = episode_reward(video.features, actions, score_means, probs, config.alpha)
     baseline = fold.baselines.get(video.video_id, 0.0)
     weights = (rewards.r - baseline) / config.episodes
     dscores = weights @ log_prob_score_grad(wfwd.scores, actions)
@@ -255,7 +249,7 @@ def worker_step_bytes(num_frames, feature_dim, episodes):
     (E, T) float64 arrays, which the cosine sums of the rewards
     (rewards._cos_sums) and the score-function rows
     (policy.log_prob_score_grad) each need, and which the draw in
-    policy.sample_episodes stays under; five float64 values per episode;
+    policy.sample_actions stays under; five float64 values per episode;
     the T x T Gram matrix and one episode's T x |selected| block of it; and
     two float64 copies of the features while the Gram matrix is formed. The
     stacked recurrence's cache holds the features as read, not a copy.

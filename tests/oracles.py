@@ -1,13 +1,17 @@
 """Reference implementations the tests compare the program with.
 
 Each is the plain way to compute what a fast path computes: loops, full
-enumeration or the whole matrix, with no code shared with hiersum.
+enumeration or the whole matrix, with no code shared with hiersum. The one
+exception, cost_matrix, gathers the program's own KTS cost rows, so that a
+reference DP over them reads the bits the program's DP reads.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from hiersum.kts import _prefix_tables, segment_costs
 
 
 # --- policy ------------------------------------------------------------------------
@@ -124,6 +128,17 @@ def direct_segment_cost(feats, start, end):
     seg = feats[start:end]
     mean = seg.mean(axis=0)
     return float(((seg - mean) ** 2).sum())
+
+
+def cost_matrix(features):
+    """The (T+1)^2 matrix C[a, b] = within-segment cost of [a, b), +inf for b <= a.
+
+    kts.segment_costs of every end at once, from kts's own prefix tables.
+    """
+    feats = np.asarray(features, dtype=np.float64)
+    t = feats.shape[0]
+    prefix, diag_prefix = _prefix_tables(feats)
+    return segment_costs(prefix, diag_prefix, 0, t + 1, np.empty((t + 1, t + 1))).T
 
 
 def enumerate_min_costs(feats, max_shots, cost_of):

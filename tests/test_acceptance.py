@@ -19,14 +19,14 @@ from hiersum.evaluation import (
     spearman_rho,
     video_f_for_mask,
 )
-from hiersum.kts import _dp_tables, kts_segment, segment_costs
+from hiersum.kts import _dp_tables, kts_segment
 from hiersum.nn import grad_check
 from hiersum.policy import (
     greedy_scores,
     init_policy,
     log_prob_score_grad,
     manager_forward,
-    manager_loss_backward_folds,
+    manager_loss_backward,
     manager_param_names,
     worker_backward,
     worker_forward,
@@ -40,6 +40,7 @@ from tests.oracles import (
     all_selections,
     bernoulli_log_prob,
     brute_knapsack,
+    cost_matrix,
     direct_segment_cost,
     enumerate_min_costs,
     loop_diversity,
@@ -62,20 +63,20 @@ def test_criterion_1_gradient_exactness(capsys):
     labels = np.array([1.0, 0.0, 1.0])  # three subtasks of two frames
 
     def manager_loss_fn():
-        fwd = manager_forward(store, feats, 2)
-        return manager_loss_backward_folds([store], [fwd], [labels])[0]
+        fwd = manager_forward([store], [feats], 2)[0]
+        return manager_loss_backward([store], [fwd], [labels])[0]
 
     manager_report = grad_check(
         manager_loss_fn, store, names=manager_param_names(store), step=1e-5, tolerance=1e-5
     )
 
-    subgoals = manager_forward(store, feats, 2).subgoals
+    subgoals = manager_forward([store], [feats], 2)[0].subgoals
     actions = np.array([1, 0, 1, 1, 0, 0], dtype=np.float64)
 
     def worker_loss_fn():
-        wfwd = worker_forward(store, feats, subgoals, 2)
+        wfwd = worker_forward([store], [feats], [subgoals], 2)[0]
         loss = bernoulli_log_prob(wfwd.scores, actions)
-        worker_backward(store, wfwd, log_prob_score_grad(wfwd.scores, actions))
+        worker_backward([store], [wfwd], [log_prob_score_grad(wfwd.scores, actions)])
         return loss
 
     worker_report = grad_check(
@@ -102,35 +103,32 @@ def test_criterion_2_reinforce_unbiasedness(capsys):
     feats = substream(202, "x").normal(size=(6, 5))
     subtask_size = 2
 
-    mfwd = manager_forward(store, feats, subtask_size)
+    mfwd = manager_forward([store], [feats], subtask_size)[0]
     subgoals = mfwd.subgoals.copy()
     probs = mfwd.probs.copy()
-    base = worker_forward(store, feats, subgoals, subtask_size)
+    base = worker_forward([store], [feats], [subgoals], subtask_size)[0]
     score_means = block_means(base.scores, base.bounds)
 
     # one frozen reward per action sequence, indexed over all 2^6 of them
     actions_list = [
         np.array(bits, dtype=np.float64) for bits in itertools.product([0, 1], repeat=6)
     ]
-    rewards = [
-        episode_reward(feats, np.flatnonzero(a), score_means, probs, 0.5).r
-        for a in actions_list
-    ]
+    rewards = episode_reward(feats, np.array(actions_list), score_means, probs, 0.5).r
     names = worker_param_names(store)
 
     def estimator(baseline):
         """sum over actions of P(a) (R(a) - b) grad log pi(a), one backward pass."""
         store.zero_grads()
-        wfwd = worker_forward(store, feats, subgoals, subtask_size)
+        wfwd = worker_forward([store], [feats], [subgoals], subtask_size)[0]
         dscores = np.zeros(6)
         for a, r in zip(actions_list, rewards):
             p = math.exp(bernoulli_log_prob(wfwd.scores, a))
             dscores += p * (r - baseline) * log_prob_score_grad(wfwd.scores, a)
-        worker_backward(store, wfwd, dscores)
+        worker_backward([store], [wfwd], [dscores])
         return np.concatenate([store.grads[n].ravel() for n in names])
 
     def expected_reward():
-        wfwd = worker_forward(store, feats, subgoals, subtask_size)
+        wfwd = worker_forward([store], [feats], [subgoals], subtask_size)[0]
         return sum(
             math.exp(bernoulli_log_prob(wfwd.scores, a)) * r
             for a, r in zip(actions_list, rewards)
@@ -260,7 +258,7 @@ def test_criterion_5_kts_correctness(capsys):
         t = int(rng.integers(4, 13))
         feats = rng.normal(size=(t, int(rng.integers(2, 5))))
         max_shots = min(4, t)
-        costs = segment_costs(feats)
+        costs = cost_matrix(feats)
         dp = _dp_tables(feats, max_shots)[0][1:, -1]  # L_m for m = 1..max_shots
         shared = enumerate_min_costs(feats, max_shots, lambda a, b: costs[a, b])
         direct = enumerate_min_costs(feats, max_shots, lambda a, b: direct_segment_cost(feats, a, b))

@@ -1,11 +1,13 @@
-"""Every function the benchmark's tracer wraps still exists where the tracer looks for it.
+"""Every function the benchmark's tracer wraps still exists where the tracer looks for it,
+and the commands call it there.
 
 bench/tracing.py replaces each TARGETS entry at its module attribute and
 binds the arguments its counter reads by name. A rename in the program
-otherwise shows up only inside the output of the traced smoke run.
+otherwise shows up only inside the output of the traced smoke run, and a
+target the program no longer calls only as a span that reads 0.
 
-The same TARGETS are the only imports a program module may bind and not use,
-and, with a short allowlist, the only definitions no program code refers to.
+No program module may bind an import it does not use, and, but for a short
+allowlist, no definition may go unreferenced by program code.
 """
 
 import ast
@@ -17,6 +19,8 @@ from pathlib import Path
 
 import pytest
 
+from hiersum.cli import main
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -27,7 +31,8 @@ def load_tracing():
     return module
 
 
-TARGETS = load_tracing().TARGETS
+TRACING = load_tracing()
+TARGETS = TRACING.TARGETS
 
 
 def counter_arguments(counter):
@@ -61,6 +66,31 @@ def test_tracer_target_resolves(owner, attr, counter):
     assert missing == [], f"{owner}.{attr} has no argument {missing} that {counter.__name__} reads"
 
 
+def test_every_tracer_target_records_a_span(tmp_path):
+    # one tiny pass through the four commands, traced as a benchmark round is
+    data, run = tmp_path / "data", tmp_path / "run"
+    manifest = str(data / "manifest.json")
+    commands = [
+        ["gen-synthetic", "--out", str(data), "--videos", "4", "--frames", "40", "--dim", "5"],
+        [
+            "train", "--dataset", manifest, "--out", str(run), "--folds", "2", "--epochs", "1",
+            "--episodes", "2", "--hidden", "6", "--subtask-size", "10",
+        ],
+        [
+            "summarize", "--model", str(run / "fold0.ckpt"), "--video", str(data / "video000.vsf"),
+            "--out", str(tmp_path / "summary.json"),
+        ],
+        ["evaluate", "--run", str(run), "--dataset", manifest, "--out", str(tmp_path / "report.json")],
+    ]  # fmt: skip
+    tracer = TRACING.Tracer()
+    with tracer.installed("round"):
+        for argv in commands:
+            assert main(argv) == 0, argv
+    recorded = {name for name, *_ in tracer.spans}
+    blind = sorted({name for _, _, name, _ in TARGETS} - recorded)
+    assert blind == [], f"the commands never call the tracer's {blind}"
+
+
 def module_imports(tree):
     """Names bound by the module-level imports of a parsed module, __future__ excluded."""
     for node in tree.body:
@@ -80,8 +110,7 @@ def test_module_imports_are_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     module = f"hiersum.{path.stem}"
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    traced = {attr for owner, attr, _, _ in TARGETS if owner == module}
-    unused = sorted(set(module_imports(tree)) - used - traced)
+    unused = sorted(set(module_imports(tree)) - used)
     assert unused == [], f"{module} imports {unused} and never uses them"
 
 
@@ -102,9 +131,9 @@ def top_level_references(node):
 
 
 def test_every_program_definition_is_used_by_the_program():
-    # a module-level def or class must be named by program code other than itself,
-    # imported by another program module, or wrapped by the tracer; docstrings do
-    # not count, and neither do the re-exports of hiersum/__init__.py
+    # a module-level def or class must be named by program code other than itself
+    # or imported by another program module; docstrings do not count, and neither
+    # do the re-exports of hiersum/__init__.py
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in PROGRAM_MODULES}
     referenced = set()
     for module, tree in trees.items():
@@ -114,12 +143,11 @@ def test_every_program_definition_is_used_by_the_program():
                 continue
             own = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
             referenced.update((module, name) for name in top_level_references(node) if name != own)
-    traced = {(owner.removeprefix("hiersum."), attr) for owner, attr, _, _ in TARGETS}
     unused = sorted(
         f"{module}.{node.name}"
         for module, tree in trees.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and (module, node.name) not in referenced | traced | set(UNREFERENCED_ALLOWED)
+        and (module, node.name) not in referenced | set(UNREFERENCED_ALLOWED)
     )
     assert unused == [], f"no program code uses {unused}"

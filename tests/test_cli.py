@@ -87,6 +87,8 @@ def cli_run(cli_dataset, tmp_path_factory):
         ["summarize", "--model", "m", "--video", "v", "--penalty", "inf"],
         ["evaluate", "--run", "r", "--dataset", "d", "--penalty", "nan"],
         ["evaluate", "--run", "r", "--dataset", "d", "--penalty", "inf"],
+        ["gen-synthetic", "--out", "x", "--seed", "-1"],
+        ["train", "--dataset", "d", "--out", "x", "--seed", "-1"],
     ],
 )
 def test_usage_errors_exit_2(argv):
@@ -545,6 +547,29 @@ def test_summarize_non_finite_score_exit_1_and_no_files(
     assert not out.exists() and not scores_out.exists()
 
 
+@pytest.mark.parametrize(
+    "out_name", ["missing/summary.json", "a_directory"], ids=["missing_dir", "directory"]
+)
+def test_summarize_unwritable_out_exit_1_and_no_files(
+    cli_run, cli_dataset, tmp_path, capsys, out_name
+):
+    # --scores-out is writable, --out is not: neither file, nor a temporary, is left
+    (tmp_path / "a_directory").mkdir()
+    out, scores_out = tmp_path / out_name, tmp_path / "scores.json"
+    argv = [
+        "summarize",
+        "--model", str(cli_run / "fold0.ckpt"),
+        "--video", str(video_file(cli_dataset)),
+        "--out", str(out),
+        "--scores-out", str(scores_out),
+    ]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err and str(out) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_directory"]
+    assert not any((tmp_path / "a_directory").iterdir())
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_summarize_non_finite_features_exit_1_and_no_files(
     cli_run, cli_dataset, tmp_path, capsys, value
@@ -622,6 +647,9 @@ def test_evaluate_missing_run_exit_1(cli_dataset, tmp_path, capsys):
         ({"folds": [["video000"], ["video001", "video000"]]}, "'video000'"),
         ('{"folds": [', "not valid JSON"),
         ({"folds": [[], ["video001", "video003"]]}, "fold 0"),
+        ('{"setting": NaN, "folds": [["video000"], ["video001"]]}', "'setting'"),
+        ({"setting": "cross", "folds": [["video000"], ["video001"]]}, "'setting'"),
+        ({"setting": None, "folds": [["video000"], ["video001"]]}, "'setting'"),
     ],
     ids=[
         "unknown_id",
@@ -632,6 +660,9 @@ def test_evaluate_missing_run_exit_1(cli_dataset, tmp_path, capsys):
         "id_held_out_twice",
         "not_json",
         "empty_fold",
+        "setting_nan",
+        "setting_unknown",
+        "setting_null",
     ],
 )
 def test_evaluate_bad_folds_json_exit_1(cli_run, cli_dataset, tmp_path, capsys, doc, named):

@@ -15,10 +15,9 @@ from hiersum.kts import (
     kts_bytes,
     kts_segment,
     partition_from_change_points,
-    segment_costs,
 )
 from hiersum.seeding import substream
-from tests.oracles import direct_segment_cost, enumerate_min_costs, full_matrix_kts
+from tests.oracles import cost_matrix, direct_segment_cost, enumerate_min_costs, full_matrix_kts
 
 
 def min_costs(feats, max_shots):
@@ -57,7 +56,7 @@ def test_segment_costs_match_direct_computation():
     for _ in range(10):
         t = int(rng.integers(2, 13))
         feats = rng.normal(size=(t, int(rng.integers(2, 5))))
-        costs = segment_costs(feats)
+        costs = cost_matrix(feats)
         for a in range(t):
             for b in range(a + 1, t + 1):
                 want = direct_segment_cost(feats, a, b)
@@ -69,7 +68,7 @@ def test_segment_costs_match_direct_computation():
 def test_single_frame_segments_cost_near_zero():
     # prefix-sum cancellation leaves rounding residue, so near zero, not exactly
     feats = substream(32, "kts").normal(size=(6, 3))
-    costs = segment_costs(feats)
+    costs = cost_matrix(feats)
     for a in range(6):
         assert abs(costs[a, a + 1]) < 1e-12
 
@@ -77,7 +76,7 @@ def test_single_frame_segments_cost_near_zero():
 def test_two_frame_segment_closed_form():
     x1 = np.array([1.0, 2.0])
     x2 = np.array([4.0, -2.0])
-    costs = segment_costs(np.stack([x1, x2]))
+    costs = cost_matrix(np.stack([x1, x2]))
     want = float(((x1 - x2) ** 2).sum()) / 2.0
     assert abs(costs[0, 2] - want) < 1e-12
 
@@ -91,7 +90,7 @@ def test_dp_matches_enumeration_shared_costs_bitwise():
         t = int(rng.integers(4, 13))
         feats = rng.normal(size=(t, int(rng.integers(2, 5))))
         max_shots = min(4, t)
-        costs = segment_costs(feats)
+        costs = cost_matrix(feats)
         brute = enumerate_min_costs(feats, max_shots, lambda a, b: costs[a, b])
         dp = min_costs(feats, max_shots)
         # same cost table, same left-to-right accumulation: identical floats
@@ -119,7 +118,7 @@ def test_chosen_partition_optimal_under_penalty():
         max_shots = min(4, t)
         weight = [0.0, 0.5, 1.0, 2.0][trial % 4]
         part = kts_segment(feats, max_shots=max_shots, penalty_weight=weight)
-        costs = segment_costs(feats)
+        costs = cost_matrix(feats)
         brute = enumerate_min_costs(feats, max_shots, lambda a, b: costs[a, b])
         counts = np.arange(1, max_shots + 1)
         penalty = weight * counts * (np.log(t / counts) + 1.0)
@@ -142,7 +141,7 @@ def test_dp_matches_full_matrix_reference_at_real_sizes():
         cases.append(np.repeat(blocks, 15, axis=0)[:t])
     for feats in cases:
         t = len(feats)
-        costs = segment_costs(feats)
+        costs = cost_matrix(feats)
         for max_shots in sorted({t // 10, min(30, t)}):
             want_costs, _ = full_matrix_kts(costs, max_shots, 0.0)
             assert np.array_equal(min_costs(feats, max_shots), want_costs)
@@ -162,7 +161,7 @@ def test_blocked_dp_matches_full_matrix_reference_at_block_edges(t):
     for run in (10, _DP_BLOCK_ROWS // 2 + 3):
         cases.append(np.repeat(rng.normal(size=(t // run + 1, 4)), run, axis=0)[:t])
     for feats in cases:
-        costs = segment_costs(feats)
+        costs = cost_matrix(feats)
         # max_shots = t: the last layers are narrower than one block
         for max_shots in (t // 10, t):
             want_costs, _ = full_matrix_kts(costs, max_shots, 0.0)
@@ -185,7 +184,7 @@ def two_cluster_features(rng, t, dims):
 
 
 def assert_matches_full_matrix_kts(feats, max_shots_values, weights=(0.0, 1.0)):
-    costs = segment_costs(feats)
+    costs = cost_matrix(feats)
     for max_shots in max_shots_values:
         want_costs, _ = full_matrix_kts(costs, max_shots, 0.0)
         got = min_costs(feats, max_shots)
@@ -209,7 +208,7 @@ def test_pruned_dp_matches_full_matrix_reference_when_the_margin_stops_pruning()
     # it, past the whole video's cost, which bounds every difference the rule compares
     feats = two_cluster_features(substream(45, "kts"), 200, 8) + 1e6
     _, diag_prefix = _prefix_tables(feats)
-    assert _prune_margin(diag_prefix, 8) > segment_costs(feats)[0, 200]
+    assert _prune_margin(diag_prefix, 8) > cost_matrix(feats)[0, 200]
     assert_matches_full_matrix_kts(feats, (20, 66))
 
 
@@ -271,7 +270,7 @@ def test_first_live_splits_move_past_m_minus_one_on_two_cluster_features():
     _, diag_prefix = _prefix_tables(feats)
     starts = np.arange(1, max_shots)  # layers m = 2..max_shots start at m - 1
     initial = starts.copy()
-    costs_to_t = segment_costs(feats)[:, t]
+    costs_to_t = cost_matrix(feats)[:, t]
     margin = _prune_margin(diag_prefix, dims)
     _advance_starts(starts, best[1:max_shots], costs_to_t, t, margin, np.empty(64 * (t + 1)))
     assert np.all(starts >= initial)

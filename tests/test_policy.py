@@ -17,12 +17,11 @@ from hiersum.policy import (
     manager_forward,
     manager_head,
     manager_loss,
-    manager_loss_backward_folds,
+    manager_loss_backward,
     manager_param_names,
     manager_subgoals_batch,
     policy_shapes,
     sample_actions,
-    sample_episodes,
     worker_backward,
     worker_forward,
     worker_param_names,
@@ -86,11 +85,11 @@ def test_check_checkpoint_rejects_a_large_hidden_without_allocating_it():
 def test_forward_shapes():
     store = init_policy(6, 5, substream(52, "init"))
     feats = substream(52, "x").normal(size=(50, 6))
-    mfwd = manager_forward(store, feats, 20)
+    mfwd = manager_forward([store], [feats], 20)[0]
     assert np.diff(mfwd.bounds).tolist() == [20, 20, 10]
     assert mfwd.subgoals.shape == (3, 5)
     assert mfwd.probs.shape == (3,)
-    wfwd = worker_forward(store, feats, mfwd.subgoals, 20)
+    wfwd = worker_forward([store], [feats], [mfwd.subgoals], 20)[0]
     assert wfwd.scores.shape == (50,)
     assert wfwd.concat.shape == (50, 10)
     assert np.all((wfwd.scores > 0.0) & (wfwd.scores < 1.0))
@@ -99,7 +98,7 @@ def test_forward_shapes():
 def test_zero_parameters_give_half_probabilities():
     store = zero_store(4, 3)
     feats = substream(53, "x").normal(size=(8, 4))
-    mfwd = manager_forward(store, feats, 4)
+    mfwd = manager_forward([store], [feats], 4)[0]
     assert mfwd.probs.tolist() == [0.5, 0.5]
     assert np.all(mfwd.clamp_mask)
     scores = greedy_scores(store, feats, 4)
@@ -110,7 +109,7 @@ def test_worker_subgoal_count_checked():
     store = init_policy(3, 4, substream(54, "init"))
     feats = substream(54, "x").normal(size=(10, 3))
     with pytest.raises(ValueError, match="3 subgoals for 2 subtasks"):
-        worker_forward(store, feats, np.zeros((3, 4)), 5)
+        worker_forward([store], [feats], [np.zeros((3, 4))], 5)
 
 
 # --- batched scoring -------------------------------------------------------------------
@@ -173,7 +172,7 @@ def test_batched_manager_pass_matches_manager_forward():
     subgoals = manager_subgoals_batch(store, videos, 10)
     assert len(subgoals) == len(videos)
     for feats, batched in zip(videos, subgoals):
-        single = manager_forward(store, feats, 10)
+        single = manager_forward([store], [feats], 10)[0]
         assert batched.shape == single.subgoals.shape
         assert np.max(np.abs(batched - single.subgoals)) <= 1e-15
         assert np.max(np.abs(manager_head(store, batched)[1] - single.probs)) <= 1e-15
@@ -185,7 +184,7 @@ def test_batched_manager_pass_matches_manager_forward():
 def test_manager_forward_matches_replay():
     store = init_policy(5, 6, substream(55, "init"))
     feats = substream(55, "x").normal(size=(13, 5))
-    mfwd = manager_forward(store, feats, 5)
+    mfwd = manager_forward([store], [feats], 5)[0]
     hs = replay_lstm(store, "manager.lstm", feats)
     # subgoal = hidden state at each subtask's last frame: 4, 9, 12
     for idx, end in enumerate([4, 9, 12]):
@@ -197,8 +196,8 @@ def test_manager_forward_matches_replay():
 def test_worker_forward_matches_replay():
     store = init_policy(4, 5, substream(56, "init"))
     feats = substream(56, "x").normal(size=(11, 4))
-    mfwd = manager_forward(store, feats, 4)
-    wfwd = worker_forward(store, feats, mfwd.subgoals, 4)
+    mfwd = manager_forward([store], [feats], 4)[0]
+    wfwd = worker_forward([store], [feats], [mfwd.subgoals], 4)[0]
     hs = replay_lstm(store, "worker.lstm", feats)  # one chain across subtasks
     bounds = subtask_bounds(11, 4)
     for i, (start, end) in enumerate(zip(bounds[:-1], bounds[1:])):
@@ -215,10 +214,10 @@ def test_worker_scores_causal_given_fixed_subgoals():
     rng = substream(57, "x")
     feats = rng.normal(size=(12, 4))
     subgoals = rng.normal(size=(3, 5))
-    base = worker_forward(store, feats, subgoals, 4).scores
+    base = worker_forward([store], [feats], [subgoals], 4)[0].scores
     bumped_feats = feats.copy()
     bumped_feats[7] += 1.0
-    bumped = worker_forward(store, bumped_feats, subgoals, 4).scores
+    bumped = worker_forward([store], [bumped_feats], [subgoals], 4)[0].scores
     assert np.array_equal(base[:7], bumped[:7])  # earlier frames untouched
     assert not np.allclose(base[7:], bumped[7:])
 
@@ -228,10 +227,10 @@ def test_subgoal_reaches_only_its_subtask():
     rng = substream(58, "x")
     feats = rng.normal(size=(12, 4))
     subgoals = rng.normal(size=(3, 5))
-    base = worker_forward(store, feats, subgoals, 4).scores
+    base = worker_forward([store], [feats], [subgoals], 4)[0].scores
     altered = subgoals.copy()
     altered[1] += 1.0
-    out = worker_forward(store, feats, altered, 4).scores
+    out = worker_forward([store], [feats], [altered], 4)[0].scores
     assert np.array_equal(base[:4], out[:4])
     assert not np.allclose(base[4:8], out[4:8])
     assert np.array_equal(base[8:], out[8:])  # LSTM chain ignores subgoals
@@ -272,28 +271,28 @@ def test_sampling_respects_scores():
     rng = substream(61, "a")
     sure = np.full(10, 1.0 - 1e-7)
     for _ in range(10):
-        ep = sample_actions(sure, rng)
-        assert ep.actions.sum() == 10
-        assert ep.selected.tolist() == list(range(10))
+        actions = sample_actions(sure, rng, 1)[0]
+        assert actions.sum() == 10
+        assert np.flatnonzero(actions).tolist() == list(range(10))
     coin = np.full(1000, 0.5)
-    rate = sample_actions(coin, rng).actions.mean()
+    rate = sample_actions(coin, rng, 1)[0].mean()
     assert 0.45 <= rate <= 0.55
 
 
 def test_sampling_deterministic_per_substream():
     scores = substream(62, "p").uniform(0.2, 0.8, size=30)
-    ep1 = sample_actions(scores, substream(62, "draw", 3))
-    ep2 = sample_actions(scores, substream(62, "draw", 3))
-    assert np.array_equal(ep1.actions, ep2.actions)
-    ep3 = sample_actions(scores, substream(62, "draw", 4))
-    assert not np.array_equal(ep1.actions, ep3.actions)
+    ep1 = sample_actions(scores, substream(62, "draw", 3), 1)[0]
+    ep2 = sample_actions(scores, substream(62, "draw", 3), 1)[0]
+    assert np.array_equal(ep1, ep2)
+    ep3 = sample_actions(scores, substream(62, "draw", 4), 1)[0]
+    assert not np.array_equal(ep1, ep3)
 
 
 def test_sample_episodes_draws_what_repeated_sample_actions_draw():
     scores = substream(62, "p").uniform(0.2, 0.8, size=30)
-    batch = sample_episodes(scores, substream(62, "draw", 5), 7)
+    batch = sample_actions(scores, substream(62, "draw", 5), 7)
     rng = substream(62, "draw", 5)
-    singles = np.stack([sample_actions(scores, rng).actions for _ in range(7)])
+    singles = np.stack([sample_actions(scores, rng, 1)[0] for _ in range(7)])
     assert batch.dtype == singles.dtype
     assert np.array_equal(batch, singles)
 
@@ -307,8 +306,8 @@ def test_manager_loss_gradients():
     labels = np.array([1.0, 0.0, 1.0])
 
     def loss_fn():
-        fwd = manager_forward(store, feats, 2)
-        return manager_loss_backward_folds([store], [fwd], [labels])[0]
+        fwd = manager_forward([store], [feats], 2)[0]
+        return manager_loss_backward([store], [fwd], [labels])[0]
 
     report = grad_check(loss_fn, store, names=manager_param_names(store))
     assert report["ok"], report
@@ -316,7 +315,7 @@ def test_manager_loss_gradients():
 
 def test_manager_loss_label_count_checked():
     store = init_policy(5, 4, substream(64, "init"))
-    fwd = manager_forward(store, substream(64, "x").normal(size=(6, 5)), 2)
+    fwd = manager_forward([store], [substream(64, "x").normal(size=(6, 5))], 2)[0]
     with pytest.raises(ValueError, match="2 labels for 3 subtasks"):
         manager_loss(fwd, np.array([1.0, 0.0]))
 
@@ -327,10 +326,10 @@ def test_worker_log_prob_gradients():
     actions = np.array([1, 0, 1, 1, 0, 0], dtype=np.float64)
 
     def loss_fn():
-        mfwd = manager_forward(store, feats, 2)
-        wfwd = worker_forward(store, feats, mfwd.subgoals, 2)
+        mfwd = manager_forward([store], [feats], 2)[0]
+        wfwd = worker_forward([store], [feats], [mfwd.subgoals], 2)[0]
         loss = bernoulli_log_prob(wfwd.scores, actions)
-        worker_backward(store, wfwd, log_prob_score_grad(wfwd.scores, actions))
+        worker_backward([store], [wfwd], [log_prob_score_grad(wfwd.scores, actions)])
         return loss
 
     report = grad_check(loss_fn, store, names=worker_param_names(store))

@@ -10,7 +10,6 @@ from hiersum.rewards import (
     _action_rewards,
     combine,
     episode_reward,
-    episode_rewards,
     sub_reward,
     sub_reward_score_grad,
 )
@@ -47,7 +46,7 @@ def test_dissimilarity_zero_vector_rejected():
     feats = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
     for selected in ([0, 1], [0, 1, 2]):
         with pytest.raises(ValueError, match="zero feature vector"):
-            episode_rewards(feats, action_rows(3, [selected]), [0.5], [0.5])
+            episode_reward(feats, action_rows(3, [selected]), [0.5], [0.5])
 
 
 # --- diversity over all subsets --------------------------------------------------
@@ -159,12 +158,13 @@ def test_episode_reward_composition():
     scores = substream(48, "s").uniform(0.1, 0.9, size=8)
     probs = np.array([0.4, 0.8])
     selected = np.array([1, 4, 6])
-    bd = episode_reward(feats, selected, block_means(scores, bounds), probs, alpha=0.25)
+    actions = action_rows(8, [selected])
+    bd = episode_reward(feats, actions, block_means(scores, bounds), probs, alpha=0.25)
     assert isinstance(bd, RewardBreakdown)
-    assert bd.r_d == diversity(feats, selected)[0]
-    assert bd.r_rep == representativeness(feats, selected)[0]
+    assert bd.r_d[0] == diversity(feats, selected)[0]
+    assert bd.r_rep[0] == representativeness(feats, selected)[0]
     assert bd.r_sub == sub_reward(block_means(scores, bounds), probs)
-    assert bd.r == combine((bd.r_d + bd.r_rep) / 2.0, bd.r_sub, alpha=0.25)
+    assert bd.r[0] == combine((bd.r_d[0] + bd.r_rep[0]) / 2.0, bd.r_sub, alpha=0.25)
 
 
 @pytest.mark.parametrize("t, d", [(12, 5), (200, 16), (300, 64)])
@@ -178,23 +178,24 @@ def test_episode_rewards_rows_match_per_episode_rewards_bit_for_bit(t, d):
     actions[1] = 0
     actions[1, t // 2] = 1  # one frame: no pairs, so R_div is 0
     actions[2] = 1  # every frame
-    rows = episode_rewards(feats, actions, score_means, probs, alpha=0.3)
+    rows = episode_reward(feats, actions, score_means, probs, alpha=0.3)
     assert rows.r_d.shape == rows.r_rep.shape == rows.r.shape == (len(actions),)
     r_sub = sub_reward(score_means, probs)
     assert rows.r_sub == r_sub
     for e, row in enumerate(actions):
         selected = np.flatnonzero(row)
-        bd = episode_reward(feats, selected, score_means, probs, alpha=0.3)
-        assert (bd.r_d, bd.r_rep, bd.r_sub, bd.r) == (rows.r_d[e], rows.r_rep[e], r_sub, rows.r[e])
+        bd = episode_reward(feats, action_rows(t, [selected]), score_means, probs, alpha=0.3)
+        r_d, r_rep, r = bd.r_d[0], bd.r_rep[0], bd.r[0]
+        assert (r_d, r_rep, bd.r_sub, r) == (rows.r_d[e], rows.r_rep[e], r_sub, rows.r[e])
         # the per-episode formulas, with distances to the selected frames only
         if selected.size:
             want_rep = float(np.exp(-cdist(feats, feats[selected]).min(axis=1).mean()))
         else:
             want_rep = float(np.exp(-cdist(feats, feats).max()))
-        assert abs(bd.r_rep - want_rep) <= 1e-12
-        assert bd.r_rep == representativeness(feats, selected)[0]
-        assert bd.r_d == diversity(feats, selected)[0]
-        assert bd.r == combine((bd.r_d + bd.r_rep) / 2.0, r_sub, alpha=0.3)
+        assert abs(r_rep - want_rep) <= 1e-12
+        assert r_rep == representativeness(feats, selected)[0]
+        assert r_d == diversity(feats, selected)[0]
+        assert r == combine((r_d + r_rep) / 2.0, r_sub, alpha=0.3)
     assert rows.r_d[1] == 0.0
     assert rows.r_rep[2] == 1.0
     assert rows.r_rep[0] < rows.r_rep[1:].min()
@@ -212,7 +213,7 @@ def test_representativeness_of_near_duplicate_frames_matches_cdist():
     feats = (np.repeat(base, 10, axis=0) + noise).astype(np.float32)
     dist = cdist(feats.astype(np.float64), feats.astype(np.float64))
     actions = (rng.random((20, 300)) < 0.2).astype(np.uint8)
-    rows = episode_rewards(feats, actions, [0.5], [0.5])
+    rows = episode_reward(feats, actions, [0.5], [0.5])
     for row, got in zip(actions, rows.r_rep):
         want = np.exp(-dist[:, np.flatnonzero(row)].min(axis=1).mean())
         assert abs(got - want) <= 1e-12
@@ -223,7 +224,7 @@ def test_diversity_zero_vector_rule():
     # a zero frame alone, or left out, has no pair to be undefined for
     assert diversity(feats, [0])[0] == 0.0
     assert diversity(feats, [1, 2])[0] == 1.0
-    rows = episode_rewards(feats, np.array([[1, 0, 0], [0, 1, 1]]), [0.5], [0.5])
+    rows = episode_reward(feats, np.array([[1, 0, 0], [0, 1, 1]]), [0.5], [0.5])
     assert rows.r_d.tolist() == [0.0, 1.0]
     with pytest.raises(ValueError, match="zero feature vector"):
-        episode_rewards(feats, np.array([[0, 1, 1], [1, 1, 0]]), [0.5], [0.5])
+        episode_reward(feats, np.array([[0, 1, 1], [1, 1, 0]]), [0.5], [0.5])

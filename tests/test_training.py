@@ -87,6 +87,7 @@ def test_config_validation():
         dict(learning_rate=float("inf")),
         dict(baseline_momentum=1.0),
         dict(baseline_momentum=-0.1),
+        dict(seed=-1),
     ]
     for overrides in bad:
         with pytest.raises(ValueError):
@@ -161,7 +162,7 @@ def test_worker_epoch_dscores_match_per_episode_loop(tiny_dataset, monkeypatch):
         store, [video.features for video in videos], config.subtask_size
     )
     worst = []
-    real_backward = training.worker_backward_folds
+    real_backward = training.worker_backward
 
     def checking_backward(stores, wfwds, dscores):
         # the per-episode loop this epoch replaced, run on the same state
@@ -171,21 +172,19 @@ def test_worker_epoch_dscores_match_per_episode_loop(tiny_dataset, monkeypatch):
         probs = policy.manager_head(store, all_subgoals[k])[1]
         score_means = block_means(wfwd.scores, wfwd.bounds)
         rng = substream(config.seed, "worker", video.video_id, 0)
-        actions = policy.sample_episodes(wfwd.scores, rng, config.episodes)
+        actions = policy.sample_actions(wfwd.scores, rng, config.episodes)
         baseline = baselines[video.video_id]
         want = np.zeros_like(wfwd.scores)
         for row in actions:
-            bd = episode_reward(
-                video.features, np.flatnonzero(row), score_means, probs, config.alpha
-            )
-            want += (bd.r - baseline) / config.episodes * policy.log_prob_score_grad(
+            bd = episode_reward(video.features, row[None], score_means, probs, config.alpha)
+            want += (bd.r[0] - baseline) / config.episodes * policy.log_prob_score_grad(
                 wfwd.scores, row
             )
         want += (1.0 - config.alpha) * sub_reward_score_grad(score_means, probs, wfwd.bounds)
         worst.append(np.abs(-dscores - want).max() / np.abs(want).max())
         return real_backward(stores, wfwds, [dscores])
 
-    monkeypatch.setattr(training, "worker_backward_folds", checking_backward)
+    monkeypatch.setattr(training, "worker_backward", checking_backward)
     train_worker_epoch([one_fold(store, dict(baselines))], [videos], config, 0)
     assert len(worst) == len(videos)
     assert max(worst) <= 1e-12
@@ -201,19 +200,19 @@ def test_matched_baseline_single_episode_is_a_fixed_point(tiny_dataset):
     video = tiny_dataset.videos[0]
     store = new_policy(6, config)
     feats = video.features
-    mfwd = manager_forward(store, feats, config.subtask_size)
-    wfwd = worker_forward(store, feats, mfwd.subgoals, config.subtask_size)
+    mfwd = manager_forward([store], [feats], config.subtask_size)[0]
+    wfwd = worker_forward([store], [feats], [mfwd.subgoals], config.subtask_size)[0]
     rng = substream(config.seed, "worker", video.video_id, 0)
-    ep = sample_actions(wfwd.scores, rng)
+    actions = sample_actions(wfwd.scores, rng, 1)
     bd = episode_reward(
         feats,
-        ep.selected,
+        actions,
         block_means(wfwd.scores, wfwd.bounds),
         mfwd.probs,
         config.alpha,
     )
     before = snapshot(store)
-    baselines = {video.video_id: bd.r}
+    baselines = {video.video_id: float(bd.r[0])}
     train_worker_epoch([one_fold(store, baselines)], [[video]], config, 0)
     assert unchanged(store, before, store.names())
 
@@ -225,18 +224,18 @@ def test_score_reward_term_updates_even_at_matched_baseline(tiny_dataset):
     video = tiny_dataset.videos[0]
     store = new_policy(6, config)
     feats = video.features
-    mfwd = manager_forward(store, feats, config.subtask_size)
-    wfwd = worker_forward(store, feats, mfwd.subgoals, config.subtask_size)
-    ep = sample_actions(wfwd.scores, substream(config.seed, "worker", video.video_id, 0))
+    mfwd = manager_forward([store], [feats], config.subtask_size)[0]
+    wfwd = worker_forward([store], [feats], [mfwd.subgoals], config.subtask_size)[0]
+    actions = sample_actions(wfwd.scores, substream(config.seed, "worker", video.video_id, 0), 1)
     bd = episode_reward(
         feats,
-        ep.selected,
+        actions,
         block_means(wfwd.scores, wfwd.bounds),
         mfwd.probs,
         config.alpha,
     )
     before = snapshot(store)
-    train_worker_epoch([one_fold(store, {video.video_id: bd.r})], [[video]], config, 0)
+    train_worker_epoch([one_fold(store, {video.video_id: float(bd.r[0])})], [[video]], config, 0)
     assert not unchanged(store, before, worker_param_names(store))
 
 
@@ -302,7 +301,7 @@ def test_manager_loss_decreases(tiny_dataset):
 def test_zero_store_manager_loss_is_log_two(tiny_dataset):
     store = zero_store(6, 8)
     video = tiny_dataset.videos[0]
-    fwd = manager_forward(store, video.features, 10)
+    fwd = manager_forward([store], [video.features], 10)[0]
     loss = manager_loss(fwd, derive_task_labels(video.keyframes, 10))
     assert abs(loss - math.log(2.0)) < 1e-15
 
