@@ -117,6 +117,9 @@ def _check_usage(parser, args):
             parser.error("--max-shots must be >= 1")
         if not (math.isfinite(args.penalty) and args.penalty >= 0):
             parser.error("--penalty must be finite and >= 0")
+        if args.command == "summarize" and args.out and args.scores_out:
+            if Path(args.out).resolve() == Path(args.scores_out).resolve():
+                parser.error("--out and --scores-out must name different files")
 
 
 def cmd_gen_synthetic(args):
@@ -226,9 +229,8 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    logging.basicConfig(
-        level=getattr(logging, os.environ.get("HIERSUM_LOG", "WARNING").upper(), logging.WARNING)
-    )
+    level = getattr(logging, os.environ.get("HIERSUM_LOG", "WARNING").upper(), None)
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
     parser = build_parser()
     args = parser.parse_args(argv)
     _check_usage(parser, args)

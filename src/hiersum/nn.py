@@ -7,15 +7,16 @@ a checkpoint format, and a central finite-difference gradient checker. The
 LSTM forward returns a cache of the whole sequence, and its backward
 propagates through every step with no truncation.
 
-The one LSTM recurrence, lstm_forward_batch, steps K stacks of weights,
-each over its own batch of B sequences, with one (K, B, H) @ (K, H, 4H)
-product per step; its zero-padded gates take T_max * K * B * 4H * 8 bytes.
-Training steps the K cross-validation folds together, one video each
-(lstm_forward_folds), and lstm_backward walks them back together. Inference
-is the K = 1 case: `evaluate` and `summarize` score through it
-(policy.greedy_scores_batch), as does the frozen Manager pass of each Worker
-epoch. The stacked product multiplies each fold's block on its own, so every
-fold and sequence gets the bits it would get alone.
+The one LSTM recurrence, lstm_forward, runs lanes, one sequence each,
+under each lane's own store of weights. Lanes of the same store share one
+row of the stacked recurrent weights, so each step is one (K, B, H) @
+(K, H, 4H) product for K distinct stores with up to B lanes each; its
+zero-padded gates take T_max * K * B * 4H * 8 bytes. Training steps the K
+cross-validation folds together, one video and one store each, and
+lstm_backward walks them back together. Scoring (`evaluate`, `summarize`
+and the frozen Manager pass of each Worker epoch) runs a batch of videos
+as lanes of one store. The stacked product multiplies each row's block on
+its own, so a lane's bits do not depend on the lanes of other stores.
 
 Sequences may be float32, as data.Video holds features: they widen exactly
 inside the LSTM's products, so no caller keeps a float64 copy for it.
@@ -126,56 +127,48 @@ def init_lstm(store, prefix, input_dim, hidden, rng):
     store.add(f"{prefix}.b", b)
 
 
-def lstm_forward_folds(stores, prefix, seqs):
-    """Run fold k's LSTM, stores[k], over its one sequence seqs[k], all K in one recurrence.
+def lstm_forward(stores, prefix, seqs):
+    """Run lane i's LSTM, stores[i], over its sequence seqs[i], every lane in one recurrence.
 
-    Returns (hs, cache): hs[k] is fold k's (T_k, H) hidden states, the bits
-    it would get alone, and cache = (seqs, hs, cs, gates) holds the stacked
-    (T_max, K, H) hs and cs and (T_max, 4, K, H) gates lstm_backward takes.
-    """
-    hs, cs, gates = lstm_forward_batch(stores, prefix, [[xs] for xs in seqs])
-    hs, cs, gates = hs[:, :, 0], cs[:, :, 0], gates[..., 0, :]
-    return [hs[: xs.shape[0], k] for k, xs in enumerate(seqs)], (seqs, hs, cs, gates)
+    Returns (hs, cache): hs[i] is lane i's (T_i, H) hidden states, from a
+    zero state, and cache is what lstm_backward takes, opaque to callers.
 
-
-def lstm_forward_batch(stores, prefix, seqs):
-    """Run K LSTMs in one recurrence: stores[k]'s weights over its B sequences seqs[k].
-
-    Every sequence starts from a zero state. Returns (hs, cs, gates), shaped
-    (T_max, K, B, H), (T_max, K, B, H) and (T_max, 4, K, B, H), where T_max
-    is the longest length and B the longest list; gates holds the gate
-    activations, gate-major so that each step's elementwise work runs on
-    contiguous blocks. Entry [:, k, v] is sequence v of fold k up to its own
-    length; the rows after it, and the columns of a fold with fewer than B
-    sequences, run on from a zero input and must be ignored. Each
-    sequence's input projection xs @ Wx + b is one matrix product written
-    into the zero-padded gates, so the inputs themselves are never padded or
-    copied; each step then does one np.matmul of h (K, B, H) with the
-    stacked Wh (K, H, 4H), which multiplies each fold's block on its own, so
-    a fold's values do not depend on the others. The gates take
-    T_max * K * B * 4H * 8 bytes, so callers bound K * B.
+    Lanes that are the same store object share one row of the stacked Wh,
+    so K distinct stores with B lanes at most each step as one np.matmul of
+    h (K, B, H) with Wh (K, H, 4H) per step: training's K folds, one video
+    each, as (K, 1, H), and a scoring batch of one store as (1, B, H). The
+    product multiplies each row's block on its own, so a lane's values do
+    not depend on the stores of other lanes. Each lane's input projection
+    xs @ Wx + b is one matrix product written into the zero-padded gates,
+    so the inputs themselves are never padded or copied; the gates take
+    T_max * K * B * 4H * 8 bytes, so callers bound K * B. A lane's rows
+    after its own length run on from a zero input and are not returned.
 
     Sequences may be float32 (data.Video holds features as read): the product
     with the float64 Wx widens one sequence at a time, exactly, so the result
     is the same as for the sequence's float64 copy.
     """
+    distinct = list({id(store): store for store in stores}.values())
+    # lane i's (row, column) in the stacked state: its store's row of Wh, and its
+    # place among that store's lanes
+    lanes = [(distinct.index(store), stores[:i].count(store)) for i, store in enumerate(stores)]
     hidden = stores[0][f"{prefix}.Wh"].shape[0]
-    steps = max(xs.shape[0] for fold_seqs in seqs for xs in fold_seqs)
-    folds, batch = len(seqs), max(map(len, seqs))
-    # pre-activations, turned into gates in place
+    steps = max(xs.shape[0] for xs in seqs)
+    folds, batch = len(distinct), 1 + max(v for _, v in lanes)
+    # pre-activations, turned into gates in place, gate-major so that each
+    # step's elementwise work runs on contiguous blocks
     gates = np.zeros((steps, 4, folds, batch, hidden))
-    for k, (store, fold_seqs) in enumerate(zip(stores, seqs)):
+    for store, (k, v), xs in zip(stores, lanes, seqs):
         wx = store[f"{prefix}.Wx"]
-        for v, xs in enumerate(fold_seqs):
-            if xs.shape[1] != wx.shape[0]:
-                raise ValueError(
-                    f"lstm '{prefix}': input dim {xs.shape[1]} does not match weights {wx.shape[0]}"
-                )
-            gates[: xs.shape[0], :, k, v] = (xs @ wx + store[f"{prefix}.b"]).reshape(-1, 4, hidden)
+        if xs.shape[1] != wx.shape[0]:
+            raise ValueError(
+                f"lstm '{prefix}': input dim {xs.shape[1]} does not match weights {wx.shape[0]}"
+            )
+        gates[: xs.shape[0], :, k, v] = (xs @ wx + store[f"{prefix}.b"]).reshape(-1, 4, hidden)
     # sigmoid(z) = 0.5 * (1 + tanh(z / 2)): halving the i/f/o pre-activations and
     # their Wh columns up front is exact, so each step takes one tanh over all 4H
     gates[:, :3] *= 0.5
-    wh = np.stack([store[f"{prefix}.Wh"] for store in stores])
+    wh = np.stack([store[f"{prefix}.Wh"] for store in distinct])
     wh[..., : 3 * hidden] *= 0.5
     hs = np.empty((steps, folds, batch, hidden))
     cs = np.empty_like(hs)
@@ -193,31 +186,39 @@ def lstm_forward_batch(stores, prefix, seqs):
         c += z[0] * z[3]
         h = np.tanh(c, out=hs[t])
         h *= z[2]
-    return hs, cs, gates
+    return [hs[: xs.shape[0], k, v] for (k, v), xs in zip(lanes, seqs)], (seqs, hs, cs, gates)
 
 
 def lstm_backward(stores, prefix, cache, dhs):
-    """Backpropagate every fold of a stacked cache in one walk, with no truncation.
+    """Backpropagate every lane of a cache in one walk, with no truncation.
 
-    cache comes from lstm_forward_folds, dhs is the
-    (T_max, K, H) loss gradient on its stacked hs, zero past each fold's own
-    length, and stores[k] gets fold k's gradients. The recurrent gradient is
-    carried backward internally, one np.matmul of the stacked Wh (K, H, 4H)
-    with the K pre-activation gradients per step. A shorter sequence's
-    gradient is zero until its own last step, and stays exactly zero through
-    its padded steps, whose gates are finite. A fold's parameter gradients
-    come from its own T_k rows of the stacked pre-activation gradients, so
-    they are the bits it would get alone; a fold whose dhs are all zero adds
-    exact zeros to its gradients. A float32 sequence widens exactly inside
-    its product with those rows, as in the forward's input projection.
+    cache comes from lstm_forward on the same stores, one lane per store:
+    a cache whose lanes share a store raises ValueError. dhs[i] is the
+    (T_i, H) loss gradient on lane i's hidden states, or None for none, and
+    stores[i] gets lane i's gradients. The recurrent gradient is carried
+    backward internally, one np.matmul of the stacked Wh (K, H, 4H) with the
+    K pre-activation gradients per step. A shorter sequence's gradient is
+    zero until its own last step, and stays exactly zero through its padded
+    steps, whose gates are finite. A lane's parameter gradients come from its
+    own T_i rows of the stacked pre-activation gradients, so they are the
+    bits it would get alone; a lane with no gradient adds exact zeros to its
+    parameters' gradients. A float32 sequence widens exactly inside its
+    product with those rows, as in the forward's input projection.
 
     The walk consumes the cache: the gates are turned into the
     pre-activation gradients in place and cs into d(h)/d(c), so a forward
     pass serves one backward pass, and the walk holds one (T_max, K, H)
-    array beyond the forward's own and dhs.
+    array beyond the forward's own and the stacked dhs.
     """
     seqs, hs, cs, gates = cache
+    if hs.shape[2] != 1:
+        raise ValueError(f"lstm '{prefix}': cannot backpropagate lanes that share a store")
+    hs, cs, gates = hs[:, :, 0], cs[:, :, 0], gates[..., 0, :]
     steps, folds, hidden = hs.shape
+    stacked_dhs = np.zeros_like(hs)
+    for k, dh in enumerate(dhs):
+        if dh is not None:
+            stacked_dhs[: seqs[k].shape[0], k] = dh
     gi, gf, go, gg = gates.transpose(1, 0, 2, 3)
     forget = gf.copy()
     # each gate's rows become d(pre-activation)/dc for the i, f and g gates, and
@@ -243,7 +244,7 @@ def lstm_backward(stores, prefix, cache, dhs):
     dh = np.zeros((folds, hidden))
     dc = np.zeros((folds, hidden))
     for t in range(steps - 1, -1, -1):
-        dh += dhs[t]
+        dh += stacked_dhs[t]
         dc += dh * dc_dh[t]
         dz = gates[t]
         dz[2] *= dh

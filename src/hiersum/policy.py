@@ -11,21 +11,20 @@ the subtask's frames, through an affine layer, and a sigmoid head turns the
 mix into a per-frame importance score. Actions are Bernoulli draws from the
 scores.
 
-At inference, greedy_scores_batch runs each network's LSTM over a batch of
-videos in one recurrence (nn.lstm_forward_batch with one fold), so
-`evaluate` scores a fold's held-out videos together; the padded gates take
-T_max * B * 4H * 8 bytes for a batch of B videos whose longest has T_max
-frames, and B is at most SCORE_BATCH. manager_subgoals_batch is the Manager
-half of that pass; a Worker epoch, during which the Manager is frozen, takes
-every video's subgoals from it, one fold at a time.
-
-In training, manager_forward, worker_forward and their backward passes
-take lists with one entry per fold and run K folds' networks, each on its
-own video, through one stacked recurrence forward and one stacked walk
-backward (nn.lstm_forward_folds, nn.lstm_backward), with T_max * K * 4H * 8
-bytes of gates; the heads and their gradients stay per fold. One fold is a
-list of one. Features go to the LSTM as the caller holds them, float32
-included (nn widens them).
+manager_forward and worker_forward are the one forward pass of each
+network. They take lists with one entry per lane, a store and a video, and
+run every lane's LSTM in one recurrence (nn.lstm_forward); the heads stay
+per lane. In training the lanes are the K folds of a lockstep step, each
+with its own store, and manager_backward and worker_backward walk them back
+in one stacked walk (nn.lstm_backward), with T_max * K * 4H * 8 bytes of
+gates. At inference greedy_scores_batch runs the same two passes over a
+batch of videos as lanes of one store, so `evaluate` scores a fold's
+held-out videos together; the padded gates take T_max * B * 4H * 8 bytes
+for a batch of B videos whose longest has T_max frames, and B is at most
+SCORE_BATCH. manager_subgoals_batch is the Manager half of that pass; a
+Worker epoch, during which the Manager is frozen, takes every video's
+subgoals from it, one fold at a time. Features go to the LSTM as the caller
+holds them, float32 included (nn widens them).
 
 The Worker treats subgoals as constants: gradients from Worker objectives
 never reach Manager parameters, which train only on their own loss.
@@ -48,14 +47,13 @@ from .nn import (
     init_affine,
     init_lstm,
     lstm_backward,
-    lstm_forward_batch,
-    lstm_forward_folds,
+    lstm_forward,
     sigmoid,
 )
 
 DEFAULT_HIDDEN = 64
 # videos per batched recurrence in greedy_scores_batch and manager_subgoals_batch,
-# which run one fold; bounds the padded gates at T_max * SCORE_BATCH * 4H * 8
+# which run lanes of one store; bounds the gates at T_max * SCORE_BATCH * 4H * 8
 # bytes. At D = 1024 and H = 64 the gates of 4 videos are no larger than a
 # float64 copy of the longest one's features.
 # Batches of 10 were about 10% faster at scoring, but freeing their 8 MB gates
@@ -133,16 +131,16 @@ class ManagerForward:
     raw: np.ndarray  # (N,) sigmoid outputs before clamping
     probs: np.ndarray  # (N,) clamped subtask probabilities
     clamp_mask: np.ndarray
-    cache: tuple  # stacked LSTM cache, shared by the folds of one forward call
+    cache: tuple  # nn.lstm_forward's cache, shared by the lanes of one forward call
 
 
 def manager_forward(stores, features, subtask_size):
-    """Fold k's ManagerForward of stores[k] on features[k], from one stacked recurrence."""
-    hs, cache = lstm_forward_folds(stores, "manager.lstm", features)
+    """Lane i's ManagerForward of stores[i] on features[i], from one stacked recurrence."""
+    hs, cache = lstm_forward(stores, "manager.lstm", features)
     fwds = []
-    for store, fold_hs in zip(stores, hs):
-        bounds = subtask_bounds(fold_hs.shape[0], subtask_size)
-        subgoals = fold_hs[bounds[1:] - 1]
+    for store, lane_hs in zip(stores, hs):
+        bounds = subtask_bounds(lane_hs.shape[0], subtask_size)
+        subgoals = lane_hs[bounds[1:] - 1]
         raw, probs, clamp_mask = manager_head(store, subgoals)
         fwds.append(ManagerForward(bounds, subgoals, raw, probs, clamp_mask, cache))
     return fwds
@@ -156,18 +154,18 @@ def manager_head(store, subgoals):
 
 
 def manager_subgoals_batch(store, features_list, subtask_size):
-    """Each video's (N_v, H) subgoals, from Manager recurrences over up to SCORE_BATCH videos.
+    """Each video's (N_v, H) subgoals, from manager_forward over up to SCORE_BATCH videos at once.
 
-    Subgoals match manager_forward of each video alone to within rounding of
-    the batched recurrent product (about 1e-16); a batch of one is the same
-    arithmetic. Only the subgoals outlive a batch's padded states.
+    A batch runs as lanes of one store. Subgoals match manager_forward of
+    each video alone to within rounding of the batched recurrent product
+    (about 1e-16); a batch of one is the same arithmetic. Only the subgoals
+    outlive a batch's padded states.
     """
     subgoals = []
     for first in range(0, len(features_list), SCORE_BATCH):
         batch = features_list[first : first + SCORE_BATCH]
-        hs = lstm_forward_batch([store], "manager.lstm", [batch])[0][:, 0]
-        for v, feats in enumerate(batch):
-            subgoals.append(hs[subtask_bounds(feats.shape[0], subtask_size)[1:] - 1, v])
+        stores = [store] * len(batch)
+        subgoals += [fwd.subgoals for fwd in manager_forward(stores, batch, subtask_size)]
     return subgoals
 
 
@@ -177,10 +175,10 @@ def manager_backward(stores, fwds, dlogits):
     stores, fwds and dlogits hold one entry per fold: fwds is the whole list
     one manager_forward call gave, whose cache the walk consumes.
     """
-    dhs = np.zeros_like(fwds[0].cache[1])  # on the stacked hidden states
-    for k, (store, fwd, d) in enumerate(zip(stores, fwds, dlogits)):
-        dsubgoals = affine_backward(store, "manager.head", fwd.subgoals, d[:, None])
-        dhs[fwd.bounds[1:] - 1, k] = dsubgoals
+    # on each fold's hidden states, nonzero at the subgoals only
+    dhs = [np.zeros((fwd.bounds[-1], fwd.subgoals.shape[1])) for fwd in fwds]
+    for store, fwd, d, dh in zip(stores, fwds, dlogits, dhs):
+        dh[fwd.bounds[1:] - 1] = affine_backward(store, "manager.head", fwd.subgoals, d[:, None])
     lstm_backward(stores, "manager.lstm", fwds[0].cache, dhs)
 
 
@@ -213,7 +211,7 @@ class WorkerForward:
     mixed: np.ndarray  # (T, H) affine mix of [subgoal ; hidden]
     subgoals: np.ndarray  # (N, H), constants to the Worker
     hs: np.ndarray  # (T, H) Worker hidden states, a view of the stacked cache
-    cache: tuple  # stacked LSTM cache, shared by the folds of one forward call
+    cache: tuple  # nn.lstm_forward's cache, shared by the lanes of one forward call
 
     @property
     def concat(self):
@@ -222,29 +220,24 @@ class WorkerForward:
 
 
 def worker_forward(stores, features, subgoals, subtask_size):
-    """Fold k's WorkerForward of stores[k] on features[k] and subgoals[k], stacked."""
+    """Lane i's WorkerForward of stores[i] on features[i] and subgoals[i], stacked."""
     bounds = [subtask_bounds(f.shape[0], subtask_size) for f in features]
     for b, goals in zip(bounds, subgoals):
         if b.size - 1 != goals.shape[0]:
             raise ValueError(f"{goals.shape[0]} subgoals for {b.size - 1} subtasks")
-    hs, cache = lstm_forward_folds(stores, "worker.lstm", features)
+    hs, cache = lstm_forward(stores, "worker.lstm", features)
     fwds = []
-    for store, fold_hs, goals, b in zip(stores, hs, subgoals, bounds):
-        mixed, raw = _worker_head(store, fold_hs, goals, b)
+    for store, lane_hs, goals, b in zip(stores, hs, subgoals, bounds):
+        # mix each hidden state with its subtask's subgoal, then score the mix
+        mixed = affine(store, "worker.mix", _mix_inputs(lane_hs, goals, b))
+        raw = sigmoid(affine(store, "worker.head", mixed)[:, 0])
         scores, clamp_mask = clamp_prob(raw)
-        fwds.append(WorkerForward(b, scores, raw, clamp_mask, mixed, goals, fold_hs, cache))
+        fwds.append(WorkerForward(b, scores, raw, clamp_mask, mixed, goals, lane_hs, cache))
     return fwds
 
 
 def _mix_inputs(hs, subgoals, bounds):
     return np.hstack([np.repeat(subgoals, np.diff(bounds), axis=0), hs])
-
-
-def _worker_head(store, hs, subgoals, bounds):
-    """Mix each Worker hidden state with its subtask's subgoal; returns (mixed, raw)."""
-    mixed = affine(store, "worker.mix", _mix_inputs(hs, subgoals, bounds))
-    raw = sigmoid(affine(store, "worker.head", mixed)[:, 0])
-    return mixed, raw
 
 
 def worker_backward(stores, fwds, dscores):
@@ -255,14 +248,13 @@ def worker_backward(stores, fwds, dscores):
     Subgoals are constants to the Worker, so no gradient flows back to them:
     the Manager is updated only by its own loss.
     """
-    dhs = np.zeros_like(fwds[0].cache[1])  # on the stacked hidden states
+    dhs = [None] * len(fwds)  # on each fold's hidden states
     for k, (store, fwd, d) in enumerate(zip(stores, fwds, dscores)):
-        if d is None:
-            continue
-        steps, hidden = fwd.mixed.shape
-        dlogits = d * fwd.clamp_mask * fwd.raw * (1.0 - fwd.raw)
-        dmixed = affine_backward(store, "worker.head", fwd.mixed, dlogits[:, None])
-        dhs[:steps, k] = affine_backward(store, "worker.mix", fwd.concat, dmixed)[:, hidden:]
+        if d is not None:
+            dlogits = d * fwd.clamp_mask * fwd.raw * (1.0 - fwd.raw)
+            dmixed = affine_backward(store, "worker.head", fwd.mixed, dlogits[:, None])
+            dconcat = affine_backward(store, "worker.mix", fwd.concat, dmixed)
+            dhs[k] = dconcat[:, fwd.hs.shape[1] :]  # the hidden-state half
     lstm_backward(stores, "worker.lstm", fwds[0].cache, dhs)
 
 
@@ -299,19 +291,16 @@ def greedy_scores(store, features, subtask_size):
 def greedy_scores_batch(store, features_list, subtask_size):
     """Per-frame importance scores of several videos, one (T_v,) array each.
 
-    Up to SCORE_BATCH videos share one Manager and one Worker recurrence;
-    the Manager head is skipped, since scoring needs only its subgoals.
-    Scores match greedy_scores on each video alone to within rounding of
-    the batched recurrent product (about 1e-16).
+    Up to SCORE_BATCH videos at a time run through manager_forward and
+    worker_forward as lanes of one store. Scores match greedy_scores on
+    each video alone to within rounding of the batched recurrent product
+    (about 1e-16).
     """
     scores = []
     for first in range(0, len(features_list), SCORE_BATCH):
         batch = features_list[first : first + SCORE_BATCH]
         # the Manager's padded states are freed before the Worker's gates are allocated
         subgoals = manager_subgoals_batch(store, batch, subtask_size)
-        hs = lstm_forward_batch([store], "worker.lstm", [batch])[0][:, 0]
-        for v, feats in enumerate(batch):
-            bounds = subtask_bounds(feats.shape[0], subtask_size)
-            raw = _worker_head(store, hs[: feats.shape[0], v], subgoals[v], bounds)[1]
-            scores.append(clamp_prob(raw)[0])
+        stores = [store] * len(batch)
+        scores += [fwd.scores for fwd in worker_forward(stores, batch, subgoals, subtask_size)]
     return scores

@@ -15,10 +15,13 @@ parameter state allows: at step j of each epoch phase every fold of a group
 takes its own j-th training video, a fold with fewer videos drops out of
 the later steps, and the folds of a step share one stacked LSTM recurrence
 forward and one stacked walk backward (policy.manager_forward,
-policy.worker_forward and their backward passes). Heads, rewards, score
-gradients, Adam steps and baselines stay per fold, and the stacked
-recurrence multiplies each fold's block on its own, so each fold computes
-the same bits it would alone. `train` is the one-fold case.
+policy.worker_forward and their backward passes), one lane per fold. Heads,
+rewards, score gradients, Adam steps and baselines stay per fold, and the
+stacked recurrence multiplies each fold's block on its own, so each fold
+computes the same bits it would alone. `train` is the one-fold case. The
+Worker epoch's frozen Manager pass is the same policy.manager_forward, run
+over a fold's videos as lanes of the fold's one store
+(policy.manager_subgoals_batch), forward only.
 A group reads each distinct training video's features from its file once,
 when it starts, and its folds share that array until the group ends.
 """
@@ -162,12 +165,12 @@ def train_worker_epoch(folds, videos, config, epoch):
     combined in score space before a single backward pass. A fold's stats
     are the epoch means of the reward and its components.
 
-    Each fold's frozen Manager gives all its videos' subgoals in one batched
-    pass at the start. The folds of a lockstep step then share one stacked
-    Worker recurrence forward and one stacked walk backward, which adds
-    exact zeros to a fold whose video was skipped; each video's E episodes
-    are scored from one T x T Gram matrix (T^2 * 8 bytes), reused in place
-    as the distance matrix.
+    Each fold's frozen Manager gives all its videos' subgoals at the start,
+    from manager_forward over SCORE_BATCH videos at a time. The folds of a
+    lockstep step then share one stacked Worker recurrence forward and one
+    stacked walk backward, which adds exact zeros to a fold whose video was
+    skipped; each video's E episodes are scored from one T x T Gram matrix
+    (T^2 * 8 bytes), reused in place as the distance matrix.
     """
     totals = [{"reward": [], "R_d": [], "R_rep": [], "R_sub": []} for _ in folds]
     items = [

@@ -11,10 +11,12 @@ allowlist, no definition may go unreferenced by program code.
 """
 
 import ast
+import functools
 import importlib
 import importlib.util
 import inspect
 import re
+from contextlib import ExitStack
 from pathlib import Path
 
 import pytest
@@ -66,8 +68,14 @@ def test_tracer_target_resolves(owner, attr, counter):
     assert missing == [], f"{owner}.{attr} has no argument {missing} that {counter.__name__} reads"
 
 
-def test_every_tracer_target_records_a_span(tmp_path):
-    # one tiny pass through the four commands, traced as a benchmark round is
+@pytest.fixture(scope="module")
+def traced_pass(tmp_path_factory):
+    """One tiny pass through the four commands, traced as a benchmark round is.
+
+    Returns the tracer and the calls made through each TARGETS (owner, attr),
+    counted by a wrapper of its own around the tracer's.
+    """
+    tmp_path = tmp_path_factory.mktemp("traced")
     data, run = tmp_path / "data", tmp_path / "run"
     manifest = str(data / "manifest.json")
     commands = [
@@ -83,12 +91,38 @@ def test_every_tracer_target_records_a_span(tmp_path):
         ["evaluate", "--run", str(run), "--dataset", manifest, "--out", str(tmp_path / "report.json")],
     ]  # fmt: skip
     tracer = TRACING.Tracer()
-    with tracer.installed("round"):
+    calls = dict.fromkeys([(owner, attr) for owner, attr, *_ in TARGETS], 0)
+
+    def counting(key, fn):
+        @functools.wraps(fn)
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    with tracer.installed("round"), ExitStack() as stack:
+        for key in calls:
+            owner = TRACING._resolve(key[0])
+            stack.enter_context(TRACING.replaced(owner, key[1], functools.partial(counting, key)))
         for argv in commands:
             assert main(argv) == 0, argv
+    return tracer, calls
+
+
+def test_every_tracer_target_records_a_span(traced_pass):
+    tracer, _ = traced_pass
     recorded = {name for name, *_ in tracer.spans}
     blind = sorted({name for _, _, name, _ in TARGETS} - recorded)
     assert blind == [], f"the commands never call the tracer's {blind}"
+
+
+def test_every_tracer_target_is_called(traced_pass):
+    # a span name can be recorded through one entry while another entry of the
+    # same name, at a different module attribute, is never called
+    _, calls = traced_pass
+    never = sorted(f"{owner}.{attr}" for (owner, attr), count in calls.items() if count == 0)
+    assert never == [], f"the commands never call {never} where the tracer wraps it"
 
 
 def module_imports(tree):

@@ -89,12 +89,25 @@ def cli_run(cli_dataset, tmp_path_factory):
         ["evaluate", "--run", "r", "--dataset", "d", "--penalty", "inf"],
         ["gen-synthetic", "--out", "x", "--seed", "-1"],
         ["train", "--dataset", "d", "--out", "x", "--seed", "-1"],
+        ["summarize", "--model", "m", "--video", "v", "--out", "x.json", "--scores-out", "x.json"],
+        ["summarize", "--model", "m", "--video", "v", "--out", "x.json", "--scores-out", "./x.json"],
     ],
 )
 def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_summarize_one_path_for_both_outputs_names_both_flags(tmp_path, monkeypatch, capsys):
+    # the paths are compared resolved: a relative and an absolute spelling of one file
+    monkeypatch.chdir(tmp_path)
+    argv = ["summarize", "--model", "m", "--video", "v", "--out", "x.json"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--scores-out", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--out" in err and "--scores-out" in err and ".tmp" not in err
 
 
 def readme_commands():
@@ -183,7 +196,8 @@ def test_package_and_cli_import_no_scipy():
     assert proc.stdout.split() == ["0", "0"]
 
 
-@pytest.mark.parametrize("level", [None, "INFO"])
+# BASIC_FORMAT names an attribute of logging that is not a level
+@pytest.mark.parametrize("level", [None, "INFO", "BASIC_FORMAT"])
 def test_hiersum_log_env_sets_stderr_progress(cli_dataset, tmp_path, level):
     env = {k: v for k, v in os.environ.items() if k != "HIERSUM_LOG"}
     src = Path(__file__).resolve().parent.parent / "src"
@@ -206,7 +220,7 @@ def test_hiersum_log_env_sets_stderr_progress(cli_dataset, tmp_path, level):
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stderr.splitlines()
-    if level is None:
+    if level in (None, "BASIC_FORMAT"):
         assert lines == []  # WARNING by default
     else:
         assert len(lines) == 2

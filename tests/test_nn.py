@@ -18,8 +18,7 @@ from hiersum.nn import (
     init_lstm,
     load_checkpoint,
     lstm_backward,
-    lstm_forward_batch,
-    lstm_forward_folds,
+    lstm_forward,
     save_checkpoint,
     sigmoid,
     uniform_init,
@@ -102,7 +101,7 @@ def test_lstm_zero_params_zero_output():
     init_lstm(store, "m", 3, 4, substream(3, "t"))
     for name in store.names():
         store.params[name].fill(0.0)
-    (hs,), _ = lstm_forward_folds([store], "m", [np.array([[1.0, -2.0, 0.5], [0.3, 0.0, -1.0]])])
+    (hs,), _ = lstm_forward([store], "m", [np.array([[1.0, -2.0, 0.5], [0.3, 0.0, -1.0]])])
     assert not hs.any()
 
 
@@ -110,7 +109,7 @@ def test_lstm_state_matters():
     store = ParamStore()
     init_lstm(store, "m", 3, 4, substream(4, "t"))
     x = np.array([0.3, -0.2, 0.9])
-    (hs,), _ = lstm_forward_folds([store], "m", [np.stack([x, x])])
+    (hs,), _ = lstm_forward([store], "m", [np.stack([x, x])])
     assert not np.allclose(hs[0], hs[1])
 
 
@@ -118,32 +117,52 @@ def test_lstm_shape_error():
     store = ParamStore()
     init_lstm(store, "m", 3, 4, substream(5, "t"))
     with pytest.raises(ValueError, match="input dim"):
-        lstm_forward_folds([store], "m", [np.zeros((2, 5))])
+        lstm_forward([store], "m", [np.zeros((2, 5))])
 
 
 def test_lstm_forward_matches_per_step_loop():
     store = ParamStore()
     init_lstm(store, "m", 3, 4, substream(7, "t"))
     xs = substream(7, "d").normal(size=(9, 3)) * 3.0
-    (hs,), _ = lstm_forward_folds([store], "m", [xs])
+    (hs,), _ = lstm_forward([store], "m", [xs])
     assert np.max(np.abs(hs - replay_lstm(store, "m", xs))) < 1e-12
 
 
-def test_lstm_forward_batch_columns_match_single_sequences():
+def test_lstm_lanes_of_one_store_match_single_sequences():
     store = ParamStore()
     init_lstm(store, "m", 3, 4, substream(9, "t"))
     rng = substream(9, "d")
     seqs = [rng.normal(size=(t, 3)) * 3.0 for t in (5, 1, 12, 7)]
-    hs, cs, gates = lstm_forward_batch([store], "m", [seqs])
-    assert hs.shape == cs.shape == (12, 1, 4, 4) and gates.shape == (12, 4, 1, 4, 4)
-    for v, xs in enumerate(seqs):
-        (one_hs,), (_, _, one_cs, one_gates) = lstm_forward_folds([store], "m", [xs])
-        steps = xs.shape[0]
-        assert np.max(np.abs(hs[:steps, 0, v] - one_hs)) < 1e-12
-        assert np.max(np.abs(cs[:steps, 0, v] - one_cs[:, 0])) < 1e-12
-        assert np.max(np.abs(gates[:steps, :, 0, v] - one_gates[:steps, :, 0])) < 1e-12
+    hs, _ = lstm_forward([store] * len(seqs), "m", seqs)
+    assert [h.shape for h in hs] == [(t, 4) for t in (5, 1, 12, 7)]
+    for lane_hs, xs in zip(hs, seqs):
+        (one_hs,), _ = lstm_forward([store], "m", [xs])
+        assert np.max(np.abs(lane_hs - one_hs)) < 1e-12
     with pytest.raises(ValueError, match="input dim"):
-        lstm_forward_batch([store], "m", [[seqs[0], np.zeros((2, 5))]])
+        lstm_forward([store, store], "m", [seqs[0], np.zeros((2, 5))])
+
+
+def test_lanes_of_two_stores_match_each_store_alone_bit_for_bit():
+    # [a, b, a, b] steps as (2, 2, H) @ (2, H, 4H), each store alone as (1, 2, H) @ (1, H, 4H)
+    a, b = ParamStore(), ParamStore()
+    init_lstm(a, "m", 3, 4, substream(13, "t", 0))
+    init_lstm(b, "m", 3, 4, substream(13, "t", 1))
+    rng = substream(13, "d")
+    seqs = [rng.normal(size=(t, 3)) * 3.0 for t in (6, 11, 9, 4)]
+    mixed, _ = lstm_forward([a, b, a, b], "m", seqs)
+    (a0, a2), _ = lstm_forward([a, a], "m", seqs[0::2])
+    (b1, b3), _ = lstm_forward([b, b], "m", seqs[1::2])
+    for lane_hs, alone in zip(mixed, (a0, b1, a2, b3)):
+        assert lane_hs.tobytes() == alone.tobytes()
+
+
+def test_lstm_backward_rejects_lanes_sharing_a_store():
+    store = ParamStore()
+    init_lstm(store, "m", 3, 4, substream(14, "t"))
+    seqs = [substream(14, "d", v).normal(size=(5, 3)) for v in range(2)]
+    hs, cache = lstm_forward([store, store], "m", seqs)
+    with pytest.raises(ValueError, match="share a store"):
+        lstm_backward([store, store], "m", cache, [np.ones_like(h) for h in hs])
 
 
 def test_stacked_folds_match_one_fold_at_a_time_bit_for_bit():
@@ -162,31 +181,21 @@ def test_stacked_folds_match_one_fold_at_a_time_bit_for_bit():
         for name in store.names():
             one.add(name, store[name])
 
-    def stacked_grads(which):
-        padded = np.zeros((17, 2, 4))
-        for k in which:
-            padded[: len(dhs[k]), k] = dhs[k]
-        return padded
-
-    hs, (_, stacked_hs, cs, gates) = lstm_forward_folds(stores, "m", seqs)
-    assert stacked_hs.shape == cs.shape == (17, 2, 4) and gates.shape == (17, 4, 2, 4)
-    forward = [
-        (hs[k], cs[: len(xs), k].copy(), gates[: len(xs), :, k].copy()) for k, xs in enumerate(seqs)
-    ]
-    lstm_backward(stores, "m", (seqs, stacked_hs, cs, gates), stacked_grads([0, 1]))
+    hs, cache = lstm_forward(stores, "m", seqs)
+    assert [h.shape for h in hs] == [(17, 4), (9, 4)]
+    forward = [h.copy() for h in hs]
+    lstm_backward(stores, "m", cache, dhs)
     for k, xs in enumerate(seqs):
-        (one_hs,), one_cache = lstm_forward_folds([alone[k]], "m", [xs])
-        assert forward[k][0].tobytes() == one_hs.tobytes()
-        assert forward[k][1].tobytes() == one_cache[2][:, 0].tobytes()
-        assert forward[k][2].tobytes() == one_cache[3][:, :, 0].tobytes()
-        lstm_backward([alone[k]], "m", one_cache, dhs[k][:, None])
+        (one_hs,), one_cache = lstm_forward([alone[k]], "m", [xs])
+        assert forward[k].tobytes() == one_hs.tobytes()
+        lstm_backward([alone[k]], "m", one_cache, [dhs[k]])
         for name in stores[k].names():
             assert stores[k].grads[name].tobytes() == alone[k].grads[name].tobytes(), name
-    # a fold with zero gradient on its states gets exact zeros, and the other its own bits
+    # a fold with no gradient on its states gets exact zeros, and the other its own bits
     for store in stores + alone:
         store.zero_grads()
-    lstm_backward(stores, "m", lstm_forward_folds(stores, "m", seqs)[1], stacked_grads([1]))
-    lstm_backward([alone[1]], "m", lstm_forward_folds([alone[1]], "m", [seqs[1]])[1], dhs[1][:, None])
+    lstm_backward(stores, "m", lstm_forward(stores, "m", seqs)[1], [None, dhs[1]])
+    lstm_backward([alone[1]], "m", lstm_forward([alone[1]], "m", [seqs[1]])[1], [dhs[1]])
     assert all(not stores[0].grads[name].any() for name in stores[0].names())
     for name in stores[1].names():
         assert stores[1].grads[name].tobytes() == alone[1].grads[name].tobytes(), name
@@ -200,8 +209,8 @@ def test_lstm_gradients_match_finite_differences():
     weights = rng.normal(size=(5, 4))  # random projection makes the loss scalar
 
     def loss_fn():
-        (hs,), cache = lstm_forward_folds([store], "m", [xs])
-        lstm_backward([store], "m", cache, weights[:, None])
+        (hs,), cache = lstm_forward([store], "m", [xs])
+        lstm_backward([store], "m", cache, [weights])
         return float(np.sum(weights * hs))
 
     report = grad_check(loss_fn, store, step=1e-5, tolerance=1e-5)

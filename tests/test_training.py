@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hiersum import data, nn, policy, rewards, training
+from hiersum import data, policy, rewards, training
 from hiersum.data import (
     ConfigurationError,
     Dataset,
@@ -129,7 +129,7 @@ def test_worker_epoch_runs_one_manager_pass_per_batch_and_one_gram_per_video(
     tiny_dataset, monkeypatch
 ):
     calls = {"manager": 0, "gram": 0}
-    real_lstm, real_rewards = nn.lstm_forward_batch, rewards._action_rewards
+    real_lstm, real_rewards = policy.lstm_forward, rewards._action_rewards
 
     def counting_lstm(stores, prefix, seqs):
         calls["manager"] += prefix == "manager.lstm"
@@ -139,10 +139,7 @@ def test_worker_epoch_runs_one_manager_pass_per_batch_and_one_gram_per_video(
         calls["gram"] += 1
         return real_rewards(*args, **kwargs)
 
-    # policy calls the batched recurrence directly, and the stacked forwards through
-    # nn.lstm_forward_folds
-    monkeypatch.setattr(nn, "lstm_forward_batch", counting_lstm)
-    monkeypatch.setattr(policy, "lstm_forward_batch", counting_lstm)
+    monkeypatch.setattr(policy, "lstm_forward", counting_lstm)
     monkeypatch.setattr(rewards, "_action_rewards", counting_rewards)
     videos = tiny_dataset.videos
     assert len(videos) > policy.SCORE_BATCH
