@@ -25,9 +25,10 @@ from .data import (
     json_text,
     load_dataset,
     read_features,
+    synthetic_video_bytes,
 )
 from .evaluation import METRIC_CHOICES, evaluate_run, save_report
-from .kts import check_memory
+from .kts import MEMORY_LIMIT, check_memory
 from .nn import TrainingError, load_checkpoint
 from .policy import DEFAULT_HIDDEN, check_checkpoint, greedy_scores
 from .summarize import DEFAULT_BUDGET_FRACTION, make_summary, summary_to_json
@@ -123,6 +124,12 @@ def _check_usage(parser, args):
 
 
 def cmd_gen_synthetic(args):
+    need = synthetic_video_bytes(args.frames, args.dim, args.users)
+    if need > MEMORY_LIMIT:  # checked before the output directory is made
+        raise ConfigurationError(
+            f"--frames {args.frames}, --dim {args.dim}, --users {args.users}: one synthetic "
+            f"video needs an estimated {need} bytes, over the {MEMORY_LIMIT}-byte limit"
+        )
     manifest = generate_synthetic(
         args.out,
         args.seed,

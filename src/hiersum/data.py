@@ -434,6 +434,18 @@ def _plant_keyframe_blocks(rng, num_frames, num_keyframes):
     return mask
 
 
+def synthetic_video_bytes(frames, dims, users):
+    """Bytes generate_synthetic holds at most while it makes and writes one video.
+
+    Three float64 (T, D) feature arrays while the noise is added (numpy
+    often reuses the noise's buffer, so two), and about 64 bytes per user
+    score: the float64 (U, T) scores and summaries, their temporaries, and
+    the Python lists the annotation JSON is written from. Videos are made
+    one at a time, so this bounds a whole dataset.
+    """
+    return 24 * frames * dims + 64 * users * frames
+
+
 def generate_synthetic(
     out_dir,
     seed,

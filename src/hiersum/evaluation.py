@@ -6,9 +6,11 @@ kept deliberately; the F score is invariant under the swap. Kendall's tau
 uses the tie-corrected tau-b form with exact integer pair counts; Spearman's
 rho is the Pearson correlation of average ranks.
 
-evaluate_run reads a fold's held-out videos from their feature files when it
-scores that fold, and drops them before the next, so a run holds one fold's
-features at a time.
+evaluate_run reads a fold's held-out videos from their feature files one
+scoring batch (policy.SCORE_BATCH videos) at a time, scores and measures
+them, and drops them before the next batch, so a run holds at most
+SCORE_BATCH videos' features at a time. The checkpoints it loads hold
+their parameters only, with no gradients (nn.ParamStore).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .data import ConfigurationError, json_text, num_subtasks
 from .kts import check_memory
 from .nn import load_checkpoint
-from .policy import check_checkpoint, greedy_scores_batch
+from .policy import SCORE_BATCH, check_checkpoint, greedy_scores_batch
 from .summarize import DEFAULT_BUDGET_FRACTION, make_summary
 
 log = logging.getLogger("hiersum.evaluation")
@@ -228,13 +230,14 @@ def evaluate_run(
 ):
     """Evaluate every fold checkpoint of a training run on its held-out videos.
 
-    Each fold's videos are scored together (policy.greedy_scores_batch);
-    the metrics METRIC_KEYS[metric] names then run per video, and only those
-    (evaluate_video). A fold reads its videos' features when it starts and
-    drops them before the next fold, so the dataset holds none of them
-    (data.load_dataset). Every held-out video is checked before the first fold:
-    against kts.check_memory when F is wanted, and for the 2 frames tau and
-    rho need when either is wanted. The report's labels_per_video is the mean
+    Each fold's videos are scored SCORE_BATCH at a time
+    (policy.greedy_scores_batch); the metrics METRIC_KEYS[metric] names then
+    run per video, and only those (evaluate_video). A batch reads its
+    videos' features when it starts and drops them before the next batch,
+    so the dataset holds none of them (data.load_dataset) and a fold at
+    most SCORE_BATCH videos' worth. Every held-out video is checked before
+    the first fold: against kts.check_memory when F is wanted, and for the
+    2 frames tau and rho need when either is wanted. The report's labels_per_video is the mean
     count of weak labels over the evaluated videos, each at the subtask size
     of its own fold's checkpoint.
     """
@@ -307,16 +310,22 @@ def evaluate_run(
 def _evaluate_fold(store, videos, subtask_size, keys, f_mode, **summary_options):
     """evaluate_video of each of a fold's videos under its checkpoint's store.
 
-    The videos' features are read once here (Video.with_features), for both
-    the scores and the segmentation, and freed on return, before the next
-    fold reads its own.
+    The videos go SCORE_BATCH at a time, the chunks greedy_scores_batch
+    would form from the whole fold, so each video's scores are the same
+    bits. A batch's features are read once here (Video.with_features), for
+    both the scores and the segmentation, and freed before the next batch
+    reads its own.
     """
-    videos = [video.with_features() for video in videos]
-    scores = greedy_scores_batch(store, [v.features for v in videos], subtask_size)
-    return [
-        evaluate_video(video, video_scores, keys, f_mode, **summary_options)
-        for video, video_scores in zip(videos, scores)
-    ]
+    results = []
+    for first in range(0, len(videos), SCORE_BATCH):
+        batch = [video.with_features() for video in videos[first : first + SCORE_BATCH]]
+        scores = greedy_scores_batch(store, [v.features for v in batch], subtask_size)
+        results += [
+            evaluate_video(video, video_scores, keys, f_mode, **summary_options)
+            for video, video_scores in zip(batch, scores)
+        ]
+        del batch, scores  # before the next batch is read
+    return results
 
 
 def save_report(path, report):

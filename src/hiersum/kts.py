@@ -253,6 +253,7 @@ def _kts_dp(prefix, diag_prefix, max_shots, margin):
     start = np.maximum(np.arange(-1, max_shots), 0)
     block = np.empty(_DP_BLOCK_ROWS * (t + 1))
     buffer = np.empty(_DP_BLOCK_ROWS * (t + 1))
+    row_index = np.arange(_DP_BLOCK_ROWS)
     for e0 in range(0, t + 1, _DP_BLOCK_ROWS):
         e1 = min(e0 + _DP_BLOCK_ROWS, t + 1)
         costs = block[: (e1 - e0) * e1].reshape(e1 - e0, e1)
@@ -266,9 +267,10 @@ def _kts_dp(prefix, diag_prefix, max_shots, margin):
             rows, width = e1 - lo, e1 - 1 - s0
             candidate = buffer[: rows * width].reshape(rows, width)
             np.add(costs[lo - e0 :, s0 : e1 - 1], best[m - 1, s0 : e1 - 1], out=candidate)
-            first = np.argmin(candidate, axis=1)  # the first minimum: the earliest split
-            split_at[m, lo:e1] = first + s0
-            best[m, lo:e1] = candidate[np.arange(rows), first]
+            first = candidate.argmin(axis=1)  # the first minimum: the earliest split
+            best[m, lo:e1] = candidate[row_index[:rows], first]
+            first += s0
+            split_at[m, lo:e1] = first
         if top >= 2 and e1 <= t:
             _advance_starts(start[2 : top + 1], best[1:top], costs[-1], e1 - 1, margin, buffer)
     return best, split_at

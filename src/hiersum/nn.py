@@ -73,19 +73,37 @@ def bce_grad(p, y):
     return -y / p + (1.0 - y) / (1.0 - p)
 
 
+class _Grads(dict):
+    """Gradients by parameter name; a name's first lookup makes it, zero-filled."""
+
+    def __init__(self, params):
+        super().__init__()
+        self.params = params
+
+    def __missing__(self, name):
+        grad = self[name] = np.zeros_like(self.params[name])
+        return grad
+
+
 class ParamStore:
-    """Named float64 parameter arrays with same-shape gradient accumulators."""
+    """Named float64 parameter arrays with same-shape gradient accumulators.
+
+    add allocates no gradient: a parameter's gradient is made, zero, when
+    a backward pass (or anything else) first looks it up in grads, and
+    Adam makes all of them when it is built. So a store that is only
+    scored, as load_checkpoint and init_policy give it, holds its
+    parameters and nothing more.
+    """
 
     def __init__(self):
         self.params = {}
-        self.grads = {}
+        self.grads = _Grads(self.params)
 
     def add(self, name, value):
         if name in self.params:
             raise ValueError(f"parameter '{name}' already registered")
         arr = np.array(value, dtype=np.float64)
         self.params[name] = arr
-        self.grads[name] = np.zeros_like(arr)
         return arr
 
     def names(self):
@@ -98,8 +116,11 @@ class ParamStore:
         return name in self.params
 
     def zero_grads(self, names=None):
+        """Zero the named gradients (all by default); one not yet made is left unmade."""
         for name in names if names is not None else self.params:
-            self.grads[name].fill(0.0)
+            grad = self.grads.get(name)
+            if grad is not None:
+                grad.fill(0.0)
 
     def check_finite(self):
         for name, value in self.params.items():
@@ -289,9 +310,12 @@ class Adam:
     """Adam at a given learning rate, with the usual constant beta1, beta2 and eps.
 
     Step counts are per parameter, so disjoint groups update independently.
-    A step holds one temporary the size of a parameter: it works in that
-    and, once the moments are updated, in the gradient itself, with the
-    operations of the textbook update in the same order.
+    Building one makes the store's gradients and both moments, three
+    float64 copies of every parameter, up front, so a training run lays out
+    its state before the first step. A step holds one temporary the size of
+    a parameter: it works in that and, once the moments are updated, in the
+    gradient itself, with the operations of the textbook update in the same
+    order.
     """
 
     beta1 = 0.9
@@ -301,6 +325,8 @@ class Adam:
     def __init__(self, store, lr=1e-3):
         self.store = store
         self.lr = lr
+        for name in store.params:
+            store.grads[name]  # made on first lookup
         self.m = {name: np.zeros_like(p) for name, p in store.params.items()}
         self.v = {name: np.zeros_like(p) for name, p in store.params.items()}
         self.t = {name: 0 for name in store.params}

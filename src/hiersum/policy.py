@@ -23,8 +23,9 @@ held-out videos together; the padded gates take T_max * B * 4H * 8 bytes
 for a batch of B videos whose longest has T_max frames, and B is at most
 SCORE_BATCH. manager_subgoals_batch is the Manager half of that pass; a
 Worker epoch, during which the Manager is frozen, takes every video's
-subgoals from it, one fold at a time. Features go to the LSTM as the caller
-holds them, float32 included (nn widens them).
+subgoals and subtask probabilities from it, one fold at a time. Features
+go to the LSTM as the caller holds them, float32 included (nn widens
+them).
 
 The Worker treats subgoals as constants: gradients from Worker objectives
 never reach Manager parameters, which train only on their own loss.
@@ -154,19 +155,19 @@ def manager_head(store, subgoals):
 
 
 def manager_subgoals_batch(store, features_list, subtask_size):
-    """Each video's (N_v, H) subgoals, from manager_forward over up to SCORE_BATCH videos at once.
+    """Each video's ((N_v, H) subgoals, (N_v,) clamped subtask probabilities), SCORE_BATCH at once.
 
-    A batch runs as lanes of one store. Subgoals match manager_forward of
-    each video alone to within rounding of the batched recurrent product
-    (about 1e-16); a batch of one is the same arithmetic. Only the subgoals
-    outlive a batch's padded states.
+    A batch runs through manager_forward as lanes of one store. Both match
+    manager_forward of each video alone to within rounding of the batched
+    recurrent product (about 1e-16); a batch of one is the same arithmetic.
+    Only the subgoals and probabilities outlive a batch's padded states.
     """
-    subgoals = []
+    pairs = []
     for first in range(0, len(features_list), SCORE_BATCH):
         batch = features_list[first : first + SCORE_BATCH]
         stores = [store] * len(batch)
-        subgoals += [fwd.subgoals for fwd in manager_forward(stores, batch, subtask_size)]
-    return subgoals
+        pairs += [(fwd.subgoals, fwd.probs) for fwd in manager_forward(stores, batch, subtask_size)]
+    return pairs
 
 
 def manager_backward(stores, fwds, dlogits):
@@ -300,7 +301,7 @@ def greedy_scores_batch(store, features_list, subtask_size):
     for first in range(0, len(features_list), SCORE_BATCH):
         batch = features_list[first : first + SCORE_BATCH]
         # the Manager's padded states are freed before the Worker's gates are allocated
-        subgoals = manager_subgoals_batch(store, batch, subtask_size)
+        subgoals = [goals for goals, _ in manager_subgoals_batch(store, batch, subtask_size)]
         stores = [store] * len(batch)
         scores += [fwd.scores for fwd in worker_forward(stores, batch, subgoals, subtask_size)]
     return scores

@@ -47,7 +47,6 @@ from .policy import (
     init_policy,
     policy_shapes,
     manager_forward,
-    manager_head,
     manager_loss_backward,
     manager_param_names,
     manager_subgoals_batch,
@@ -107,10 +106,10 @@ class TrainConfig:
 
 @dataclass
 class FoldState:
-    """One fold's parameters, optimizer and per-video Worker baselines."""
+    """One fold's parameters, optimizer (None when it trains no epochs) and Worker baselines."""
 
     store: ParamStore
-    optimizer: Adam
+    optimizer: Adam | None
     baselines: dict = field(default_factory=dict)  # video id -> moving-average reward
     label: int | None = None  # fold number in log lines; None for a lone train call
 
@@ -165,20 +164,20 @@ def train_worker_epoch(folds, videos, config, epoch):
     combined in score space before a single backward pass. A fold's stats
     are the epoch means of the reward and its components.
 
-    Each fold's frozen Manager gives all its videos' subgoals at the start,
-    from manager_forward over SCORE_BATCH videos at a time. The folds of a
-    lockstep step then share one stacked Worker recurrence forward and one
-    stacked walk backward, which adds exact zeros to a fold whose video was
-    skipped; each video's E episodes are scored from one T x T Gram matrix
-    (T^2 * 8 bytes), reused in place as the distance matrix.
+    Each fold's frozen Manager gives all its videos' subgoals and subtask
+    probabilities at the start, from manager_forward over SCORE_BATCH videos
+    at a time. The folds of a lockstep step then share one stacked Worker
+    recurrence forward and one stacked walk backward, which adds exact zeros
+    to a fold whose video was skipped; each video's E episodes are scored
+    from one T x T Gram matrix (T^2 * 8 bytes), reused in place as the
+    distance matrix.
     """
     totals = [{"reward": [], "R_d": [], "R_rep": [], "R_sub": []} for _ in folds]
-    items = [
-        list(zip(fold_videos, manager_subgoals_batch(
-            fold.store, [video.features for video in fold_videos], config.subtask_size
-        )))
-        for fold, fold_videos in zip(folds, videos)
-    ]  # fmt: skip
+    items = []  # per fold, (video, subgoals, probs) per video
+    for fold, fold_videos in zip(folds, videos):
+        features = [video.features for video in fold_videos]
+        pairs = manager_subgoals_batch(fold.store, features, config.subtask_size)
+        items.append([(video, *pair) for video, pair in zip(fold_videos, pairs)])
     for step in _lockstep(items):
         _worker_step(folds, step, config, epoch, totals)
     return [
@@ -188,7 +187,7 @@ def train_worker_epoch(folds, videos, config, epoch):
 
 
 def _worker_step(folds, step, config, epoch, totals):
-    """One policy-gradient step of each fold k on its (video, subgoals) of a lockstep step.
+    """One policy-gradient step of each fold k on its (video, subgoals, probs) of a lockstep step.
 
     A fold whose episodes all select no frames takes no step. The step's
     stacked arrays are freed on return, before the next step's.
@@ -196,13 +195,13 @@ def _worker_step(folds, step, config, epoch, totals):
     stores = [folds[k].store for k, _ in step]
     fwds = worker_forward(
         stores,
-        [video.features for _, (video, _) in step],
-        [subgoals for _, (_, subgoals) in step],
+        [video.features for _, (video, _, _) in step],
+        [subgoals for _, (_, subgoals, _) in step],
         config.subtask_size,
     )
     dscores = [
-        _score_gradient(folds[k], video, subgoals, wfwd, config, epoch, totals[k])
-        for (k, (video, subgoals)), wfwd in zip(step, fwds)
+        _score_gradient(folds[k], video, probs, wfwd, config, epoch, totals[k])
+        for (k, (video, _, probs)), wfwd in zip(step, fwds)
     ]
     stepped = [folds[k] for (k, _), d in zip(step, dscores) if d is not None]
     if not stepped:
@@ -214,12 +213,12 @@ def _worker_step(folds, step, config, epoch, totals):
         fold.optimizer.step(names)
 
 
-def _score_gradient(fold, video, subgoals, wfwd, config, epoch, totals):
+def _score_gradient(fold, video, probs, wfwd, config, epoch, totals):
     """d(objective)/d(scores) of one video's episodes, or None if every episode is empty.
 
+    probs are the frozen Manager's subtask probabilities for the video.
     Records the video's rewards in totals and moves its baseline.
     """
-    probs = manager_head(fold.store, subgoals)[1]
     score_means = block_means(wfwd.scores, wfwd.bounds)
     rng = substream(config.seed, "worker", video.video_id, epoch)
     actions = sample_actions(wfwd.scores, rng, config.episodes)
@@ -277,6 +276,33 @@ def check_worker_memory(fold_videos, episodes):
         )
 
 
+def fold_state_bytes(feature_dim, hidden, training=True):
+    """Bytes of one fold's parameter state: 8 a parameter, 32 when training.
+
+    A fold that trains holds its parameters, their gradients and two Adam
+    moments, four float64 copies; one with no epochs holds its parameters
+    only. Counted from policy.policy_shapes, which allocates nothing.
+    """
+    params = sum(math.prod(shape) for shape in policy_shapes(feature_dim, hidden).values())
+    return (32 if training else 8) * params
+
+
+def check_train_memory(fold_videos, feature_dim, config):
+    """Raise ConfigurationError if one fold's parameter state or a Worker step would pass MEMORY_LIMIT.
+
+    The parameter state is fold_state_bytes, the Worker step
+    check_worker_memory's estimate, which runs only when there are epochs.
+    """
+    need = fold_state_bytes(feature_dim, config.hidden, training=config.epochs > 0)
+    if need > MEMORY_LIMIT:
+        raise ConfigurationError(
+            f"--hidden {config.hidden}: one fold's parameters at feature dim {feature_dim} "
+            f"need an estimated {need} bytes, over the {MEMORY_LIMIT}-byte limit"
+        )
+    if config.epochs:
+        check_worker_memory(fold_videos, config.episodes)
+
+
 def checkpoint_meta(feature_dim, config):
     meta = dataclasses.asdict(config)
     meta["feature_dim"] = int(feature_dim)
@@ -299,19 +325,22 @@ def train_folds(fold_videos, feature_dim, config, checkpoint_paths, log_paths, l
     wall-clock seconds, which the folds share and which stay out of the
     history and the log path. Checkpoints are written once every fold has
     finished. Each distinct training video's features are read once, before
-    the first epoch, and held until the call returns; with no epochs
-    none are read.
+    the first epoch, and held until the call returns. With no epochs none
+    are read and no optimizer is built, so each fold holds its parameters
+    only (fold_state_bytes); otherwise each fold's Adam lays out its
+    gradients and moments up front. check_train_memory runs first.
     """
     config.validate()
     if not all(fold_videos):
         raise ConfigurationError("cannot train on an empty video list")
+    check_train_memory(fold_videos, feature_dim, config)
     if config.epochs:
-        check_worker_memory(fold_videos, config.episodes)
         fold_videos = _with_features(fold_videos)
     folds = []
     for label in labels:
         store = new_policy(feature_dim, config)
-        folds.append(FoldState(store, Adam(store, lr=config.learning_rate), label=label))
+        optimizer = Adam(store, lr=config.learning_rate) if config.epochs else None
+        folds.append(FoldState(store, optimizer, label=label))
     histories = [[] for _ in folds]
     with ExitStack() as stack:
         logs = [p and stack.enter_context(open(p, "w", encoding="utf-8")) for p in log_paths]
@@ -342,8 +371,7 @@ def _with_features(fold_videos):
 
 def lockstep_group_size(feature_dim, hidden):
     """Folds per lockstep group: as many as LOCKSTEP_BYTES of parameter state holds, at least 1."""
-    params = sum(math.prod(shape) for shape in policy_shapes(feature_dim, hidden).values())
-    return max(1, LOCKSTEP_BYTES // (32 * params))
+    return max(1, LOCKSTEP_BYTES // fold_state_bytes(feature_dim, hidden))
 
 
 def _fold_prefix(label):
@@ -403,8 +431,8 @@ def train_run(dataset, config, out_dir, folds=5, no_cv=False, extra_config=None)
             [v for v in dataset.videos if v.video_id not in held] for held in map(set, fold_lists)
         ]
         setting = "canonical"
-    if config.epochs:
-        check_worker_memory(fold_videos, config.episodes)  # before the run directory is written
+    # before the run directory is written
+    check_train_memory(fold_videos, dataset.manifest.feature_dim, config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

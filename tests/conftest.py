@@ -1,5 +1,7 @@
 """Shared fixtures: tiny deterministic datasets and parameter stores."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,3 +34,15 @@ def zero_store(feature_dim, hidden):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240814)
+
+
+class traced_peak:
+    """Trace allocations inside a with block; .peak is the highest traced total, in bytes."""
+
+    def __enter__(self):
+        tracemalloc.start()
+        return self
+
+    def __exit__(self, *exc):
+        _, self.peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()

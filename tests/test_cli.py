@@ -5,7 +5,6 @@ import shlex
 import shutil
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +15,7 @@ from hiersum.cli import build_parser, main
 from hiersum.data import read_annotations, read_features, write_annotations, write_features
 from hiersum.nn import load_checkpoint, save_checkpoint
 from hiersum.training import TrainConfig, new_policy
+from tests.conftest import traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -249,12 +249,9 @@ def test_train_too_many_episodes_for_memory_exit_1(cli_dataset, tmp_path, capsys
         "--episodes", "1000000000000",
         "--no-cv",
     ]
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         code = main(argv)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced.peak
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
@@ -427,6 +424,36 @@ def test_summarize_feature_dim_mismatch_exit_1(cli_run, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
     assert str(cli_run / "fold0.ckpt") in err and str(video_file(wide / "manifest.json")) in err
     assert "model feature dim 5" in err and "feature dim 7" in err
+
+
+@pytest.mark.parametrize("epochs", ["1", "0"])
+def test_train_hidden_too_large_for_memory_exit_1(cli_dataset, tmp_path, capsys, epochs):
+    # one fold's parameters at --hidden 20000 would take 32 GB, 128 GB with its
+    # gradients and Adam moments; the estimate rejects the run before any is allocated
+    out = tmp_path / "run"
+    argv = ["train", "--dataset", str(cli_dataset), "--out", str(out), "--hidden", "20000"]
+    with traced_peak() as traced:
+        code = main(argv + ["--epochs", epochs, "--no-cv"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "--hidden 20000" in err and "bytes" in err
+    assert traced.peak < 2**20
+    assert not out.exists()
+
+
+def test_gen_synthetic_too_large_for_memory_exit_1(tmp_path, capsys):
+    # one video of 2,000,000 frames at D=4000 would take 64 GB of float64 features
+    out = tmp_path / "data"
+    argv = ["gen-synthetic", "--videos", "1", "--frames", "2000000", "--dim", "4000"]
+    with traced_peak() as traced:
+        code = main(argv + ["--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "--frames 2000000" in err and "--dim 4000" in err and "bytes" in err
+    assert traced.peak < 2**20
+    assert not out.exists()
 
 
 def test_summarize_too_long_for_kts_memory_exit_1(cli_run, tmp_path, capsys):

@@ -22,6 +22,7 @@ from hiersum.data import (
     read_features,
     save_manifest,
     subtask_bounds,
+    synthetic_video_bytes,
     write_annotations,
     write_features,
     DatasetManifest,
@@ -29,6 +30,7 @@ from hiersum.data import (
 from hiersum.kts import partition_from_change_points
 from hiersum.rewards import sub_reward, sub_reward_score_grad
 from hiersum.seeding import substream
+from tests.conftest import traced_peak
 
 
 # --- subtask tiling ---------------------------------------------------------
@@ -239,6 +241,20 @@ def test_feature_file_errors(tmp_path):
         write_features(empty, np.zeros(shape))
         with pytest.raises(ValidationError, match=f"{empty}: empty"):
             read_features(empty)
+
+
+@pytest.mark.parametrize(
+    "frames, dims, users",
+    [(2000, 512, 3), (5000, 4, 50)],
+    ids=["features_dominate", "users_dominate"],
+)
+def test_synthetic_video_estimate_covers_the_traced_peak(tmp_path, frames, dims, users):
+    generate_synthetic(tmp_path, 0, videos=1, frames=frames, dims=dims, users=users)  # warm
+    with traced_peak() as traced:
+        generate_synthetic(tmp_path, 0, videos=2, frames=frames, dims=dims, users=users)
+    # the estimate bounds a whole dataset, one video at a time, and not loosely
+    need = synthetic_video_bytes(frames, dims, users)
+    assert traced.peak <= need <= 2 * traced.peak, (traced.peak, need)
 
 
 def test_loaded_dataset_holds_no_feature_payload(tmp_path):

@@ -2,7 +2,6 @@ import json
 import logging
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,9 +34,10 @@ from hiersum.evaluation import (
     spearman_rho,
     video_truth_masks,
 )
-from hiersum.policy import greedy_scores
+from hiersum.policy import SCORE_BATCH, greedy_scores
 from hiersum.seeding import substream
 from hiersum.training import TrainConfig, checkpoint_meta, new_policy, train_run
+from tests.conftest import traced_peak
 
 
 def loop_kendall_tau(pred, truth):
@@ -372,16 +372,31 @@ def test_evaluate_holds_one_folds_features_at_a_time(tmp_path):
     run = train_run(
         load_dataset(manifest), TrainConfig(epochs=0, subtask_size=10, hidden=8), tmp_path / "run", folds=4
     )
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         dataset = load_dataset(manifest)
         report = evaluate_run(run, dataset)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced.peak
     payload = sum(4 * math.prod(v.shape) for v in dataset.videos)
     assert [entry["num_videos"] for entry in report["per_fold"]] == [4] * 4
     assert peak < payload, (peak, payload)
+
+
+def test_evaluate_holds_one_scoring_batch_of_features_at_a_time(tmp_path):
+    # 2 folds of 12 videos of 123 KB of float32 features: a fold's payload is 1.5 MB,
+    # a scoring batch's 0.5 MB, and one video's float64 widening 0.25 MB
+    manifest = generate_synthetic(tmp_path / "data", 9, videos=24, frames=60, dims=512)
+    config = TrainConfig(epochs=0, subtask_size=10, hidden=4)
+    run = train_run(load_dataset(manifest), config, tmp_path / "run", folds=2)
+    dataset = load_dataset(manifest)
+    with traced_peak() as traced:
+        report = evaluate_run(run, dataset)
+    with open(run / "folds.json", encoding="utf-8") as fh:
+        folds = json.load(fh)["folds"]
+    fold_payload = min(
+        sum(4 * math.prod(dataset.by_id(video_id).shape) for video_id in ids) for ids in folds
+    )
+    assert all(entry["num_videos"] > SCORE_BATCH for entry in report["per_fold"])
+    assert traced.peak < fold_payload, (traced.peak, fold_payload)
 
 
 def test_evaluate_run_metric_filtering(tiny_dataset, tmp_path, monkeypatch):

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -17,6 +15,7 @@ from hiersum.kts import (
     partition_from_change_points,
 )
 from hiersum.seeding import substream
+from tests.conftest import traced_peak
 from tests.oracles import cost_matrix, direct_segment_cost, enumerate_min_costs, full_matrix_kts
 
 
@@ -281,12 +280,9 @@ def test_first_live_splits_move_past_m_minus_one_on_two_cluster_features():
 def test_kts_bytes_covers_the_traced_peak(t, dims):
     # float32 features, as read_features returns them; KTS widens them to float64
     feats = substream(49, "kts", dims).normal(size=(t, dims)).astype(np.float32)
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         kts_segment(feats)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced.peak
     assert kts_bytes(t, dims, None) >= peak
 
 
@@ -294,12 +290,9 @@ def test_kts_segment_peak_below_one_and_a_half_prefix_tables():
     # one (T+1)^2 prefix table; the cost rows exist only one block of ends at a time
     t = 1000
     feats = substream(42, "kts").normal(size=(t, 8))
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         kts_segment(feats)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced.peak
     assert peak < 1.5 * 8 * (t + 1) ** 2
 
 
@@ -374,25 +367,19 @@ def test_kts_input_validation():
 
 def test_kts_memory_bound_raises_before_allocating():
     feats = np.ones((20000, 1))
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         with pytest.raises(ConfigurationError, match=r"20000 frames .* bytes, over the \d+-byte"):
             kts_segment(feats)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced.peak
     assert peak < 2**20  # one (T+1)^2 matrix alone would be 3.2 GB
 
 
 def test_min_costs_memory_bound_raises_before_allocating():
     feats = np.ones((20000, 1))
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         with pytest.raises(ConfigurationError, match=r"20000 frames .* bytes, over the \d+-byte"):
             min_costs(feats, None)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced.peak
     assert peak < 2**20
 
 

@@ -23,6 +23,7 @@ from hiersum.nn import (
     sigmoid,
     uniform_init,
 )
+from hiersum.policy import init_policy
 from hiersum.seeding import substream
 from tests.oracles import replay_lstm
 
@@ -60,6 +61,30 @@ def test_bce_grad_closed_form_and_fd():
 
 
 # --- parameter store -------------------------------------------------
+
+
+def test_scoring_stores_hold_no_gradients(tmp_path):
+    fresh = init_policy(5, 4, substream(3, "init"))
+    save_checkpoint(tmp_path / "m.ckpt", fresh)
+    loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
+    for store in (fresh, loaded):
+        assert dict(store.grads) == {}
+        store.zero_grads()
+        store.zero_grads(["manager.lstm.Wx"])
+        assert dict(store.grads) == {}
+        # a backward pass makes the gradients it writes, and no others
+        hs, cache = lstm_forward([store], "manager.lstm", [np.ones((3, 5))])
+        lstm_backward([store], "manager.lstm", cache, [np.ones_like(hs[0])])
+        assert sorted(store.grads) == ["manager.lstm.Wh", "manager.lstm.Wx", "manager.lstm.b"]
+        assert all(store.grads[name].shape == store[name].shape for name in store.grads)
+    # an optimizer lays out every gradient when it is built
+    Adam(fresh)
+    assert list(fresh.grads) == ["manager.lstm.Wx", "manager.lstm.Wh", "manager.lstm.b"] + [
+        name for name in fresh.names() if not name.startswith("manager.lstm.")
+    ]
+    assert not any(
+        fresh.grads[name].any() for name in fresh.names() if not name.startswith("manager.lstm.")
+    )
 
 
 def test_param_store_basics():

@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from hiersum.policy import (
     worker_param_names,
 )
 from hiersum.seeding import substream
-from tests.conftest import zero_store
+from tests.conftest import traced_peak, zero_store
 from tests.oracles import bernoulli_log_prob, replay_lstm
 
 
@@ -72,13 +71,10 @@ def test_check_checkpoint_rejects_a_large_hidden_without_allocating_it():
     # parameters for hidden = 1200 at D = 4 would take about 115 MB
     store = init_policy(4, 2, substream(50, "init"))
     meta = {"feature_dim": 4, "hidden": 1200, "subtask_size": 5}
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         with pytest.raises(ConfigurationError, match="'manager.lstm.Wx' has shape"):
             check_checkpoint("model.ckpt", store, meta, 4, "video.vsf")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced.peak
     assert peak < 2**20, peak
 
 
@@ -142,12 +138,9 @@ def test_batched_scoring_holds_no_copy_of_the_features(monkeypatch):
     videos = [rng.normal(size=(t, 256)) for t in range(100, 200, 10)]
     monkeypatch.setattr(policy, "SCORE_BATCH", len(videos))
     feature_bytes = sum(v.nbytes for v in videos)
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         greedy_scores_batch(store, videos, 20)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced.peak
     assert peak < feature_bytes, (peak, feature_bytes)
 
 
@@ -169,13 +162,15 @@ def test_batched_manager_pass_matches_manager_forward():
     store = init_policy(16, 64, substream(68, "init"))
     rng = substream(68, "x")
     videos = [rng.normal(size=(t, 16)) for t in lengths]
-    subgoals = manager_subgoals_batch(store, videos, 10)
-    assert len(subgoals) == len(videos)
-    for feats, batched in zip(videos, subgoals):
+    pairs = manager_subgoals_batch(store, videos, 10)
+    assert len(pairs) == len(videos)
+    for feats, (batched, probs) in zip(videos, pairs):
         single = manager_forward([store], [feats], 10)[0]
         assert batched.shape == single.subgoals.shape
         assert np.max(np.abs(batched - single.subgoals)) <= 1e-15
         assert np.max(np.abs(manager_head(store, batched)[1] - single.probs)) <= 1e-15
+        # the probabilities come from the same pass, so they are the head on its subgoals
+        assert probs.tobytes() == manager_head(store, batched)[1].tobytes()
 
 
 # --- forward replay oracles -------------------------------------------------------

@@ -1,7 +1,6 @@
 import collections
 import json
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +16,7 @@ from hiersum.data import (
     generate_synthetic,
     load_dataset,
 )
+from hiersum.kts import MEMORY_LIMIT
 from hiersum.nn import Adam, load_checkpoint
 from hiersum.policy import (
     manager_forward,
@@ -40,7 +40,7 @@ from hiersum.training import (
     train_run,
     train_worker_epoch,
 )
-from tests.conftest import zero_store
+from tests.conftest import traced_peak, zero_store
 
 
 def small_config(**overrides):
@@ -128,18 +128,25 @@ def test_worker_epoch_touches_only_worker_params(tiny_dataset):
 def test_worker_epoch_runs_one_manager_pass_per_batch_and_one_gram_per_video(
     tiny_dataset, monkeypatch
 ):
-    calls = {"manager": 0, "gram": 0}
+    calls = {"manager": 0, "head": 0, "gram": 0}
     real_lstm, real_rewards = policy.lstm_forward, rewards._action_rewards
+    real_head = policy.manager_head
 
     def counting_lstm(stores, prefix, seqs):
         calls["manager"] += prefix == "manager.lstm"
         return real_lstm(stores, prefix, seqs)
+
+    def counting_head(store, subgoals):
+        calls["head"] += 1
+        return real_head(store, subgoals)
 
     def counting_rewards(*args, **kwargs):
         calls["gram"] += 1
         return real_rewards(*args, **kwargs)
 
     monkeypatch.setattr(policy, "lstm_forward", counting_lstm)
+    monkeypatch.setattr(policy, "manager_head", counting_head)
+    monkeypatch.setattr(training, "manager_head", counting_head, raising=False)
     monkeypatch.setattr(rewards, "_action_rewards", counting_rewards)
     videos = tiny_dataset.videos
     assert len(videos) > policy.SCORE_BATCH
@@ -147,6 +154,8 @@ def test_worker_epoch_runs_one_manager_pass_per_batch_and_one_gram_per_video(
     store = new_policy(6, config)
     train_worker_epoch([one_fold(store)], [videos], config, 0)
     assert calls["manager"] == math.ceil(len(videos) / policy.SCORE_BATCH)
+    # one Manager head per video, in the frozen pass; the Worker steps reuse its probabilities
+    assert calls["head"] == len(videos)
     assert calls["gram"] == len(videos)
 
 
@@ -166,7 +175,7 @@ def test_worker_epoch_dscores_match_per_episode_loop(tiny_dataset, monkeypatch):
         (store,), (wfwd,), (dscores,) = stores, wfwds, dscores
         k = len(worst)
         video = videos[k]
-        probs = policy.manager_head(store, all_subgoals[k])[1]
+        probs = policy.manager_head(store, all_subgoals[k][0])[1]
         score_means = block_means(wfwd.scores, wfwd.bounds)
         rng = substream(config.seed, "worker", video.video_id, 0)
         actions = policy.sample_actions(wfwd.scores, rng, config.episodes)
@@ -474,12 +483,9 @@ def test_worker_memory_estimate_covers_the_peak_of_a_worker_epoch(frames, dims, 
     video = Video("v", rng.normal(size=(frames, dims)).astype(np.float32), rng.uniform(size=(2, frames)))
     config = small_config(episodes=episodes)
     fold = one_fold(new_policy(dims, config))
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         train_worker_epoch([fold], [[video]], config, 0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced.peak
     need = training.worker_step_bytes(frames, dims, episodes)
     # the estimate is an upper bound, and not a loose one
     assert peak <= need <= 1.25 * peak, (peak, need)
@@ -517,3 +523,28 @@ def test_lockstep_groups_are_sized_by_parameter_state():
     # four float64 copies of a fold's parameters: 1.6 MB at D=16, H=64, 18 MB at D=1024
     assert training.lockstep_group_size(16, 64) == 3
     assert training.lockstep_group_size(1024, 64) == 1
+
+
+def test_untrained_run_holds_parameters_only(tmp_path):
+    # --epochs 0 builds no optimizer, and a store makes no gradient until a backward pass
+    manifest = generate_synthetic(tmp_path / "data", 4, videos=2, frames=20, dims=512)
+    dataset = load_dataset(manifest)
+    with traced_peak() as traced:
+        train_run(dataset, small_config(epochs=0, hidden=64), tmp_path / "run", no_cv=True)
+    store, _ = load_checkpoint(tmp_path / "run" / "fold0.ckpt")
+    params = sum(value.nbytes for value in store.params.values())
+    assert traced.peak < 2.5 * params, (traced.peak, params)
+
+
+def test_parameter_state_estimate_rejects_a_large_hidden_before_allocating():
+    # hidden 4000 at D=5: 8 bytes a parameter fit the limit, 32 bytes (training) do not
+    assert training.fold_state_bytes(5, 4000, training=False) <= MEMORY_LIMIT
+    assert training.fold_state_bytes(5, 4000) > MEMORY_LIMIT
+    with traced_peak() as traced:
+        training.check_train_memory([[]], 5, small_config(epochs=0, hidden=4000))
+        with pytest.raises(ConfigurationError, match=r"--hidden 4000: .* \d+ bytes, over the"):
+            training.check_train_memory([[]], 5, small_config(epochs=1, hidden=4000))
+    assert traced.peak < 2**20
+    # the estimate counts what init_policy allocates
+    params = sum(value.size for value in new_policy(5, small_config(hidden=7)).params.values())
+    assert training.fold_state_bytes(5, 7, training=False) == 8 * params
