@@ -49,7 +49,7 @@ def main(data_dir):
     rows = []
     for video in dataset.videos:
         feats = video.features
-        scores = greedy_scores(store, feats, config.subtask_size)
+        scores = greedy_scores(store, [feats], config.subtask_size)[0]
         summary = make_summary(feats, scores)
         f_trained = video_f_for_mask(video, summary.frame_mask, mode)
 

@@ -28,7 +28,7 @@ from .data import (
     synthetic_video_bytes,
 )
 from .evaluation import METRIC_CHOICES, evaluate_run, save_report
-from .kts import MEMORY_LIMIT, check_memory
+from .kts import check_bytes, check_memory
 from .nn import TrainingError, load_checkpoint
 from .policy import DEFAULT_HIDDEN, check_checkpoint, greedy_scores
 from .summarize import DEFAULT_BUDGET_FRACTION, make_summary, summary_to_json
@@ -124,12 +124,10 @@ def _check_usage(parser, args):
 
 
 def cmd_gen_synthetic(args):
-    need = synthetic_video_bytes(args.frames, args.dim, args.users)
-    if need > MEMORY_LIMIT:  # checked before the output directory is made
-        raise ConfigurationError(
-            f"--frames {args.frames}, --dim {args.dim}, --users {args.users}: one synthetic "
-            f"video needs an estimated {need} bytes, over the {MEMORY_LIMIT}-byte limit"
-        )
+    check_bytes(  # before the output directory is made
+        synthetic_video_bytes(args.frames, args.dim, args.users),
+        f"--frames {args.frames}, --dim {args.dim}, --users {args.users}: one synthetic video",
+    )
     manifest = generate_synthetic(
         args.out,
         args.seed,
@@ -164,7 +162,7 @@ def cmd_summarize(args):
     check_finite_features(feats, args.video)
     check_checkpoint(args.model, store, meta, feats.shape[1], args.video)
     check_memory(*feats.shape, args.max_shots, args.video)
-    scores = greedy_scores(store, feats, meta["subtask_size"])
+    scores = greedy_scores(store, [feats], meta["subtask_size"])[0]
     video_id = Path(args.video).stem
     summary = make_summary(
         feats,

@@ -7,10 +7,11 @@ uses the tie-corrected tau-b form with exact integer pair counts; Spearman's
 rho is the Pearson correlation of average ranks.
 
 evaluate_run reads a fold's held-out videos from their feature files one
-scoring batch (policy.SCORE_BATCH videos) at a time, scores and measures
-them, and drops them before the next batch, so a run holds at most
-SCORE_BATCH videos' features at a time. The checkpoints it loads hold
-their parameters only, with no gradients (nn.ParamStore).
+scoring batch (policy.SCORE_BATCH videos) at a time, scores them in one
+policy.greedy_scores call, measures them, and drops them before the next
+batch, so a run holds at most SCORE_BATCH videos' features at a time. The
+checkpoints it loads hold their parameters only, with no gradients
+(nn.ParamStore).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .data import ConfigurationError, json_text, num_subtasks
 from .kts import check_memory
 from .nn import load_checkpoint
-from .policy import SCORE_BATCH, check_checkpoint, greedy_scores_batch
+from .policy import SCORE_BATCH, check_checkpoint, greedy_scores
 from .summarize import DEFAULT_BUDGET_FRACTION, make_summary
 
 log = logging.getLogger("hiersum.evaluation")
@@ -230,16 +231,14 @@ def evaluate_run(
 ):
     """Evaluate every fold checkpoint of a training run on its held-out videos.
 
-    Each fold's videos are scored SCORE_BATCH at a time
-    (policy.greedy_scores_batch); the metrics METRIC_KEYS[metric] names then
-    run per video, and only those (evaluate_video). A batch reads its
-    videos' features when it starts and drops them before the next batch,
-    so the dataset holds none of them (data.load_dataset) and a fold at
-    most SCORE_BATCH videos' worth. Every held-out video is checked before
-    the first fold: against kts.check_memory when F is wanted, and for the
-    2 frames tau and rho need when either is wanted. The report's labels_per_video is the mean
-    count of weak labels over the evaluated videos, each at the subtask size
-    of its own fold's checkpoint.
+    Each fold's videos are scored and measured in batches (_evaluate_fold);
+    the metrics METRIC_KEYS[metric] names run per video, and only those
+    (evaluate_video). The dataset holds no features (data.load_dataset).
+    Every held-out video is checked before the first fold: against
+    kts.check_memory when F is wanted, and for the 2 frames tau and rho need
+    when either is wanted. The report's labels_per_video is the mean count
+    of weak labels over the evaluated videos, each at the subtask size of
+    its own fold's checkpoint.
     """
     if metric not in METRIC_KEYS:
         raise ValueError(f"metric must be one of {METRIC_CHOICES}, got {metric!r}")
@@ -310,16 +309,15 @@ def evaluate_run(
 def _evaluate_fold(store, videos, subtask_size, keys, f_mode, **summary_options):
     """evaluate_video of each of a fold's videos under its checkpoint's store.
 
-    The videos go SCORE_BATCH at a time, the chunks greedy_scores_batch
-    would form from the whole fold, so each video's scores are the same
-    bits. A batch's features are read once here (Video.with_features), for
-    both the scores and the segmentation, and freed before the next batch
-    reads its own.
+    The videos go SCORE_BATCH at a time, each batch scored by one
+    greedy_scores call. A batch's features are read once here
+    (Video.with_features), for both the scores and the segmentation, and
+    freed before the next batch reads its own.
     """
     results = []
     for first in range(0, len(videos), SCORE_BATCH):
         batch = [video.with_features() for video in videos[first : first + SCORE_BATCH]]
-        scores = greedy_scores_batch(store, [v.features for v in batch], subtask_size)
+        scores = greedy_scores(store, [v.features for v in batch], subtask_size)
         results += [
             evaluate_video(video, video_scores, keys, f_mode, **summary_options)
             for video, video_scores in zip(batch, scores)

@@ -32,8 +32,8 @@ import numpy as np
 
 from .data import ConfigurationError
 
-# KTS inputs, and Worker steps (training.check_worker_memory), whose matrices
-# would need more than this are rejected up front
+# KTS inputs, Worker steps, one fold's parameter state and one synthetic video
+# whose arrays would need more than this are rejected up front (check_bytes)
 MEMORY_LIMIT = 2 * 1024**3  # bytes
 # ends per block of the DP: it sizes both the block's cost rows and the candidate
 # buffer, (64, T+1) each, 2 x 820 KB at T=1600, inside a 2 MB L2 cache
@@ -162,6 +162,14 @@ def kts_bytes(num_frames, feature_dim, max_shots):
     )
 
 
+def check_bytes(need, what):
+    """Raise ConfigurationError, naming `what`, if it needs more than MEMORY_LIMIT bytes."""
+    if need > MEMORY_LIMIT:
+        raise ConfigurationError(
+            f"{what} needs an estimated {need} bytes, over the {MEMORY_LIMIT}-byte limit"
+        )
+
+
 def check_memory(num_frames, feature_dim, max_shots, where):
     """Raise ConfigurationError naming `where` if KTS on (T, D) features would pass MEMORY_LIMIT.
 
@@ -170,11 +178,7 @@ def check_memory(num_frames, feature_dim, max_shots, where):
     The estimate is kts_bytes.
     """
     need = kts_bytes(num_frames, feature_dim, max_shots)
-    if need > MEMORY_LIMIT:
-        raise ConfigurationError(
-            f"{where}: KTS over {num_frames} frames needs an estimated {need} bytes, "
-            f"over the {MEMORY_LIMIT}-byte limit"
-        )
+    check_bytes(need, f"{where}: KTS over {num_frames} frames")
 
 
 def _prune_margin(diag_prefix, feature_dim):

@@ -100,9 +100,14 @@ class ParamStore:
         self.grads = _Grads(self.params)
 
     def add(self, name, value):
+        """Register value under name: kept as is if it is a writable float64
+        array that owns its data, copied to one otherwise (views, read-only
+        arrays, other dtypes, lists)."""
         if name in self.params:
             raise ValueError(f"parameter '{name}' already registered")
-        arr = np.array(value, dtype=np.float64)
+        fresh = type(value) is np.ndarray and value.dtype == np.float64
+        fresh = fresh and value.flags.owndata and value.flags.writeable
+        arr = value if fresh else np.array(value, dtype=np.float64)
         self.params[name] = arr
         return arr
 
@@ -373,7 +378,7 @@ def save_checkpoint(path, store, meta=None):
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         for name in store.names():
-            fh.write(store[name].astype("<f8").tobytes(order="C"))
+            fh.write(np.ascontiguousarray(store[name], dtype="<f8"))  # no copy of a "<f8" array
     os.replace(tmp, path)  # atomic on POSIX: readers never see a partial file
 
 
@@ -405,10 +410,12 @@ def load_checkpoint(path):
             if nbytes > file_size - fh.tell():
                 raise ValueError(f"{path}: truncated payload for '{name}' of shape {list(shape)}")
             try:  # a shape with no elements can still be too large for numpy
-                value = np.frombuffer(fh.read(nbytes), dtype="<f8").reshape(shape)
+                value = np.empty(shape, dtype="<f8")
             except ValueError as exc:
                 raise ValueError(f"{path}: parameter '{name}' shape {list(shape)}: {exc}") from None
-            store.add(name, value)  # copies the read-only buffer
+            if fh.readinto(value) != nbytes:
+                raise ValueError(f"{path}: truncated payload for '{name}' of shape {list(shape)}")
+            store.add(name, value)  # read in place, so kept without a copy
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after last parameter")
     return store, meta

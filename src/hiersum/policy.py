@@ -17,15 +17,11 @@ run every lane's LSTM in one recurrence (nn.lstm_forward); the heads stay
 per lane. In training the lanes are the K folds of a lockstep step, each
 with its own store, and manager_backward and worker_backward walk them back
 in one stacked walk (nn.lstm_backward), with T_max * K * 4H * 8 bytes of
-gates. At inference greedy_scores_batch runs the same two passes over a
-batch of videos as lanes of one store, so `evaluate` scores a fold's
-held-out videos together; the padded gates take T_max * B * 4H * 8 bytes
-for a batch of B videos whose longest has T_max frames, and B is at most
-SCORE_BATCH. manager_subgoals_batch is the Manager half of that pass; a
-Worker epoch, during which the Manager is frozen, takes every video's
-subgoals and subtask probabilities from it, one fold at a time. Features
-go to the LSTM as the caller holds them, float32 included (nn widens
-them).
+gates. At inference greedy_scores runs the same two passes over the videos
+it is given as lanes of one store; the padded gates take T_max * B * 4H * 8
+bytes for B videos whose longest has T_max frames, so its callers pass at
+most SCORE_BATCH at a time. Features go to the LSTM as the caller holds
+them, float32 included (nn widens them).
 
 The Worker treats subgoals as constants: gradients from Worker objectives
 never reach Manager parameters, which train only on their own loss.
@@ -53,8 +49,9 @@ from .nn import (
 )
 
 DEFAULT_HIDDEN = 64
-# videos per batched recurrence in greedy_scores_batch and manager_subgoals_batch,
-# which run lanes of one store; bounds the gates at T_max * SCORE_BATCH * 4H * 8
+# videos per inference recurrence, lanes of one store: evaluate's calls to
+# greedy_scores and the Worker epoch's frozen Manager pass take their videos in
+# batches of this many, which bounds the gates at T_max * SCORE_BATCH * 4H * 8
 # bytes. At D = 1024 and H = 64 the gates of 4 videos are no larger than a
 # float64 copy of the longest one's features.
 # Batches of 10 were about 10% faster at scoring, but freeing their 8 MB gates
@@ -152,22 +149,6 @@ def manager_head(store, subgoals):
     raw = sigmoid(affine(store, "manager.head", subgoals)[:, 0])
     probs, clamp_mask = clamp_prob(raw)
     return raw, probs, clamp_mask
-
-
-def manager_subgoals_batch(store, features_list, subtask_size):
-    """Each video's ((N_v, H) subgoals, (N_v,) clamped subtask probabilities), SCORE_BATCH at once.
-
-    A batch runs through manager_forward as lanes of one store. Both match
-    manager_forward of each video alone to within rounding of the batched
-    recurrent product (about 1e-16); a batch of one is the same arithmetic.
-    Only the subgoals and probabilities outlive a batch's padded states.
-    """
-    pairs = []
-    for first in range(0, len(features_list), SCORE_BATCH):
-        batch = features_list[first : first + SCORE_BATCH]
-        stores = [store] * len(batch)
-        pairs += [(fwd.subgoals, fwd.probs) for fwd in manager_forward(stores, batch, subtask_size)]
-    return pairs
 
 
 def manager_backward(stores, fwds, dlogits):
@@ -285,23 +266,15 @@ def log_prob_score_grad(scores, actions):
 
 
 def greedy_scores(store, features, subtask_size):
-    """Deterministic per-frame importance scores of one video, for inference."""
-    return greedy_scores_batch(store, [features], subtask_size)[0]
+    """Per-frame importance scores, one (T_v,) array for each video in features.
 
-
-def greedy_scores_batch(store, features_list, subtask_size):
-    """Per-frame importance scores of several videos, one (T_v,) array each.
-
-    Up to SCORE_BATCH videos at a time run through manager_forward and
-    worker_forward as lanes of one store. Scores match greedy_scores on
-    each video alone to within rounding of the batched recurrent product
-    (about 1e-16).
+    The videos run through manager_forward and worker_forward as lanes of
+    one store, whose padded gates take T_max * len(features) * 4H * 8
+    bytes, so callers pass at most SCORE_BATCH videos. A video's scores
+    match its scores alone to within rounding of the batched recurrent
+    product (about 1e-16).
     """
-    scores = []
-    for first in range(0, len(features_list), SCORE_BATCH):
-        batch = features_list[first : first + SCORE_BATCH]
-        # the Manager's padded states are freed before the Worker's gates are allocated
-        subgoals = [goals for goals, _ in manager_subgoals_batch(store, batch, subtask_size)]
-        stores = [store] * len(batch)
-        scores += [fwd.scores for fwd in worker_forward(stores, batch, subgoals, subtask_size)]
-    return scores
+    stores = [store] * len(features)
+    # the Manager's padded states are freed before the Worker's gates are allocated
+    subgoals = [fwd.subgoals for fwd in manager_forward(stores, features, subtask_size)]
+    return [fwd.scores for fwd in worker_forward(stores, features, subgoals, subtask_size)]

@@ -20,8 +20,8 @@ rewards, score gradients, Adam steps and baselines stay per fold, and the
 stacked recurrence multiplies each fold's block on its own, so each fold
 computes the same bits it would alone. `train` is the one-fold case. The
 Worker epoch's frozen Manager pass is the same policy.manager_forward, run
-over a fold's videos as lanes of the fold's one store
-(policy.manager_subgoals_batch), forward only.
+forward only over a fold's videos as lanes of the fold's one store,
+policy.SCORE_BATCH videos at a time.
 A group reads each distinct training video's features from its file once,
 when it starts, and its folds share that array until the group ends.
 """
@@ -40,16 +40,16 @@ from pathlib import Path
 import numpy as np
 
 from .data import ConfigurationError, block_means, derive_task_labels
-from .kts import MEMORY_LIMIT
+from .kts import check_bytes
 from .nn import Adam, ParamStore, save_checkpoint
 from .policy import (
     DEFAULT_HIDDEN,
+    SCORE_BATCH,
     init_policy,
     policy_shapes,
     manager_forward,
     manager_loss_backward,
     manager_param_names,
-    manager_subgoals_batch,
     log_prob_score_grad,
     sample_actions,
     worker_backward,
@@ -165,19 +165,23 @@ def train_worker_epoch(folds, videos, config, epoch):
     are the epoch means of the reward and its components.
 
     Each fold's frozen Manager gives all its videos' subgoals and subtask
-    probabilities at the start, from manager_forward over SCORE_BATCH videos
-    at a time. The folds of a lockstep step then share one stacked Worker
-    recurrence forward and one stacked walk backward, which adds exact zeros
-    to a fold whose video was skipped; each video's E episodes are scored
-    from one T x T Gram matrix (T^2 * 8 bytes), reused in place as the
-    distance matrix.
+    probabilities at the start, from one manager_forward per SCORE_BATCH of
+    its videos, as lanes of the fold's store; a batch's padded states are
+    freed before the next batch runs. The folds of a lockstep step then
+    share one stacked Worker recurrence forward and one stacked walk
+    backward, which adds exact zeros to a fold whose video was skipped;
+    each video's E episodes are scored from one T x T Gram matrix
+    (T^2 * 8 bytes), reused in place as the distance matrix.
     """
     totals = [{"reward": [], "R_d": [], "R_rep": [], "R_sub": []} for _ in folds]
-    items = []  # per fold, (video, subgoals, probs) per video
-    for fold, fold_videos in zip(folds, videos):
-        features = [video.features for video in fold_videos]
-        pairs = manager_subgoals_batch(fold.store, features, config.subtask_size)
-        items.append([(video, *pair) for video, pair in zip(fold_videos, pairs)])
+    items = [[] for _ in folds]  # per fold, (video, subgoals, probs) per video
+    for fold, fold_videos, fold_items in zip(folds, videos, items):
+        for first in range(0, len(fold_videos), SCORE_BATCH):
+            batch = fold_videos[first : first + SCORE_BATCH]
+            stores = [fold.store] * len(batch)
+            fwds = manager_forward(stores, [v.features for v in batch], config.subtask_size)
+            fold_items += [(video, fwd.subgoals, fwd.probs) for video, fwd in zip(batch, fwds)]
+            del fwds  # before the next batch's recurrence
     for step in _lockstep(items):
         _worker_step(folds, step, config, epoch, totals)
     return [
@@ -263,17 +267,14 @@ def worker_step_bytes(num_frames, feature_dim, episodes):
 def check_worker_memory(fold_videos, episodes):
     """Raise ConfigurationError if a Worker step on the longest video would pass MEMORY_LIMIT.
 
-    The estimate is worker_step_bytes, held to the limit kts.check_memory
-    holds KTS to.
+    The estimate is worker_step_bytes, held to the limit of kts.check_bytes.
     """
     video = max((v for videos in fold_videos for v in videos), key=lambda v: v.num_frames)
-    need = worker_step_bytes(video.num_frames, video.shape[1], episodes)
-    if need > MEMORY_LIMIT:
-        raise ConfigurationError(
-            f"--episodes {episodes}: a Worker step on video '{video.video_id}' "
-            f"({video.num_frames} frames) needs an estimated {need} bytes, "
-            f"over the {MEMORY_LIMIT}-byte limit"
-        )
+    check_bytes(
+        worker_step_bytes(video.num_frames, video.shape[1], episodes),
+        f"--episodes {episodes}: a Worker step on video '{video.video_id}' "
+        f"({video.num_frames} frames)",
+    )
 
 
 def fold_state_bytes(feature_dim, hidden, training=True):
@@ -293,12 +294,10 @@ def check_train_memory(fold_videos, feature_dim, config):
     The parameter state is fold_state_bytes, the Worker step
     check_worker_memory's estimate, which runs only when there are epochs.
     """
-    need = fold_state_bytes(feature_dim, config.hidden, training=config.epochs > 0)
-    if need > MEMORY_LIMIT:
-        raise ConfigurationError(
-            f"--hidden {config.hidden}: one fold's parameters at feature dim {feature_dim} "
-            f"need an estimated {need} bytes, over the {MEMORY_LIMIT}-byte limit"
-        )
+    check_bytes(
+        fold_state_bytes(feature_dim, config.hidden, training=config.epochs > 0),
+        f"--hidden {config.hidden}: one fold's parameter state at feature dim {feature_dim}",
+    )
     if config.epochs:
         check_worker_memory(fold_videos, config.episodes)
 

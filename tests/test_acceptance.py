@@ -378,7 +378,7 @@ def test_criterion_7_end_to_end_learning(capsys, tmp_path):
         random_baseline = []
         for video in dataset.videos:
             feats = video.features
-            scores = greedy_scores(store, feats, config.subtask_size)
+            scores = greedy_scores(store, [feats], config.subtask_size)[0]
             summary = make_summary(feats, scores)
             trained.append(video_f_for_mask(video, summary.frame_mask, f_mode))
             rand = substream(seed, "baseline", video.video_id).random(feats.shape[0])

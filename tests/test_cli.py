@@ -570,7 +570,7 @@ def test_summarize_non_finite_score_exit_1_and_no_files(
 
     def nan_first_score(*args):
         scores = real(*args)
-        scores[0] = np.nan
+        scores[0][0] = np.nan
         return scores
 
     monkeypatch.setattr(cli_module, "greedy_scores", nan_first_score)

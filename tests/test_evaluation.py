@@ -34,6 +34,7 @@ from hiersum.evaluation import (
     spearman_rho,
     video_truth_masks,
 )
+from hiersum import policy
 from hiersum.policy import SCORE_BATCH, greedy_scores
 from hiersum.seeding import substream
 from hiersum.training import TrainConfig, checkpoint_meta, new_policy, train_run
@@ -278,7 +279,7 @@ def test_video_truth_masks_fallback():
 def test_evaluate_video_fields(tiny_dataset):
     store = new_policy(6, TrainConfig(hidden=6, seed=3))
     video = tiny_dataset.videos[0]
-    scores = greedy_scores(store, video.features, 10)
+    (scores,) = greedy_scores(store, [video.features], 10)
     result = evaluate_video(video, scores, METRIC_KEYS["all"], "max", budget_fraction=0.3)
     assert result["video_id"] == video.video_id
     assert 0.0 <= result["F"] <= 1.0
@@ -353,7 +354,7 @@ def test_evaluate_run_fold_of_mixed_lengths_matches_per_video_scoring(tmp_path):
         results = []
         for video_id in video_ids:
             video = dataset.by_id(video_id)
-            scores = greedy_scores(store, video.features, 10)
+            (scores,) = greedy_scores(store, [video.features], 10)
             assert scores.shape == (video.num_frames,)
             results.append(
                 evaluate_video(video, scores, METRIC_KEYS["all"], "mean", budget_fraction=0.3)
@@ -381,15 +382,26 @@ def test_evaluate_holds_one_folds_features_at_a_time(tmp_path):
     assert peak < payload, (peak, payload)
 
 
-def test_evaluate_holds_one_scoring_batch_of_features_at_a_time(tmp_path):
+def test_evaluate_holds_one_scoring_batch_of_features_at_a_time(tmp_path, monkeypatch):
     # 2 folds of 12 videos of 123 KB of float32 features: a fold's payload is 1.5 MB,
     # a scoring batch's 0.5 MB, and one video's float64 widening 0.25 MB
     manifest = generate_synthetic(tmp_path / "data", 9, videos=24, frames=60, dims=512)
     config = TrainConfig(epochs=0, subtask_size=10, hidden=4)
     run = train_run(load_dataset(manifest), config, tmp_path / "run", folds=2)
     dataset = load_dataset(manifest)
+    lanes = []
+    real_lstm = policy.lstm_forward
+
+    def counting_lstm(stores, prefix, seqs):
+        lanes.append(len(stores))
+        assert len(stores) <= SCORE_BATCH and all(s is stores[0] for s in stores)
+        return real_lstm(stores, prefix, seqs)
+
+    monkeypatch.setattr(policy, "lstm_forward", counting_lstm)
     with traced_peak() as traced:
         report = evaluate_run(run, dataset)
+    # each fold of 12 takes three batches of 4, through the Manager and the Worker
+    assert lanes == [SCORE_BATCH] * 12
     with open(run / "folds.json", encoding="utf-8") as fh:
         folds = json.load(fh)["folds"]
     fold_payload = min(

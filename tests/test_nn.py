@@ -25,6 +25,7 @@ from hiersum.nn import (
 )
 from hiersum.policy import init_policy
 from hiersum.seeding import substream
+from tests.conftest import traced_peak
 from tests.oracles import replay_lstm
 
 
@@ -101,6 +102,33 @@ def test_param_store_basics():
     store.params["b"][0] = np.nan
     with pytest.raises(TrainingError, match="'b'"):
         store.check_finite()
+
+
+def test_add_keeps_fresh_float64_arrays_and_copies_the_rest():
+    store = ParamStore()
+    fresh = np.ones((2, 3))
+    assert store.add("fresh", fresh) is fresh
+    base = np.arange(6.0)
+    frozen = np.zeros(3)
+    frozen.flags.writeable = False
+    others = {"view": base[::2], "frozen": frozen, "ints": np.arange(3), "list": [1.0, 2.0]}
+    for name, value in others.items():
+        kept = store.add(name, value)
+        assert kept is not value and kept.dtype == np.float64, name
+        assert kept.flags.owndata and kept.flags.writeable, name
+    store["view"][0] = 7.0
+    assert base[0] == 0.0
+
+
+def _param_bytes(store):
+    return sum(store[name].nbytes for name in store.names())
+
+
+def test_init_policy_holds_each_parameter_once():
+    # D=1024, H=64: 4.5 MB of parameters; a copy made as each is added peaks at 1.42x
+    with traced_peak() as traced:
+        store = init_policy(1024, 64, substream(15, "init"))
+    assert traced.peak < 1.25 * _param_bytes(store), (traced.peak, _param_bytes(store))
 
 
 def test_uniform_init_bounds():
@@ -204,7 +232,7 @@ def test_stacked_folds_match_one_fold_at_a_time_bit_for_bit():
     alone = [ParamStore() for _ in stores]
     for one, store in zip(alone, stores):
         for name in store.names():
-            one.add(name, store[name])
+            one.add(name, store[name].copy())  # add keeps a fresh array without copying
 
     hs, cache = lstm_forward(stores, "m", seqs)
     assert [h.shape for h in hs] == [(17, 4), (9, 4)]
@@ -347,11 +375,33 @@ def test_checkpoint_roundtrip(tmp_path):
     assert back.names() == ["w", "b", "s"]
     for name in store.names():
         assert np.array_equal(back[name], store[name])
-        assert back[name].flags.writeable  # a copy, not a view of the read bytes
+        assert back[name].flags.writeable  # its own array, not a view of the read bytes
     assert not (tmp_path / "model.ckpt.tmp").exists()
     # saving the loaded store reproduces the file byte for byte
     save_checkpoint(tmp_path / "again.ckpt", back, back_meta)
     assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+
+def test_save_checkpoint_copies_no_parameter(tmp_path):
+    # D=1024, H=64: 4.5 MB of parameters; a float64 copy and a bytes copy of the
+    # largest array (4 MB) as it is written peak at 4.2 MB
+    store = init_policy(1024, 64, substream(16, "init"))
+    with traced_peak() as traced:
+        save_checkpoint(tmp_path / "wide.ckpt", store, {"feature_dim": 1024})
+    assert traced.peak < 2**20, traced.peak
+
+
+def test_load_checkpoint_reads_each_parameter_once(tmp_path):
+    # D=1024, H=64: 4.5 MB of parameters; the read bytes and a copy of them as
+    # each is added peak at 1.45x the parameter bytes
+    store = init_policy(1024, 64, substream(16, "init"))
+    path = tmp_path / "wide.ckpt"
+    save_checkpoint(path, store, {"feature_dim": 1024})
+    with traced_peak() as traced:
+        back, _ = load_checkpoint(path)
+    assert traced.peak < 1.1 * _param_bytes(store), (traced.peak, _param_bytes(store))
+    for name in store.names():
+        assert back[name].flags.writeable and back[name].tobytes() == store[name].tobytes()
 
 
 def test_checkpoint_errors(tmp_path):

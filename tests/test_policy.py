@@ -6,11 +6,9 @@ import pytest
 
 from hiersum.data import ConfigurationError, subtask_bounds
 from hiersum.nn import grad_check
-from hiersum import policy
 from hiersum.policy import (
     check_checkpoint,
     greedy_scores,
-    greedy_scores_batch,
     init_policy,
     log_prob_score_grad,
     manager_forward,
@@ -18,7 +16,6 @@ from hiersum.policy import (
     manager_loss,
     manager_loss_backward,
     manager_param_names,
-    manager_subgoals_batch,
     policy_shapes,
     sample_actions,
     worker_backward,
@@ -97,7 +94,7 @@ def test_zero_parameters_give_half_probabilities():
     mfwd = manager_forward([store], [feats], 4)[0]
     assert mfwd.probs.tolist() == [0.5, 0.5]
     assert np.all(mfwd.clamp_mask)
-    scores = greedy_scores(store, feats, 4)
+    (scores,) = greedy_scores(store, [feats], 4)
     assert scores.tolist() == [0.5] * 8
 
 
@@ -113,58 +110,60 @@ def test_worker_subgoal_count_checked():
 BATCH_LENGTHS = [1, 19, 20, 21, 57, 400]  # around subtask edges of 7 and 20, and much longer
 
 
-@pytest.mark.parametrize("score_batch", [2, 16])
+@pytest.mark.parametrize("batch_size", [2, 16])
 @pytest.mark.parametrize("subtask_size", [7, 20])
 @pytest.mark.parametrize("dim", [16, 64])
-def test_batched_scores_match_single_video_scores(monkeypatch, dim, subtask_size, score_batch):
-    # the six videos take three recurrences of two, or one of six
-    monkeypatch.setattr(policy, "SCORE_BATCH", score_batch)
+def test_batched_scores_match_single_video_scores(dim, subtask_size, batch_size):
+    # the six videos take three recurrences of two, or one of six (batches of up to 16)
     store = init_policy(dim, 8, substream(66, "init", dim))
     rng = substream(66, "x", dim)
     videos = [rng.normal(size=(t, dim)) for t in BATCH_LENGTHS]
-    batched = greedy_scores_batch(store, videos, subtask_size)
+    batched = []
+    for first in range(0, len(videos), batch_size):
+        batched += greedy_scores(store, videos[first : first + batch_size], subtask_size)
     assert [s.shape for s in batched] == [(t,) for t in BATCH_LENGTHS]
     for feats, scores in zip(videos, batched):
-        single = greedy_scores(store, feats, subtask_size)
+        (single,) = greedy_scores(store, [feats], subtask_size)
         assert np.max(np.abs(scores - single)) <= 1e-12
 
 
-def test_batched_scoring_holds_no_copy_of_the_features(monkeypatch):
-    # the fold is one batch, and with H=16 its padded gates take 64 floats per
+def test_batched_scoring_holds_no_copy_of_the_features():
+    # the ten videos are one batch, and with H=16 its padded gates take 64 floats per
     # frame slot against 256 for the features, so a padded or concatenated
     # copy of the batch's features would push the peak over its feature bytes
     store = init_policy(256, 16, substream(67, "init"))
     rng = substream(67, "x")
     videos = [rng.normal(size=(t, 256)) for t in range(100, 200, 10)]
-    monkeypatch.setattr(policy, "SCORE_BATCH", len(videos))
     feature_bytes = sum(v.nbytes for v in videos)
     with traced_peak() as traced:
-        greedy_scores_batch(store, videos, 20)
+        greedy_scores(store, videos, 20)
     peak = traced.peak
     assert peak < feature_bytes, (peak, feature_bytes)
 
 
 def test_float32_features_score_as_their_float64_widening():
-    # 57 frames ends on a short subtask, and six videos take two batches
+    # 57 frames ends on a short subtask, and the six videos take batches of 4 and 2
     lengths = [23, 40, 7, 31, 57, 12]
     store = init_policy(32, 8, substream(69, "init"))
     rng = substream(69, "x")
     narrow = [rng.normal(size=(t, 32)).astype(np.float32) for t in lengths]
     wide = [feats.astype(np.float64) for feats in narrow]
-    for a, b in zip(greedy_scores_batch(store, narrow, 10), greedy_scores_batch(store, wide, 10)):
-        assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+    for batch in (slice(0, 4), slice(4, 6)):
+        pairs = zip(greedy_scores(store, narrow[batch], 10), greedy_scores(store, wide[batch], 10))
+        for a, b in pairs:
+            assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
 
 
 def test_batched_manager_pass_matches_manager_forward():
-    # more videos than one batch holds; 23, 7, 31 and 12 frames end on a short subtask
+    # one batch of videos as lanes of one store; 23, 7, 31 and 12 frames end on a short subtask
     lengths = [23, 40, 7, 31, 50, 12]
-    assert len(lengths) > policy.SCORE_BATCH
     store = init_policy(16, 64, substream(68, "init"))
     rng = substream(68, "x")
     videos = [rng.normal(size=(t, 16)) for t in lengths]
-    pairs = manager_subgoals_batch(store, videos, 10)
-    assert len(pairs) == len(videos)
-    for feats, (batched, probs) in zip(videos, pairs):
+    fwds = manager_forward([store] * len(videos), videos, 10)
+    assert len(fwds) == len(videos)
+    for feats, fwd in zip(videos, fwds):
+        batched, probs = fwd.subgoals, fwd.probs
         single = manager_forward([store], [feats], 10)[0]
         assert batched.shape == single.subgoals.shape
         assert np.max(np.abs(batched - single.subgoals)) <= 1e-15

@@ -164,8 +164,9 @@ def test_worker_epoch_dscores_match_per_episode_loop(tiny_dataset, monkeypatch):
     videos = tiny_dataset.videos[:3]
     store = new_policy(6, config)
     baselines = {video.video_id: 0.1 * k for k, video in enumerate(videos)}
-    all_subgoals = policy.manager_subgoals_batch(
-        store, [video.features for video in videos], config.subtask_size
+    # the three videos are one batch of the epoch's frozen Manager pass
+    mfwds = policy.manager_forward(
+        [store] * len(videos), [video.features for video in videos], config.subtask_size
     )
     worst = []
     real_backward = training.worker_backward
@@ -175,7 +176,7 @@ def test_worker_epoch_dscores_match_per_episode_loop(tiny_dataset, monkeypatch):
         (store,), (wfwd,), (dscores,) = stores, wfwds, dscores
         k = len(worst)
         video = videos[k]
-        probs = policy.manager_head(store, all_subgoals[k][0])[1]
+        probs = policy.manager_head(store, mfwds[k].subgoals)[1]
         score_means = block_means(wfwd.scores, wfwd.bounds)
         rng = substream(config.seed, "worker", video.video_id, 0)
         actions = policy.sample_actions(wfwd.scores, rng, config.episodes)
