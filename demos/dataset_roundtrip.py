@@ -31,7 +31,7 @@ def main(out_dir):
 
     video = dataset.videos[0]
     print(f"\nfirst video: {video.video_id}")
-    print(f"  features        {video.features.shape}")
+    print(f"  features        {video.shape}")
     print(f"  per-user scores {video.per_user_scores.shape}")
     print(f"  keyframes       {int(video.keyframes.sum())} of {video.num_frames} "
           f"(budget_count(0.15, {video.num_frames}) = {budget_count(0.15, video.num_frames)})")
@@ -52,7 +52,7 @@ def main(out_dir):
     )
     same = load_dataset(again)
     identical = all(
-        np.array_equal(a.features, b.features)
+        np.array_equal(a.read().features, b.read().features)
         for a, b in zip(dataset.videos, same.videos)
     )
     print(f"\nregenerated with the same seed -> identical features: {identical}")

@@ -48,7 +48,7 @@ def main(data_dir):
     mode = dataset.manifest.f_aggregate
     rows = []
     for video in dataset.videos:
-        feats = video.features
+        feats = video.read().features
         scores = greedy_scores(store, [feats], config.subtask_size)[0]
         summary = make_summary(feats, scores)
         f_trained = video_f_for_mask(video, summary.frame_mask, mode)

@@ -15,15 +15,17 @@ optionally per-user binary summaries); keyframes and task-level labels are
 derived, never stored, the labels at train time from the run's subtask size.
 
 load_dataset reads and checks every feature file once, then keeps each
-video's path and shape but not its payload: a computation reads the file
-again, with the same checks, when it uses the features, and holds the float32
-matrix the file stores, 4*T*D bytes, only while it does. All arithmetic is
-float64: every computation that reads the features widens them first, one
+video's path and shape but not its payload. A computation that uses the
+features calls Video.read, which reads the file again through read_features
+and re-checks what the file can change; the computation holds the float32
+matrix the file stores, 4*T*D bytes, only while it needs it. All arithmetic
+is float64: every computation that reads the features widens them first, one
 video at a time, and the widening is exact.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import struct
@@ -149,6 +151,15 @@ def check_finite_features(features, where):
     """Raise ValidationError naming `where` unless every feature value is finite."""
     if not np.all(np.isfinite(features)):
         raise ValidationError(f"{where}: features contain non-finite values")
+
+
+def _check_frames(features, where):
+    """Raise ValidationError naming `where` on a non-finite value or an all-zero frame."""
+    check_finite_features(features, where)
+    zero_frames = np.flatnonzero(~features.any(axis=1))
+    if zero_frames.size:
+        # cosine dissimilarity in the diversity reward is undefined for them
+        raise ValidationError(f"{where}: frame {zero_frames[0]} has all-zero features")
 
 
 def write_annotations(path, per_user_scores, user_summaries=None):
@@ -280,8 +291,8 @@ class Video:
     float32 is kept as given (as a feature file stores it) and anything else
     becomes float64; computations widen it to float64. Given the path of the
     feature file it was read from, a video keeps that path and the shape but
-    not the matrix, and each access to `features` reads the file again
-    (with_features).
+    not the matrix, and has no `features` attribute: read() returns a copy
+    that holds one read of the file.
     """
 
     def __init__(self, video_id, features, per_user_scores, user_summaries=None, path=None):
@@ -296,13 +307,7 @@ class Video:
                 f"video '{video_id}': {feats.shape[0]} feature rows but "
                 f"annotation scores have shape {scores.shape}"
             )
-        check_finite_features(feats, f"video '{video_id}'")
-        zero_frames = np.flatnonzero(~feats.any(axis=1))
-        if zero_frames.size:
-            # cosine dissimilarity in the diversity reward is undefined for them
-            raise ValidationError(
-                f"video '{video_id}': frame {zero_frames[0]} has all-zero features"
-            )
+        _check_frames(feats, f"video '{video_id}'")
         if scores.shape[0] < 1:
             raise ValidationError(
                 f"video '{video_id}': per_user_scores must be a non-empty U x T matrix"
@@ -333,37 +338,36 @@ class Video:
         self.keyframes = derive_keyframes(self.mean_scores)  # (T,) uint8
         self.shape = feats.shape
         self.path = None if path is None else Path(path)
-        self._features = feats if path is None else None
-
-    @property
-    def features(self):
-        return self.with_features()._features
+        if path is None:
+            self.features = feats
 
     @property
     def num_frames(self):
         return self.shape[0]
 
-    def with_features(self):
+    def read(self):
         """This video holding its features matrix: itself if it holds one, else a copy read now.
 
-        The copy comes from the same reader and the same checks as the first
-        read, and must have the shape recorded then; a file that changed
-        since raises ValidationError naming it. Code that uses a video's
-        features more than once in one computation holds this copy.
+        The copy shares this video's annotation arrays and has no path. The
+        file is read by read_features and checked for what it can change: the
+        shape recorded at load, finiteness and all-zero frames; a file that
+        changed since raises ValidationError naming it. Code that uses a
+        video's features more than once in one computation holds this copy.
         """
-        if self._features is not None:
+        if self.path is None:
             return self
         try:
-            video = Video(
-                self.video_id, read_features(self.path), self.per_user_scores, self.user_summaries
-            )
-            if video.shape != self.shape:
+            feats = read_features(self.path)
+            if feats.shape != self.shape:
                 raise ValidationError(
-                    f"{video.shape[0]}x{video.shape[1]} features, "
+                    f"{feats.shape[0]}x{feats.shape[1]} features, "
                     f"but {self.shape[0]}x{self.shape[1]} when loaded"
                 )
+            _check_frames(feats, f"video '{self.video_id}'")
         except ValidationError as exc:
             raise ValidationError(f"{self.path}: changed since it was loaded: {exc}") from None
+        video = copy.copy(self)
+        video.path, video.features = None, feats
         return video
 
 
@@ -391,8 +395,8 @@ def load_dataset(manifest_path):
     """Load and check every video a manifest lists, keeping no feature payload.
 
     Each feature file is read and checked once here, before the dataset is
-    returned; the loaded Video keeps its path and shape, and reads the file
-    again when its features are used.
+    returned; the loaded Video keeps its path and shape, and Video.read
+    reads the file again.
     """
     manifest = load_manifest(manifest_path)
     videos = []

@@ -310,13 +310,13 @@ def _evaluate_fold(store, videos, subtask_size, keys, f_mode, **summary_options)
     """evaluate_video of each of a fold's videos under its checkpoint's store.
 
     The videos go SCORE_BATCH at a time, each batch scored by one
-    greedy_scores call. A batch's features are read once here
-    (Video.with_features), for both the scores and the segmentation, and
-    freed before the next batch reads its own.
+    greedy_scores call. A batch's features are read once here (Video.read),
+    for both the scores and the segmentation, and freed before the next
+    batch reads its own.
     """
     results = []
     for first in range(0, len(videos), SCORE_BATCH):
-        batch = [video.with_features() for video in videos[first : first + SCORE_BATCH]]
+        batch = [video.read() for video in videos[first : first + SCORE_BATCH]]
         scores = greedy_scores(store, [v.features for v in batch], subtask_size)
         results += [
             evaluate_video(video, video_scores, keys, f_mode, **summary_options)

@@ -323,11 +323,12 @@ def train_folds(fold_videos, feature_dim, config, checkpoint_paths, log_paths, l
     prefixed with its label when given and followed by the phase's
     wall-clock seconds, which the folds share and which stay out of the
     history and the log path. Checkpoints are written once every fold has
-    finished. Each distinct training video's features are read once, before
-    the first epoch, and held until the call returns. With no epochs none
-    are read and no optimizer is built, so each fold holds its parameters
-    only (fold_state_bytes); otherwise each fold's Adam lays out its
-    gradients and moments up front. check_train_memory runs first.
+    finished. Each distinct training video's features are read once
+    (Video.read), before the first epoch, and held until the call returns.
+    With no epochs none are read and no optimizer is built, so each fold
+    holds its parameters only (fold_state_bytes); otherwise each fold's Adam
+    lays out its gradients and moments up front. check_train_memory runs
+    first.
     """
     config.validate()
     if not all(fold_videos):
@@ -361,10 +362,10 @@ def train_folds(fold_videos, feature_dim, config, checkpoint_paths, log_paths, l
 
 
 def _with_features(fold_videos):
-    """fold_videos with each distinct video read once (Video.with_features), its
+    """fold_videos with each distinct video read once (Video.read), its
     array shared by every fold that trains on it."""
     held = {id(video): video for videos in fold_videos for video in videos}
-    held = {key: video.with_features() for key, video in held.items()}
+    held = {key: video.read() for key, video in held.items()}
     return [[held[id(video)] for video in videos] for videos in fold_videos]
 
 

@@ -196,6 +196,45 @@ def test_package_and_cli_import_no_scipy():
     assert proc.stdout.split() == ["0", "0"]
 
 
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # D=512 makes the Gram and input products large enough for OpenBLAS to split
+    # them; relative paths let config.json compare too
+    pipeline = [
+        ["gen-synthetic", "--videos", "4", "--frames", "200", "--dim", "512", "--out", "data"],
+        ["train", "--dataset", "data/manifest.json", "--out", "run", "--folds", "2"]
+        + ["--epochs", "1", "--hidden", "16"],
+        ["evaluate", "--run", "run", "--dataset", "data/manifest.json", "--out", "report.json"],
+        ["summarize", "--model", "run/fold0.ckpt", "--video", "data/video000.vsf"]
+        + ["--out", "summary.json", "--scores-out", "scores.json"],
+    ]
+    code = (
+        "import json, sys\n"
+        "from hiersum.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    if main(argv):\n"
+        "        sys.exit(f'{argv[0]} failed')\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        cwd = tmp_path / f"threads{threads}"
+        cwd.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(pipeline)],
+            cwd=cwd, env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({
+            str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()
+        })
+    one, two = outputs
+    assert {"run/config.json", "run/fold1.ckpt", "report.json", "scores.json"} <= set(one)
+    assert sorted(one) == sorted(two)
+    assert [name for name in one if one[name] != two[name]] == []
+
+
 # BASIC_FORMAT names an attribute of logging that is not a level
 @pytest.mark.parametrize("level", [None, "INFO", "BASIC_FORMAT"])
 def test_hiersum_log_env_sets_stderr_progress(cli_dataset, tmp_path, level):
@@ -313,7 +352,7 @@ def nan_entry(path):
 
 def fewer_frames(path):
     write_features(path, read_features(path)[:-3])
-    return "27 feature rows but annotation scores have shape"
+    return "27x5 features, but 30x5 when loaded"
 
 
 def truncated_payload(path):

@@ -245,7 +245,7 @@ def test_feature_file_errors(tmp_path):
 
 @pytest.mark.parametrize(
     "frames, dims, users",
-    [(2000, 512, 3), (5000, 4, 50)],
+    [(2000, 512, 3), (1000, 4, 50)],
     ids=["features_dominate", "users_dominate"],
 )
 def test_synthetic_video_estimate_covers_the_traced_peak(tmp_path, frames, dims, users):
@@ -278,14 +278,14 @@ def test_loaded_video_reads_its_file_when_its_features_are_used(tmp_path):
     manifest = generate_synthetic(tmp_path, 12, videos=2, frames=30, dims=4)
     video = load_dataset(manifest).videos[1]
     assert video.path == tmp_path / "video001.vsf" and video.num_frames == 30
+    assert not hasattr(video, "features")
     want = read_features(video.path)
-    assert video.features.dtype == np.float32 and np.array_equal(video.features, want)
-    held = video.with_features()
-    assert held is not video and held.with_features() is held and held.path is None
-    assert held.features is held.features and np.array_equal(held.features, want)
-    assert np.array_equal(held.keyframes, video.keyframes)
+    held = video.read()
+    assert held is not video and held.read() is held and held.path is None
+    assert held.features.dtype == np.float32 and np.array_equal(held.features, want)
+    assert held.keyframes is video.keyframes and held.per_user_scores is video.per_user_scores
     built = Video("v", want, video.per_user_scores)
-    assert built.with_features() is built and built.features is want
+    assert built.read() is built and built.features is want
 
 
 @pytest.mark.parametrize(
@@ -293,7 +293,7 @@ def test_loaded_video_reads_its_file_when_its_features_are_used(tmp_path):
     [
         ("nan", "features contain non-finite values"),
         ("zero_frame", "frame 3 has all-zero features"),
-        ("fewer_frames", "29 feature rows but annotation scores have shape"),
+        ("fewer_frames", "29x4 features, but 30x4 when loaded"),
         ("wider", "30x5 features, but 30x4 when loaded"),
         ("truncated", "expected 480 payload bytes for 30x4, got 476"),
         ("bad_magic", "bad magic"),
@@ -317,9 +317,8 @@ def test_feature_file_changed_after_load_is_rejected_when_read_again(tmp_path, c
         path.write_bytes(path.read_bytes()[:-4])
     elif change == "bad_magic":
         path.write_bytes(b"XXXX" + path.read_bytes()[4:])
-    for use in (lambda: video.features, video.with_features):
-        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: changed since it was loaded: .*{message}"):
-            use()
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: changed since it was loaded: .*{message}"):
+        video.read()
 
 
 def test_dataset_by_id_finds_each_video_and_names_a_missing_one(tmp_path):
@@ -430,6 +429,7 @@ def test_manifest_legacy_subtask_size_is_ignored(tmp_path, legacy):
     loaded = load_dataset(manifest)
     assert loaded.manifest == plain.manifest
     for a, b in zip(loaded.videos, plain.videos, strict=True):
+        a, b = a.read(), b.read()
         for field in ("features", "per_user_scores", "mean_scores", "keyframes", "user_summaries"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
 
@@ -486,7 +486,7 @@ def test_synthetic_cluster_separation(tmp_path):
     ds = load_dataset(manifest)
     for video in ds.videos:
         key = video.keyframes.astype(bool)
-        feats = video.features
+        feats = video.read().features
         center_key = feats[key].mean(axis=0)
         center_other = feats[~key].mean(axis=0)
         pooled = np.concatenate([feats[key] - center_key, feats[~key] - center_other])

@@ -1,7 +1,9 @@
+import collections
 import json
 import logging
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ from hiersum.evaluation import (
     spearman_rho,
     video_truth_masks,
 )
-from hiersum import policy
+from hiersum import data, policy
 from hiersum.policy import SCORE_BATCH, greedy_scores
 from hiersum.seeding import substream
 from hiersum.training import TrainConfig, checkpoint_meta, new_policy, train_run
@@ -278,7 +280,7 @@ def test_video_truth_masks_fallback():
 
 def test_evaluate_video_fields(tiny_dataset):
     store = new_policy(6, TrainConfig(hidden=6, seed=3))
-    video = tiny_dataset.videos[0]
+    video = tiny_dataset.videos[0].read()
     (scores,) = greedy_scores(store, [video.features], 10)
     result = evaluate_video(video, scores, METRIC_KEYS["all"], "max", budget_fraction=0.3)
     assert result["video_id"] == video.video_id
@@ -353,7 +355,7 @@ def test_evaluate_run_fold_of_mixed_lengths_matches_per_video_scoring(tmp_path):
         store, _ = load_checkpoint(run / f"fold{k}.ckpt")
         results = []
         for video_id in video_ids:
-            video = dataset.by_id(video_id)
+            video = dataset.by_id(video_id).read()
             (scores,) = greedy_scores(store, [video.features], 10)
             assert scores.shape == (video.num_frames,)
             results.append(
@@ -397,11 +399,22 @@ def test_evaluate_holds_one_scoring_batch_of_features_at_a_time(tmp_path, monkey
         assert len(stores) <= SCORE_BATCH and all(s is stores[0] for s in stores)
         return real_lstm(stores, prefix, seqs)
 
+    reads = collections.Counter()
+    read_features = data.read_features
+
+    def counting_read(path):
+        reads[Path(path).name] += 1
+        return read_features(path)
+
     monkeypatch.setattr(policy, "lstm_forward", counting_lstm)
+    monkeypatch.setattr(data, "read_features", counting_read)
     with traced_peak() as traced:
         report = evaluate_run(run, dataset)
     # each fold of 12 takes three batches of 4, through the Manager and the Worker
     assert lanes == [SCORE_BATCH] * 12
+    # one read of each video's file, for both its scores and its segmentation
+    assert reads == collections.Counter(v.path.name for v in dataset.videos)
+    assert len(reads) == 24
     with open(run / "folds.json", encoding="utf-8") as fh:
         folds = json.load(fh)["folds"]
     fold_payload = min(
@@ -510,10 +523,10 @@ def test_run_on_float32_features_equals_run_on_their_float64_widening(tmp_path):
         narrow.manifest,
         [
             Video(v.video_id, v.features.astype(np.float64), v.per_user_scores, v.user_summaries)
-            for v in narrow.videos
+            for v in (video.read() for video in narrow.videos)
         ],
     )
-    assert narrow.videos[0].features.dtype == np.float32
+    assert narrow.videos[0].read().features.dtype == np.float32
     assert wide.videos[0].features.dtype == np.float64
     config = TrainConfig(epochs=2, episodes=3, subtask_size=10, hidden=8, seed=72)
     for name, dataset in (("narrow", narrow), ("wide", wide)):

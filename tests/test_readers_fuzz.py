@@ -2,9 +2,11 @@
 
 Each reader gets its file cut at every byte of its header (the whole file for
 the JSON formats) and a fixed-seed set of single-byte mutations anywhere in
-the file. A case passes if the reader returns an object of its usual type or
-raises ValidationError, ConfigurationError or ValueError whose message names
-the file; any other exception (KeyError, TypeError, ...) fails it.
+the file. Video.read re-reads a feature file that changed after a video was
+built from the undamaged one. A case passes if the reader returns an object
+of its usual type or raises ValidationError, ConfigurationError or ValueError
+whose message names the file; any other exception (KeyError, TypeError, ...)
+fails it.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from hiersum.data import (
     ConfigurationError,
     DatasetManifest,
     ValidationError,
+    Video,
     VideoEntry,
     load_manifest,
     read_annotations,
@@ -27,11 +30,18 @@ from hiersum.policy import init_policy
 from hiersum.seeding import substream
 
 MUTATIONS = 150
+FEATURES = substream(70, "feats").normal(size=(5, 3))
 
 
 def features_file(path):
-    write_features(path, substream(70, "feats").normal(size=(5, 3)))
+    write_features(path, FEATURES)
     return 12  # magic, frame count, feature dim
+
+
+def read_video(path):
+    """Re-read path as the feature file of a video built from the undamaged features."""
+    video = Video("fuzz", FEATURES.astype(np.float32), np.full((1, 5), 0.5), path=path)
+    return video.read()
 
 
 def annotations_file(path):
@@ -56,6 +66,15 @@ def features_ok(result):
     return isinstance(result, np.ndarray) and result.ndim == 2 and result.dtype == np.float32
 
 
+def video_ok(result):
+    return (
+        isinstance(result, Video)
+        and result.path is None
+        and result.features.dtype == np.float32
+        and result.features.shape == (5, 3)
+    )
+
+
 def annotations_ok(result):
     scores, summaries = result
     return isinstance(scores, np.ndarray) and (summaries is None or isinstance(summaries, np.ndarray))
@@ -77,6 +96,8 @@ READERS = {
     "read_annotations": (annotations_file, read_annotations, annotations_ok),
     "load_manifest": (manifest_file, load_manifest, manifest_ok),
     "load_checkpoint": (checkpoint_file, load_checkpoint, checkpoint_ok),
+    # sorts last, so the other readers keep their mutation seeds
+    "video.read": (features_file, read_video, video_ok),
 }
 
 

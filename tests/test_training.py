@@ -109,7 +109,7 @@ def test_manager_epoch_touches_only_manager_params(tiny_dataset):
     config = small_config()
     store = new_policy(6, config)
     before = snapshot(store)
-    train_manager_epoch([one_fold(store)], [tiny_dataset.videos], 10)
+    train_manager_epoch([one_fold(store)], [[v.read() for v in tiny_dataset.videos]], 10)
     assert unchanged(store, before, worker_param_names(store))
     assert not unchanged(store, before, manager_param_names(store))
 
@@ -118,7 +118,8 @@ def test_worker_epoch_touches_only_worker_params(tiny_dataset):
     config = small_config()
     store = new_policy(6, config)
     before = snapshot(store)
-    stats = train_worker_epoch([one_fold(store)], [tiny_dataset.videos], config, 0)[0]
+    videos = [v.read() for v in tiny_dataset.videos]
+    stats = train_worker_epoch([one_fold(store)], [videos], config, 0)[0]
     assert unchanged(store, before, manager_param_names(store))
     assert not unchanged(store, before, worker_param_names(store))
     assert set(stats) == {"reward", "R_d", "R_rep", "R_sub"}
@@ -148,7 +149,7 @@ def test_worker_epoch_runs_one_manager_pass_per_batch_and_one_gram_per_video(
     monkeypatch.setattr(policy, "manager_head", counting_head)
     monkeypatch.setattr(training, "manager_head", counting_head, raising=False)
     monkeypatch.setattr(rewards, "_action_rewards", counting_rewards)
-    videos = tiny_dataset.videos
+    videos = [v.read() for v in tiny_dataset.videos]
     assert len(videos) > policy.SCORE_BATCH
     config = small_config()
     store = new_policy(6, config)
@@ -161,7 +162,7 @@ def test_worker_epoch_runs_one_manager_pass_per_batch_and_one_gram_per_video(
 
 def test_worker_epoch_dscores_match_per_episode_loop(tiny_dataset, monkeypatch):
     config = small_config(episodes=6, alpha=0.4)
-    videos = tiny_dataset.videos[:3]
+    videos = [v.read() for v in tiny_dataset.videos[:3]]
     store = new_policy(6, config)
     baselines = {video.video_id: 0.1 * k for k, video in enumerate(videos)}
     # the three videos are one batch of the epoch's frozen Manager pass
@@ -204,7 +205,7 @@ def test_matched_baseline_single_episode_is_a_fixed_point(tiny_dataset):
     """With one episode, reward equal to the baseline, and no score-dependent
     reward term (alpha=1), the policy-gradient update vanishes exactly."""
     config = small_config(episodes=1, alpha=1.0)
-    video = tiny_dataset.videos[0]
+    video = tiny_dataset.videos[0].read()
     store = new_policy(6, config)
     feats = video.features
     mfwd = manager_forward([store], [feats], config.subtask_size)[0]
@@ -228,7 +229,7 @@ def test_score_reward_term_updates_even_at_matched_baseline(tiny_dataset):
     # same fixed point setup, but alpha < 1 turns on the subgoal-agreement
     # gradient, which does not pass through the sampled actions
     config = small_config(episodes=1, alpha=0.5)
-    video = tiny_dataset.videos[0]
+    video = tiny_dataset.videos[0].read()
     store = new_policy(6, config)
     feats = video.features
     mfwd = manager_forward([store], [feats], config.subtask_size)[0]
@@ -248,7 +249,7 @@ def test_score_reward_term_updates_even_at_matched_baseline(tiny_dataset):
 
 def test_baseline_moving_average_update(tiny_dataset):
     config = small_config()
-    video = tiny_dataset.videos[0]
+    video = tiny_dataset.videos[0].read()
     store = new_policy(6, config)
     fold = one_fold(store, lr=config.learning_rate)
     baselines = fold.baselines
@@ -262,7 +263,7 @@ def test_baseline_moving_average_update(tiny_dataset):
 
 def test_all_empty_episodes_skip_video(tiny_dataset, caplog):
     config = small_config()
-    video = tiny_dataset.videos[0]
+    video = tiny_dataset.videos[0].read()
     store = zero_store(6, config.hidden)
     store.params["worker.head.b"][0] = -50.0  # scores pinned to the low clamp
     before = snapshot(store)
@@ -279,7 +280,7 @@ def test_skip_warning_names_the_fold(tiny_dataset, caplog):
     # lines from folds trained in lockstep interleave, so the warning carries the
     # same "fold k" prefix as the INFO phase lines; only the pinned fold skips
     config = small_config()
-    videos = tiny_dataset.videos[:2]
+    videos = [v.read() for v in tiny_dataset.videos[:2]]
     pinned = zero_store(6, config.hidden)
     pinned.params["worker.head.b"][0] = -50.0  # scores pinned to the low clamp
     folds = [one_fold(new_policy(6, config), label=0), one_fold(pinned, label=1)]
@@ -298,8 +299,9 @@ def test_manager_loss_decreases(tiny_dataset):
     config = small_config()
     store = new_policy(6, config)
     fold = one_fold(store, lr=1e-2)
+    videos = [v.read() for v in tiny_dataset.videos]
     losses = [
-        train_manager_epoch([fold], [tiny_dataset.videos], config.subtask_size)[0]
+        train_manager_epoch([fold], [videos], config.subtask_size)[0]
         for _ in range(30)
     ]
     assert losses[-1] < losses[0] * 0.7
@@ -307,7 +309,7 @@ def test_manager_loss_decreases(tiny_dataset):
 
 def test_zero_store_manager_loss_is_log_two(tiny_dataset):
     store = zero_store(6, 8)
-    video = tiny_dataset.videos[0]
+    video = tiny_dataset.videos[0].read()
     fwd = manager_forward([store], [video.features], 10)[0]
     loss = manager_loss(fwd, derive_task_labels(video.keyframes, 10))
     assert abs(loss - math.log(2.0)) < 1e-15
